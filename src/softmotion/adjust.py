@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleDuration
+from .errors import InfeasibleBoundary, InfeasibleDuration
 from .planner import critical_length, plan_min_time_1d
-from .planner import _connect_steps, _sweep, _total  # shared closed forms
+from .planner import _DUR_TOL, _connect_steps, _sweep, _total  # shared closed forms
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        make_profile)
 
@@ -98,12 +98,94 @@ def _slowing_pieces(problem: TransitionProblem, vc: float,
     return _total(steps), steps
 
 
-def _vc_grid(limits: KinematicLimits, v0: float, vf: float, n: int = 4096):
-    """Sampling grid over admissible cruise velocities, both signs.
+def _ramp_arrays(va, vb, limits: KinematicLimits):
+    """Array form of ``_connect_steps(0.0, va, 0.0, vb)`` and its sweep from va.
+
+    One of va, vb is an array of cruise velocities.  Each ramp is jerk
+    +-jmax for ``edge`` seconds, a hold of ``hold`` seconds at +-amax (zero
+    for a ramp without plateau) and the opposite jerk for ``edge`` seconds;
+    ``dist`` is the displacement it sweeps from velocity va.  The shape is
+    chosen by the scalar rules, and every value is computed by the scalar
+    formulas in the same order, up to exact negations and halvings, so each
+    element equals its scalar counterpart.  Terms that add the exactly-zero
+    boundary accelerations are left out; they could only flip the sign of
+    a zero.
+    """
+    j, am = limits.jmax, limits.amax
+    dv = np.subtract(vb, va)
+    jerk_down = dv < 0.0
+    np.abs(dv, out=dv)
+    # peak acceleration sqrt(j*|dv|); where j*|dv| <= 1e-15 both shapes
+    # are valid and the one that wins has no duration at all
+    edge = dv * j
+    edge[edge <= 1e-15] = 0.0
+    np.sqrt(edge, out=edge)
+    plateau = edge > am
+    edge /= j
+    edge[plateau] = am / j
+    hold = np.subtract(dv, 2 * am * am / (2 * j), out=dv)
+    hold /= am
+    hold[~plateau] = 0.0
+    if np.any(hold < -_DUR_TOL):
+        raise InfeasibleBoundary("no phase-plane connection for a cruise velocity")
+    hold[hold < 0.0] = 0.0
+    # integrate_segment over (J, edge), (0, hold), (-J, edge) from (0, va, 0);
+    # jt = J*edge is the acceleration after the first segment
+    jt = edge * j
+    np.negative(jt, out=jt, where=jerk_down)
+    jt6 = jt / 6.0
+    v1 = 0.5 * jt
+    v1 *= edge
+    v1 += va
+    dist = jt6 * edge
+    dist += va
+    dist *= edge
+    tmp = 0.5 * jt          # the hold: position, then velocity
+    tmp *= hold
+    tmp += v1
+    tmp *= hold
+    dist += tmp
+    np.multiply(jt, hold, out=tmp)
+    v1 += tmp
+    np.multiply(jt, 0.5, out=tmp)   # the last segment: position
+    tmp -= jt6
+    tmp *= edge
+    tmp += v1
+    tmp *= edge
+    dist += tmp
+    return edge, hold, dist
+
+
+def _slowing_durations(problem: TransitionProblem, vc: np.ndarray,
+                       limits: KinematicLimits) -> tuple[np.ndarray, np.ndarray]:
+    """Durations T and the mask t_c >= 0 of ``_slowing_pieces`` over an array.
+
+    Element for element, ``T[k]`` equals ``_slowing_pieces(problem, vc[k])[0]``
+    wherever ``ok[k]``, and ``ok[k]`` is False exactly where it returns None.
+    """
+    edge1, hold1, s1 = _ramp_arrays(problem.init.v, vc, limits)
+    total = np.add(edge1, hold1, out=hold1)
+    total += edge1
+    del edge1   # free it before the second ramp's temporaries
+    edge2, hold2, s2 = _ramp_arrays(vc, problem.final.v, limits)
+    t_c = np.subtract(problem.displacement, s1, out=s1)
+    t_c -= s2
+    t_c /= vc
+    ok = t_c >= 0.0
+    total += t_c
+    total += edge2
+    total += hold2
+    total += edge2
+    return total, ok
+
+
+def _vc_grid(limits: KinematicLimits, v0: float, vf: float,
+             n: int = 4096) -> list[np.ndarray]:
+    """Sampling grids over admissible cruise velocities, negative side first.
 
     Ramp shapes change where |vc - v| crosses the plateau threshold
-    amax^2/jmax; those breakpoints are included so every grid cell sees a
-    smooth duration map.
+    amax^2/jmax; those breakpoints are inserted into each side so every grid
+    cell sees a smooth duration map.
     """
     vm = limits.vmax
     eps = vm * 1e-9
@@ -116,49 +198,50 @@ def _vc_grid(limits: KinematicLimits, v0: float, vf: float, n: int = 4096):
                 marks.add(w)
         if -vm < v < vm:
             marks.add(v)
-    grid: list[float] = []
+    sides = []
     for lo, hi in ((-vm, -eps), (eps, vm)):
         pts = np.linspace(lo, hi, n)
-        seg_marks = [m for m in marks if lo < m < hi]
-        grid.extend(sorted(set(pts.tolist()) | set(seg_marks)))
-    return [g for g in grid if abs(g) >= eps]
+        inner = np.array(sorted(m for m in marks if lo < m < hi))
+        at = np.searchsorted(pts, inner)
+        fresh = pts[at] != inner
+        sides.append(np.insert(pts, at[fresh], inner[fresh]))
+    return sides
 
 
 def _duration_runs(problem: TransitionProblem, limits: KinematicLimits,
-                   n: int = 4096) -> list[list[tuple[float, float]]]:
-    """Maximal runs of (vc, duration) samples with non-negative cruise time.
+                   n: int = 4096) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Maximal runs of cruise velocities with non-negative cruise time.
 
-    Each run is a contiguous stretch of feasible cruise velocities of one
-    sign; its edges (where the cruise time hits zero) are refined by
-    bisection and included, so the duration map is sampled through to the
-    run ends.
+    Each side of the grid is evaluated in one array pass.  A run is a
+    contiguous stretch of feasible cruise velocities of one sign, returned
+    as increasing ``vc`` with the durations ``T`` there.  Where a run ends
+    inside the grid, its edge (where the cruise time hits zero) is refined
+    by bisection and included, so the duration map is sampled through to
+    the run ends.  A gap in vc narrower than the grid spacing may go
+    undetected.
     """
-    vm = limits.vmax
-    eps = vm * 1e-9
-    grid = _vc_grid(limits, problem.init.v, problem.final.v, n=n)
-    sides = ([g for g in grid if g < 0.0], [g for g in grid if g > 0.0])
-    runs: list[list[tuple[float, float]]] = []
-    for side in sides:
-        current: list[tuple[float, float]] = []
-        prev_vc: float | None = None
-        for vc in side:
-            res = _slowing_pieces(problem, vc, limits)
-            if res is not None:
-                if not current and prev_vc is not None:
-                    edge = _refine_vc_edge(problem, limits, vc, prev_vc)
-                    if edge is not None and abs(edge[0] - vc) > eps:
-                        current.append(edge)
-                current.append((vc, res[0]))
-            else:
-                if current:
-                    edge = _refine_vc_edge(problem, limits, current[-1][0], vc)
-                    if edge is not None and abs(edge[0] - current[-1][0]) > eps:
-                        current.append(edge)
-                    runs.append(current)
-                    current = []
-            prev_vc = vc
-        if current:
-            runs.append(current)
+    eps = limits.vmax * 1e-9
+    runs: list[tuple[np.ndarray, np.ndarray]] = []
+    for side in _vc_grid(limits, problem.init.v, problem.final.v, n=n):
+        T, ok = _slowing_durations(problem, side, limits)
+        cuts = np.flatnonzero(ok[1:] != ok[:-1]) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), side.size]):
+            if not ok[lo]:
+                continue
+            vcs, ts = [side[lo:hi]], [T[lo:hi]]
+            if lo > 0:
+                edge = _refine_vc_edge(problem, limits, float(side[lo]),
+                                       float(side[lo - 1]))
+                if edge is not None and abs(edge[0] - side[lo]) > eps:
+                    vcs.insert(0, [edge[0]])
+                    ts.insert(0, [edge[1]])
+            if hi < side.size:
+                edge = _refine_vc_edge(problem, limits, float(side[hi - 1]),
+                                       float(side[hi]))
+                if edge is not None and abs(edge[0] - side[hi - 1]) > eps:
+                    vcs.append([edge[0]])
+                    ts.append([edge[1]])
+            runs.append((np.concatenate(vcs), np.concatenate(ts)))
     return runs
 
 
@@ -185,10 +268,12 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
                           limits: KinematicLimits) -> AxisProfile:
     """Transition stretched to t_imp by cruising below vmax.
 
-    Searches the duration-vs-cruise-velocity map for a crossing of t_imp,
-    then bisects the bracketing cell (the map is continuous and monotone
-    between breakpoints).  Raises InfeasibleDuration when t_imp falls in a
-    gap where no cruise velocity yields a valid profile.
+    Evaluates the duration-vs-cruise-velocity map over each run at once,
+    then bisects only the cells where T - t_imp changes sign (the map is
+    continuous and monotone between breakpoints).  Of the crossings that
+    reproduce t_imp, the fastest cruise wins.  Raises InfeasibleDuration
+    when t_imp falls in a gap where no cruise velocity yields a valid
+    profile; a gap narrower than the grid spacing may go undetected.
     """
     if problem.t_opt is not None and t_imp < problem.t_opt - 1e-9:
         raise InfeasibleDuration(f"t_imp={t_imp} is below the minimal time")
@@ -197,15 +282,15 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
         return base
 
     best_vc: float | None = None
-    for run in _duration_runs(problem, limits):
-        for (vc0, T0), (vc1, T1) in zip(run[:-1], run[1:]):
-            f0, f1 = T0 - t_imp, T1 - t_imp
+    for vcs, T in _duration_runs(problem, limits):
+        f = T - t_imp
+        below = f < 0.0
+        for k in np.flatnonzero((f[:-1] == 0.0) | (below[:-1] != below[1:])).tolist():
+            vc0, f0 = float(vcs[k]), float(f[k])
             if f0 == 0.0:
                 vc_star = vc0
-            elif (f0 < 0.0) == (f1 < 0.0):
-                continue
             else:
-                lo, hi = vc0, vc1
+                lo, hi = vc0, float(vcs[k + 1])
                 for _ in range(100):
                     mid = 0.5 * (lo + hi)
                     if mid == lo or mid == hi:
@@ -237,10 +322,12 @@ def feasibility_intervals(problem: TransitionProblem, limits: KinematicLimits,
 
     The duration map vc -> T is continuous on each maximal vc-run where the
     cruise time stays non-negative, so each run contributes the interval
-    [min T, max T]; run edges (where the cruise time hits zero) are refined
-    by bisection.  t_opt is always feasible (the minimal-time profile) and
-    everything from t_stop upward is feasible via stop-and-dwell.
-    Gaps narrower than ``resolution`` may go undetected.
+    [min T, max T] of its duration array; run edges (where the cruise time
+    hits zero) are refined by bisection.  The grid holds about
+    8 (t_stop - t_opt) / resolution points per side (2048 to 65536).
+    t_opt is always feasible (the minimal-time profile) and everything
+    from t_stop upward is feasible via stop-and-dwell.  Gaps narrower than
+    ``resolution`` may go undetected.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be > 0")
@@ -255,9 +342,8 @@ def feasibility_intervals(problem: TransitionProblem, limits: KinematicLimits,
     if t_stop > t_opt:
         n = min(max(2048, int(8.0 * (t_stop - t_opt) / resolution)), 65536)
     intervals = [(t_opt, t_opt), (t_stop, t_stop)]
-    for run in _duration_runs(problem, limits, n=n):
-        ts = [T for _, T in run]
-        lo, hi = max(min(ts), t_opt), min(max(ts), t_stop)
+    for _, T in _duration_runs(problem, limits, n=n):
+        lo, hi = max(float(T.min()), t_opt), min(float(T.max()), t_stop)
         if lo <= hi:
             intervals.append((lo, hi))
     intervals.sort()

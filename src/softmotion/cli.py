@@ -23,6 +23,8 @@ from .waypoints import plan_waypoint_path_detailed
 
 _POSITION_NAMES = ["x", "y", "z"]
 _POSE_NAMES = ["x", "y", "z", "qn", "qi", "qj", "qk"]
+_VECTOR_OPTIONS = ("--from", "--to", "--init", "--final")
+_NUMBER_START = set("0123456789.")
 
 
 def _load_limits(path: str | None) -> LimitSet:
@@ -70,12 +72,15 @@ def _cmd_plan_path(args) -> int:
     if points.shape[0] < 3:
         print("error: at least three points are required", file=sys.stderr)
         return 2
-    coords = points[:, :3]
-    profiles, summaries = plan_waypoint_path_detailed(coords, limits.linear)
+    if points.shape[1] != 3:
+        print("error: plan-path plans positions only; give x,y,z waypoints "
+              "without orientation columns", file=sys.stderr)
+        return 2
+    profiles, summaries = plan_waypoint_path_detailed(points, limits.linear)
     out = _open_out(args.out)
     try:
         write_trajectory_csv(out, profiles, _POSITION_NAMES, args.dt,
-                             rest_positions=list(coords[0]))
+                             rest_positions=list(points[0]))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -197,9 +202,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_vectors(argv: list[str]) -> list[str]:
+    """Join a vector that starts with a minus sign to its option.
+
+    argparse reads "-0.1,0,0" as an option name, so "--from -0.1,0,0" is
+    rewritten to "--from=-0.1,0,0".
+    """
+    out: list[str] = []
+    for tok in argv:
+        if (out and out[-1] in _VECTOR_OPTIONS and tok[:1] == "-"
+                and tok[1:2] in _NUMBER_START):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_vectors(argv))
     try:
         return args.func(args)
     except (InfeasibleBoundary, InfeasibleDuration) as exc:

@@ -66,17 +66,6 @@ def read_limits(path: str) -> LimitSet:
     )
 
 
-def write_limits(path: str, limits: LimitSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in (("linear.jmax", limits.linear.jmax),
-                         ("linear.amax", limits.linear.amax),
-                         ("linear.vmax", limits.linear.vmax),
-                         ("angular.jmax", limits.angular.jmax),
-                         ("angular.amax", limits.angular.amax),
-                         ("angular.vmax", limits.angular.vmax)):
-            fh.write(f"{key} {fmt(val)}\n")
-
-
 def read_waypoints(path: str) -> np.ndarray:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:

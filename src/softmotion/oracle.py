@@ -31,31 +31,6 @@ from .profiles import KinematicLimits, KinematicState
 NODE_CAP = 5_000_000
 
 
-def _connect_time(a: float, v: float, af: float, vf: float,
-                  jm: float, am: float) -> float:
-    """Min time of the bang-bang (a, v) -> (af, vf) connection, x free."""
-    best = math.inf
-    s_up = jm * (vf - v) + 0.5 * (a * a + af * af)
-    if s_up >= 0.0:
-        apk = math.sqrt(s_up)
-        if apk >= a - 1e-12 and apk >= af - 1e-12:
-            if apk <= am:
-                best = min(best, (2.0 * apk - a - af) / jm)
-            else:
-                hold = ((vf - v) - (2 * am * am - a * a - af * af) / (2 * jm)) / am
-                best = min(best, (2.0 * am - a - af) / jm + max(hold, 0.0))
-    s_dn = -jm * (vf - v) + 0.5 * (a * a + af * af)
-    if s_dn >= 0.0:
-        avl = -math.sqrt(s_dn)
-        if avl <= a + 1e-12 and avl <= af + 1e-12:
-            if avl >= -am:
-                best = min(best, (a + af - 2.0 * avl) / jm)
-            else:
-                hold = ((v - vf) - (2 * am * am - a * a - af * af) / (2 * jm)) / am
-                best = min(best, (a + af + 2.0 * am) / jm + max(hold, 0.0))
-    return 0.0 if best is math.inf else max(best, 0.0)
-
-
 def _connect_time_vec(a, v, af, vf, jm, am):
     a2 = a * a
     af2 = af * af
@@ -138,6 +113,67 @@ def _segment_meets_box(v1, x1, v2, x2, vf, xf, tol_v, tol_x) -> bool:
     return bool((lo <= hi + 1e-15).any())
 
 
+#: Rows per block in _successors: short enough that the many temporaries
+#: of _connect_time_vec stay in cache.
+_BLOCK = 8192
+
+
+def _successors(m, v, x, a, t_next, a0, qa, af, vf, D, dt, t_ub, limits,
+                xlo_b, xhi_b, tol_x):
+    """Successor rows that stay inside the limits and the box and whose
+    optimistic time to go still fits the horizon: first every row's
+    -jmax successor, then its 0 and then its +jmax successor.
+
+    A row passes when t_next + max(connect time - 2*dt, distance / vmax)
+    <= t_ub.  Rounded addition is monotone, so that equals both bounds
+    passing on their own, which is how it is tested here.
+    """
+    jm, am, vm = limits.jmax, limits.amax, limits.vmax
+    dv = 0.5 * jm * dt * dt
+    d6 = jm * dt ** 3 / 6.0
+    out_m, out_v, out_x = [], [], []
+    for step in (-1, 0, 1):
+        for s in range(0, len(m), _BLOCK):
+            blk = slice(s, s + _BLOCK)
+            mp, vp, xp, ap = m[blk], v[blk], x[blk], a[blk]
+            m2 = mp + step
+            v2 = vp + ap * dt
+            x2 = xp + (vp * dt + 0.5 * ap * dt * dt)
+            if step:
+                v2 += step * dv
+                x2 += step * d6
+            a2 = a0 + m2 * qa
+            xgap = np.maximum(np.abs(D - x2) - tol_x, 0.0)
+            keep = ((np.abs(a2) <= am + 1e-12) & (np.abs(v2) <= vm + 1e-12)
+                    & (x2 >= xlo_b) & (x2 <= xhi_b)
+                    & (t_next + xgap / vm <= t_ub)
+                    & (t_next + (_connect_time_vec(a2, v2, af, vf, jm, am) - 2 * dt)
+                       <= t_ub))
+            out_m.append(m2[keep])
+            out_v.append(v2[keep])
+            out_x.append(x2[keep])
+    return np.concatenate(out_m), np.concatenate(out_v), np.concatenate(out_x)
+
+
+def _cell_extremes(key, x):
+    """Indices of the least-x row (first of equals) and the greatest-x row
+    (last of equals) of every key, in key order, each pair as (least, greatest).
+
+    Complex numbers sort by real part, then imaginary part, so one stable
+    sort of key + 1j*x orders the rows exactly as np.lexsort((x, key)) but
+    faster: the rows arrive as three nearly key-sorted runs.  The key stays
+    below 2**53, so it is exact as a float.
+    """
+    z = np.empty(len(key), dtype=np.complex128)
+    z.real = key
+    z.imag = x
+    order = np.argsort(z, kind="stable")
+    ks = key[order]
+    first = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+    last = np.r_[first[1:], len(ks)] - 1
+    return order[np.stack([first, last], axis=1).ravel()]
+
+
 def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
     jm, am, vm = limits.jmax, limits.amax, limits.vmax
     qa = jm * dt
@@ -152,7 +188,6 @@ def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
     m = np.zeros(2, dtype=np.int64)
     v = np.array([v0, v0])
     x = np.array([0.0, 0.0])
-    d6 = jm * dt ** 3 / 6.0
     peak = 0
     for k in range(k_max):
         a = a0 + m * qa
@@ -163,29 +198,13 @@ def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
             if _segment_meets_box(v[2 * i], x[2 * i], v[2 * i + 1], x[2 * i + 1],
                                   vf, D, tol_v, tol_x):
                 return k * dt, peak
-        shift = v * dt + 0.5 * a * dt * dt
-        m2 = np.concatenate([m - 1, m, m + 1])
-        v2 = np.concatenate([v + a * dt - 0.5 * jm * dt * dt, v + a * dt,
-                             v + a * dt + 0.5 * jm * dt * dt])
-        x2 = np.concatenate([x + shift - d6, x + shift, x + shift + d6])
-        a2 = a0 + m2 * qa
-        keep = (np.abs(a2) <= am + 1e-12) & (np.abs(v2) <= vm + 1e-12) \
-            & (x2 >= xlo_b) & (x2 <= xhi_b)
-        m2, v2, x2, a2 = m2[keep], v2[keep], x2[keep], a2[keep]
-        xgap = np.maximum(np.abs(D - x2) - tol_x, 0.0)
-        lb = np.maximum(_connect_time_vec(a2, v2, af, vf, jm, am) - 2 * dt,
-                        xgap / vm)
-        keep = (k + 1) * dt + lb <= t_ub
-        m2, v2, x2 = m2[keep], v2[keep], x2[keep]
+        m2, v2, x2 = _successors(m, v, x, a, (k + 1) * dt, a0, qa, af, vf, D, dt,
+                                 t_ub, limits, xlo_b, xhi_b, tol_x)
         if len(m2) == 0:
             return None, peak
         vb = np.floor(v2 / wv).astype(np.int64)
         key = (m2 + (1 << 20)) * (1 << 27) + (vb + (1 << 26))
-        order = np.lexsort((x2, key))
-        ks = key[order]
-        first = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-        last = np.r_[first[1:], len(ks)] - 1
-        pick = order[np.stack([first, last], axis=1).ravel()]
+        pick = _cell_extremes(key, x2)
         m, v, x = m2[pick], v2[pick], x2[pick]
         peak = max(peak, len(m))
         if len(m) > node_cap:

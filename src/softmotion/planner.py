@@ -60,7 +60,12 @@ def _sweep(steps: Steps, a0: float, v0: float) -> tuple[float, float, float]:
 
 
 def _total(steps: Steps) -> float:
-    return sum(max(t, 0.0) for _, t in steps)
+    # summed left to right on every Python version (sum() of floats is
+    # compensated from 3.12 on), as the array form in adjust also sums
+    total = 0.0
+    for _, t in steps:
+        total += max(t, 0.0)
+    return total
 
 
 def check_boundary_state(state: KinematicState, limits: KinematicLimits,

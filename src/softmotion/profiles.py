@@ -31,9 +31,6 @@ class KinematicState:
         if not (math.isfinite(self.a) and math.isfinite(self.v) and math.isfinite(self.x)):
             raise ValueError(f"non-finite kinematic state {(self.a, self.v, self.x)}")
 
-    def advance(self, jerk: float, dt: float) -> "KinematicState":
-        return integrate_segment(self, jerk, dt)
-
 
 @dataclass(frozen=True)
 class KinematicLimits:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from softmotion import (InfeasibleDuration, check_limits,
-                        feasibility_intervals, impose_common_time,
-                        plan_for_duration, plan_slowing_velocity, stop_time,
-                        transition_problem)
+from softmotion import (InfeasibleDuration, KinematicState, check_limits,
+                        critical_length, feasibility_intervals,
+                        impose_common_time, plan_for_duration,
+                        plan_slowing_velocity, stop_time, transition_problem)
+from softmotion import adjust
 from softmotion.adjust import _slowing_pieces
 
 
@@ -161,3 +162,102 @@ def test_stretched_profiles_respect_limits_everywhere(lin):
         except InfeasibleDuration:
             continue
         assert check_limits(prof, lin).ok
+
+
+def scalar_vc_grid(limits, v0, vf, n):
+    """Both sides of the cruise-velocity grid, built from Python sets."""
+    vm, eps = limits.vmax, limits.vmax * 1e-9
+    thr = limits.amax ** 2 / limits.jmax
+    marks = {w for v in (v0, vf) for w in (v - thr, v + thr, v) if -vm < w < vm}
+    return [sorted(set(np.linspace(lo, hi, n).tolist())
+                   | {m for m in marks if lo < m < hi})
+            for lo, hi in ((-vm, -eps), (eps, vm))]
+
+
+def scalar_duration_runs(problem, limits, n):
+    """The duration runs rebuilt one cruise velocity at a time."""
+    eps = limits.vmax * 1e-9
+    runs = []
+    for side in scalar_vc_grid(limits, problem.init.v, problem.final.v, n):
+        current, prev = [], None
+        for vc in side:
+            res = _slowing_pieces(problem, vc, limits)
+            if res is not None:
+                if not current and prev is not None:
+                    edge = adjust._refine_vc_edge(problem, limits, vc, prev)
+                    if edge is not None and abs(edge[0] - vc) > eps:
+                        current.append(edge)
+                current.append((vc, res[0]))
+            elif current:
+                edge = adjust._refine_vc_edge(problem, limits, current[-1][0], vc)
+                if edge is not None and abs(edge[0] - current[-1][0]) > eps:
+                    current.append(edge)
+                runs.append(current)
+                current = []
+            prev = vc
+        if current:
+            runs.append(current)
+    return [(np.array([vc for vc, _ in run]), np.array([t for _, t in run]))
+            for run in runs]
+
+
+def equivalence_cases(lin, count=520):
+    """Seeded (v0, vf, D) with the edge cases of the duration map."""
+    rng = np.random.default_rng(2024)
+    thr = lin.amax ** 2 / lin.jmax
+    for k in range(count):
+        v0, vf = (float(v) for v in rng.uniform(-lin.vmax, lin.vmax, 2))
+        kind = k % 5
+        if kind == 1:
+            v0 = 0.0
+        elif kind == 2:
+            vf = v0
+        elif kind == 3:   # v0 - thr or v0 + thr is vf, a plateau breakpoint
+            vf = v0 - thr if v0 - thr > -lin.vmax else v0 + thr
+        dc = critical_length(KinematicState(0.0, v0), KinematicState(0.0, vf), lin)
+        d = dc if kind == 4 else dc + float(rng.uniform(-0.3, 0.3))
+        yield v0, vf, d
+
+
+def test_array_duration_map_matches_scalar_loop(lin, monkeypatch):
+    n = 48
+    checked = 0
+    for v0, vf, d in equivalence_cases(lin):
+        prob = transition_problem(v0, vf, d, lin)
+        grid = adjust._vc_grid(lin, v0, vf, n=n)
+        assert [side.tolist() for side in grid] == scalar_vc_grid(lin, v0, vf, n)
+        runs = adjust._duration_runs(prob, lin, n=n)
+        ref = scalar_duration_runs(prob, lin, n)
+        assert len(runs) == len(ref)
+        for (vcs, ts), (ref_vcs, ref_ts) in zip(runs, ref):
+            assert vcs.tolist() == ref_vcs.tolist()
+            assert ts.tolist() == ref_ts.tolist()
+        # intervals and slowed profiles of the same grid from either form
+        with monkeypatch.context() as m:
+            m.setattr(adjust, "_duration_runs", lambda *args, **kw: ref)
+            ref_ivals = feasibility_intervals(prob, lin)
+            t_imp = next((0.5 * (lo + hi) for lo, hi in ref_ivals if hi > lo),
+                         None)
+            ref_prof = (None if t_imp is None
+                        else plan_slowing_velocity(prob, t_imp, lin))
+        with monkeypatch.context() as m:
+            m.setattr(adjust, "_duration_runs", lambda *args, **kw: runs)
+            assert feasibility_intervals(prob, lin) == ref_ivals
+            if t_imp is not None:
+                prof = plan_slowing_velocity(prob, t_imp, lin)
+                assert prof.segments == ref_prof.segments
+        checked += 1
+    assert checked >= 500
+
+
+def test_impose_common_time_matches_scalar_loop_on_readme_corner(lin, monkeypatch):
+    problems = [transition_problem(0.15, 0.15, 0.125, lin),
+                transition_problem(0.15, 0.15, 0.125, lin),
+                transition_problem(0.0, 0.15, 0.0625, lin)]
+    t_imp, profs = impose_common_time(problems, lin)
+    monkeypatch.setattr(adjust, "_duration_runs",
+                        lambda p, lim, n=4096: scalar_duration_runs(p, lim, n))
+    ref_t, ref_profs = impose_common_time(problems, lin)
+    assert t_imp == ref_t
+    for prof, ref in zip(profs, ref_profs):
+        assert prof.segments == ref.segments

@@ -1,15 +1,22 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import softmotion
+
 BASE = [sys.executable, "-m", "softmotion"]
+# the command line runs the package these tests import, installed or not
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (os.path.dirname(os.path.dirname(softmotion.__file__)),
+                os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_cli(args, stdin=""):
     return subprocess.run(BASE + list(args), input=stdin, capture_output=True,
-                          text=True, timeout=600)
+                          text=True, timeout=600, env=ENV)
 
 
 def parse_csv(text):
@@ -148,3 +155,34 @@ def test_output_deterministic(tmp_path):
                        "--out", str(out)])
         assert res.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_plan_path_rejects_orientation_columns(tmp_path):
+    wp = tmp_path / "waypoints.txt"
+    wp.write_text("0,0,0,1,0,0,0\n0.1,0,0,1,0,0,0\n0.1,0.1,0,1,0,0,0\n")
+    out = tmp_path / "traj.csv"
+    res = run_cli(["plan-path", "--waypoints", str(wp), "--out", str(out)])
+    assert res.returncode == 2
+    assert "positions only" in res.stderr
+    assert not out.exists()
+
+
+def test_negative_vectors_need_no_equals_sign(tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    res = run_cli(["plan-ptp", "--from", "-0.1,0,0", "--to", "-0.02,-0.05,0",
+                   "--out", str(spaced)])
+    assert res.returncode == 0, res.stderr
+    res = run_cli(["plan-ptp", "--from=-0.1,0,0", "--to=-0.02,-0.05,0",
+                   "--out", str(joined)])
+    assert res.returncode == 0, res.stderr
+    assert spaced.read_bytes() == joined.read_bytes()
+    res = run_cli(["oracle", "--init", "0,-0.05", "--final", "-0.1,-0.1",
+                   "--displacement", "-0.05", "--dt", "0.01"])
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) > 0.0
+
+
+def test_vector_option_still_needs_a_value():
+    res = run_cli(["plan-ptp", "--from", "--to", "0.1,0,0"])
+    assert res.returncode == 2
+    assert "expected one argument" in res.stderr

@@ -93,3 +93,22 @@ def test_rejects_bad_dt(lin):
     with pytest.raises(ValueError):
         brute_force_min_time(KinematicState(0, 0, 0),
                              KinematicState(0, 0, 0.01), lin, 0.0)
+
+
+def test_cell_extremes_match_lexsort_with_ties():
+    # The frontier keeps, per cell key, the first least-x and the last
+    # greatest-x row of the stable (key, x) order; ties in x and -0.0 must
+    # resolve by arrival order exactly as np.lexsort does.
+    from softmotion.oracle import _cell_extremes
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 400))
+        key = (rng.integers(0, 25, n) + (1 << 20)) * (1 << 27)
+        x = rng.integers(-3, 4, n).astype(float)
+        x[rng.random(n) < 0.2] = -0.0
+        order = np.lexsort((x, key))
+        ks = key[order]
+        first = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+        last = np.r_[first[1:], n] - 1
+        expected = order[np.stack([first, last], axis=1).ravel()]
+        assert np.array_equal(_cell_extremes(key, x), expected)
