@@ -11,7 +11,7 @@ from .adjust import (TransitionProblem, feasibility_intervals,
                      impose_common_time, plan_for_duration,
                      plan_slowing_velocity, stop_time, transition_problem)
 from .errors import (InfeasibleBoundary, InfeasibleDuration, SoftMotionError,
-                     SearchBudgetExceeded)
+                     SearchBudgetExceeded, SolverFailure)
 from .multiaxis import plan_ptp_nd, plan_ptp_nd_with_times, scale_limits_for_duration
 from .oracle import brute_force_min_time
 from .orientation import (Pose, Quaternion, Twist, omega_to_qdot,
@@ -28,8 +28,8 @@ from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
 from .ptp import (PtpTimes, accel_plateau_threshold, plan_ptp_1d,
                   ptp_saturation_threshold, ptp_times)
 from .tracker import OnlineTracker, PoseTracker
-from .waypoints import (TransitionSummary, cruise_window, plan_waypoint_path,
-                        plan_waypoint_path_detailed, transition_conditions)
+from .waypoints import (TransitionSummary, plan_waypoint_path,
+                        plan_waypoint_path_detailed)
 
 __version__ = "0.1.0"
 
@@ -37,10 +37,11 @@ __all__ = [
     "AxisProfile", "CubicSegment", "KinematicLimits", "KinematicState",
     "LimitReport", "LimitViolation", "MotionType", "OnlineTracker", "Pose",
     "PoseTracker", "PtpTimes", "Quaternion", "SoftMotionError",
-    "SearchBudgetExceeded", "TransitionProblem", "TransitionSummary", "Twist",
+    "SearchBudgetExceeded", "SolverFailure", "TransitionProblem",
+    "TransitionSummary", "Twist",
     "InfeasibleBoundary", "InfeasibleDuration",
     "accel_plateau_threshold", "brute_force_min_time", "check_limits",
-    "classify", "concat_profiles", "critical_length", "cruise_window",
+    "classify", "concat_profiles", "critical_length",
     "dilate_profile", "evaluate", "feasibility_intervals",
     "impose_common_time", "integrate_segment", "make_profile",
     "mirror_problem", "omega_to_qdot", "phase_parabola", "plan_for_duration",
@@ -50,5 +51,5 @@ __all__ = [
     "ptp_times", "qdot_to_omega", "qr_matrix", "quaternion_norm_drift",
     "sample_times", "scale_limits_for_duration", "scale_profile",
     "shift_profile", "slice_profile", "solve_real_roots", "stop_time",
-    "transition_conditions", "transition_problem",
+    "transition_problem",
 ]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleBoundary, InfeasibleDuration
-from .planner import critical_length, plan_min_time_1d
-from .planner import _DUR_TOL, _connect_steps, _sweep, _total  # shared closed forms
+from .planner import (CLAMP_TOL, connect_steps, critical_length,
+                      plan_min_time_1d, steps_duration, sweep)
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        make_profile)
 
@@ -83,23 +83,23 @@ def stop_time(problem: TransitionProblem,
     return t_stop, make_profile(steps, init)
 
 
-def _slowing_pieces(problem: TransitionProblem, vc: float,
-                    limits: KinematicLimits):
+def slowing_pieces(problem: TransitionProblem, vc: float,
+                   limits: KinematicLimits):
     """Duration and steps of the vc-cruise profile, or None when t_c < 0."""
     v0, vf = problem.init.v, problem.final.v
-    ramp1 = _connect_steps(0.0, v0, 0.0, vc, limits)
-    ramp2 = _connect_steps(0.0, vc, 0.0, vf, limits)
-    s1 = _sweep(ramp1, 0.0, v0)[2]
-    s2 = _sweep(ramp2, 0.0, vc)[2]
+    ramp1 = connect_steps(0.0, v0, 0.0, vc, limits)
+    ramp2 = connect_steps(0.0, vc, 0.0, vf, limits)
+    s1 = sweep(ramp1, 0.0, v0)[2]
+    s2 = sweep(ramp2, 0.0, vc)[2]
     t_c = (problem.displacement - s1 - s2) / vc
     if t_c < 0.0:
         return None
     steps = ramp1 + [(0.0, t_c)] + ramp2
-    return _total(steps), steps
+    return steps_duration(steps), steps
 
 
 def _ramp_arrays(va, vb, limits: KinematicLimits):
-    """Array form of ``_connect_steps(0.0, va, 0.0, vb)`` and its sweep from va.
+    """Array form of ``connect_steps(0.0, va, 0.0, vb)`` and its sweep from va.
 
     One of va, vb is an array of cruise velocities.  Each ramp is jerk
     +-jmax for ``edge`` seconds, a hold of ``hold`` seconds at +-amax (zero
@@ -126,7 +126,7 @@ def _ramp_arrays(va, vb, limits: KinematicLimits):
     hold = np.subtract(dv, 2 * am * am / (2 * j), out=dv)
     hold /= am
     hold[~plateau] = 0.0
-    if np.any(hold < -_DUR_TOL):
+    if np.any(hold < -CLAMP_TOL):
         raise InfeasibleBoundary("no phase-plane connection for a cruise velocity")
     hold[hold < 0.0] = 0.0
     # integrate_segment over (J, edge), (0, hold), (-J, edge) from (0, va, 0);
@@ -158,9 +158,9 @@ def _ramp_arrays(va, vb, limits: KinematicLimits):
 
 def _slowing_durations(problem: TransitionProblem, vc: np.ndarray,
                        limits: KinematicLimits) -> tuple[np.ndarray, np.ndarray]:
-    """Durations T and the mask t_c >= 0 of ``_slowing_pieces`` over an array.
+    """Durations T and the mask t_c >= 0 of ``slowing_pieces`` over an array.
 
-    Element for element, ``T[k]`` equals ``_slowing_pieces(problem, vc[k])[0]``
+    Element for element, ``T[k]`` equals ``slowing_pieces(problem, vc[k])[0]``
     wherever ``ok[k]``, and ``ok[k]`` is False exactly where it returns None.
     """
     edge1, hold1, s1 = _ramp_arrays(problem.init.v, vc, limits)
@@ -248,14 +248,14 @@ def _duration_runs(problem: TransitionProblem, limits: KinematicLimits,
 def _refine_vc_edge(problem: TransitionProblem, limits: KinematicLimits,
                     good: float, bad: float) -> tuple[float, float] | None:
     """(vc, duration) at the boundary of a feasible run, to ~1e-12 in vc."""
-    res = _slowing_pieces(problem, good, limits)
+    res = slowing_pieces(problem, good, limits)
     if res is None:
         return None
     for _ in range(60):
         mid = 0.5 * (good + bad)
         if mid == good or mid == bad:
             break
-        r = _slowing_pieces(problem, mid, limits)
+        r = slowing_pieces(problem, mid, limits)
         if r is None:
             bad = mid
         else:
@@ -295,7 +295,7 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
                     mid = 0.5 * (lo + hi)
                     if mid == lo or mid == hi:
                         break
-                    r = _slowing_pieces(problem, mid, limits)
+                    r = slowing_pieces(problem, mid, limits)
                     if r is None:
                         hi = mid   # off the run edge; shrink toward the good side
                         continue
@@ -304,7 +304,7 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
                     else:
                         hi = mid
                 vc_star = 0.5 * (lo + hi)
-            r = _slowing_pieces(problem, vc_star, limits)
+            r = slowing_pieces(problem, vc_star, limits)
             if r is None or abs(r[0] - t_imp) > DURATION_TOL:
                 continue
             if best_vc is None or abs(vc_star) > abs(best_vc):
@@ -312,7 +312,7 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
     if best_vc is None:
         raise InfeasibleDuration(
             f"no slowed profile of duration {t_imp}: the duration lies in a gap")
-    _, steps = _slowing_pieces(problem, best_vc, limits)
+    _, steps = slowing_pieces(problem, best_vc, limits)
     return make_profile(steps, problem.init)
 
 

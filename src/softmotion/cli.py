@@ -3,20 +3,21 @@
 Subcommands: plan-ptp (straight pose-to-pose motion), plan-path (waypoint
 trajectory with a per-transition report), track (online reference
 tracking over stdin/stdout) and oracle (brute-force minimal time).
-Exit codes: 0 success, 2 usage or input error, 3 infeasible plan.
+Exit codes: 0 success, 2 usage or input error, 3 infeasible plan, exceeded
+search budget or solver failure.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .errors import InfeasibleBoundary, InfeasibleDuration, SearchBudgetExceeded
+from .errors import (InfeasibleBoundary, InfeasibleDuration, SearchBudgetExceeded,
+                     SolverFailure)
 from .fileio import (LimitSet, fmt, parse_vector, read_limits, read_waypoints,
                      write_trajectory_csv, write_transition_report)
 from .multiaxis import plan_ptp_nd
 from .oracle import brute_force_min_time
-from .orientation import (Pose, Quaternion, Twist, omega_to_qdot,
-                          plan_pose_axes)
+from .orientation import Pose, Quaternion, Twist, plan_pose_axes
 from .profiles import KinematicState
 from .tracker import PoseTracker
 from .waypoints import plan_waypoint_path_detailed
@@ -132,22 +133,11 @@ def _cmd_track(args) -> int:
         row = ([fmt(tracker.time)] + [fmt(c) for c in pose.as_array()]
                + [fmt(c) for c in twist.v] + [fmt(c) for c in twist.w])
         print(" ".join(row))
-        if idx >= len(refs) and tracker.time > t_last and _tracker_settled(tracker, current):
+        if idx >= len(refs) and tracker.time > t_last and tracker.settled(current):
             return 0
         if tracker.time > safety_end:
             print("warning: tracker did not settle; stopping", file=sys.stderr)
             return 0
-
-
-def _tracker_settled(tracker: PoseTracker, ref: Twist) -> bool:
-    inner = tracker._inner
-    qdot = omega_to_qdot(tracker.pose().orient, ref.w)
-    targets = list(ref.v) + list(qdot)
-    for state, lim, target in zip(inner.states, inner.limits, targets):
-        target = max(-lim.vmax, min(lim.vmax, target))
-        if abs(state.a) > 1e-9 or abs(state.v - target) > 1e-9:
-            return False
-    return True
 
 
 def _cmd_oracle(args) -> int:
@@ -171,7 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Jerk/acceleration/velocity-bounded trajectory planning.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan-ptp", help="straight pose-to-pose motion")
+    p = sub.add_parser(
+        "plan-ptp", help="straight pose-to-pose motion",
+        description="Plan a synchronized straight motion and write it as a "
+                    "sampled CSV. The qn, qi, qj, qk columns of a pose CSV are "
+                    "the raw cubic quaternion components, up to 7.6e-2 off "
+                    "unit norm for a quarter turn; renormalise them before use.")
     p.add_argument("--from", required=True, metavar="X,Y,Z[,QN,QI,QJ,QK]")
     p.add_argument("--to", required=True, metavar="X,Y,Z[,QN,QI,QJ,QK]")
     p.add_argument("--limits", default=None, metavar="FILE")
@@ -229,6 +224,9 @@ def main(argv=None) -> int:
         return 3
     except SearchBudgetExceeded as exc:
         print(f"error: search budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except SolverFailure as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,3 +15,7 @@ class InfeasibleDuration(SoftMotionError, ValueError):
 
 class SearchBudgetExceeded(SoftMotionError, RuntimeError):
     """The brute-force search exceeded its node budget (not an infeasibility)."""
+
+
+class SolverFailure(SoftMotionError, RuntimeError):
+    """A solver gave no valid answer (a numerical fault, not an infeasibility)."""

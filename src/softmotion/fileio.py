@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import AxisProfile, KinematicLimits, evaluate
+from .profiles import AxisProfile, KinematicLimits, evaluate, sample_times
 
 DEFAULT_LINEAR = KinematicLimits(jmax=0.900, amax=0.300, vmax=0.150)
 DEFAULT_ANGULAR = KinematicLimits(jmax=0.600, amax=0.200, vmax=0.100)
@@ -93,35 +93,26 @@ def parse_vector(text: str) -> list[float]:
     return vals
 
 
-def trajectory_grid(profiles: list[AxisProfile], dt: float) -> list[float]:
-    """Common sampling grid t0 + k*dt over the longest axis plus its exact end."""
-    end = max((p.end_time for p in profiles if p.segments), default=0.0)
-    ts = []
-    k = 0
-    while k * dt < end - 1e-12:
-        ts.append(k * dt)
-        k += 1
-    ts.append(end)
-    return ts
-
-
 def write_trajectory_csv(stream: io.TextIOBase, profiles: list[AxisProfile],
                          names: list[str], dt: float,
                          rest_positions: list[float] | None = None) -> None:
     """Sampled trajectory table; one row per grid instant.
 
-    Axes with empty profiles (no motion at all) report their rest position
-    with zero derivatives.
+    The grid is sample_times of the axis that ends last.  Axes with empty
+    profiles (no motion at all) report their rest position with zero
+    derivatives.
     """
     if len(profiles) != len(names):
         raise ValueError("one name per axis profile is required")
     if rest_positions is None:
         rest_positions = [0.0] * len(profiles)
+    longest = max(profiles, key=lambda p: p.end_time, default=AxisProfile())
+    grid = sample_times(longest, dt)
     header = ["t"]
     for name in names:
         header += [f"{name}_pos", f"{name}_vel", f"{name}_acc", f"{name}_jerk"]
     stream.write(",".join(header) + "\n")
-    for t in trajectory_grid(profiles, dt):
+    for t in grid:
         row = [fmt(t)]
         for prof, rest in zip(profiles, rest_positions):
             if prof.segments:

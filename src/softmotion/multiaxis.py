@@ -49,8 +49,15 @@ def plan_ptp_nd(p0, pf, limits: KinematicLimits) -> list[AxisProfile]:
 
 
 def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
+                           duration: float | None = None,
                            ) -> tuple[list[AxisProfile], PtpTimes]:
-    """plan_ptp_nd plus the shared (Tj, Ta, Tv) of the scalar progress profile."""
+    """plan_ptp_nd plus the shared (Tj, Ta, Tv) of the scalar progress profile.
+
+    With a ``duration`` above the minimal time, the scalar profile is
+    replanned under the projected limits dilated to that duration (see
+    scale_limits_for_duration), and the times describe the stretched
+    profile.  A duration below the minimal time raises ValueError.
+    """
     p0 = np.asarray(p0, dtype=float)
     pf = np.asarray(pf, dtype=float)
     if p0.shape != pf.shape or p0.ndim != 1 or p0.size < 1:
@@ -63,12 +70,15 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
     dominant = float(np.max(np.abs(unit)))
     scalar_limits = limits.scaled(1.0 / dominant)
     times = ptp_times(length, scalar_limits)
+    if duration is not None and duration != times.total:
+        scalar_limits = scale_limits_for_duration(scalar_limits, times.total,
+                                                  duration)
+        times = ptp_times(length, scalar_limits)
     scalar = plan_ptp_1d(length, scalar_limits)
-    duration = scalar.duration
     profiles = []
     for i, u in enumerate(unit):
         if abs(u) < 1e-15:
-            hold = CubicSegment(duration=duration, jerk=0.0,
+            hold = CubicSegment(duration=scalar.duration, jerk=0.0,
                                 start=KinematicState(0.0, 0.0, float(p0[i])))
             profiles.append(AxisProfile(segments=(hold,)))
         else:

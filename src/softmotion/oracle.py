@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, SolverFailure
 from .profiles import KinematicLimits, KinematicState
 
 #: Active frontier rows allowed before the search gives up.
@@ -222,7 +222,8 @@ def brute_force_min_time(init: KinematicState, final: KinematicState,
     step) first tightens the search horizon; the fine pass then prunes
     every state whose optimistic time to go overshoots it.  Desk-scale
     instances only; exceeding the node cap raises SearchBudgetExceeded,
-    which is distinct from plain infeasibility.
+    which is distinct from plain infeasibility, and finding no trajectory
+    within the widened horizon raises SolverFailure.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -243,5 +244,5 @@ def brute_force_min_time(init: KinematicState, final: KinematicState,
     if t is None:
         t, _ = _search(a0, v0, af, vf, D, dt, 2.0 * t_ub + 0.5, limits, node_cap)
     if t is None:
-        raise RuntimeError("oracle found no trajectory within its horizon")
+        raise SolverFailure("oracle found no trajectory within its horizon")
     return t

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiaxis import plan_ptp_nd_with_times, scale_limits_for_duration
+from .multiaxis import plan_ptp_nd_with_times
 from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
-                       KinematicState, evaluate, sample_times, scale_profile)
-from .ptp import plan_ptp_1d
+                       KinematicState, evaluate, sample_times)
 
 
 @dataclass(frozen=True)
@@ -164,36 +163,15 @@ def plan_pose_axes(pose0: Pose, posef: Pose, limits_linear: KinematicLimits,
 
     pos_profiles, pos_times = plan_ptp_nd_with_times(pose0.p, posef.p, limits_linear)
     quat_profiles, quat_times = plan_ptp_nd_with_times(q0, qf, quat_limits)
-    t_pos, t_quat = pos_times.total, quat_times.total
-    duration = max(t_pos, t_quat)
-    if t_pos < duration and t_pos > 0.0:
-        pos_profiles = _stretch_group(pose0.p, posef.p, limits_linear, t_pos, duration)
-    if t_quat < duration and t_quat > 0.0:
-        quat_profiles = _stretch_group(q0, qf, quat_limits, t_quat, duration)
+    duration = max(pos_times.total, quat_times.total)
+    if pos_times.total < duration:
+        pos_profiles, _ = plan_ptp_nd_with_times(pose0.p, posef.p, limits_linear,
+                                                 duration)
+    if quat_times.total < duration:
+        quat_profiles, _ = plan_ptp_nd_with_times(q0, qf, quat_limits, duration)
     pos_profiles = [_as_hold(p, float(x), duration) for p, x in zip(pos_profiles, pose0.p)]
     quat_profiles = [_as_hold(p, float(c), duration) for p, c in zip(quat_profiles, q0)]
     return pos_profiles + quat_profiles
-
-
-def _stretch_group(vec0, vecf, limits: KinematicLimits, t_opt: float,
-                   duration: float) -> list[AxisProfile]:
-    """Replan a straight-line group under dilated limits to a longer duration."""
-    vec0 = np.asarray(vec0, dtype=float)
-    vecf = np.asarray(vecf, dtype=float)
-    delta = vecf - vec0
-    length = float(np.linalg.norm(delta))
-    unit = delta / length
-    dominant = float(np.max(np.abs(unit)))
-    scalar_limits = scale_limits_for_duration(limits.scaled(1.0 / dominant),
-                                              t_opt, duration)
-    scalar = plan_ptp_1d(length, scalar_limits)
-    out = []
-    for i, u in enumerate(unit):
-        if abs(u) < 1e-15:
-            out.append(AxisProfile())
-        else:
-            out.append(scale_profile(scalar, float(u), x_offset=float(vec0[i])))
-    return out
 
 
 def _as_hold(profile: AxisProfile, x: float, duration: float) -> AxisProfile:

@@ -29,17 +29,18 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import InfeasibleBoundary
+from .errors import InfeasibleBoundary, SolverFailure
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        integrate_segment, make_profile)
 from .roots import solve_real_roots
 
 __all__ = [
-    "MotionType", "critical_length", "classify", "mirror_problem",
-    "plan_min_time_1d", "solve_real_roots",
+    "CLAMP_TOL", "MotionType", "Steps", "connect_steps", "critical_length",
+    "classify", "mirror_problem", "plan_min_time_1d", "solve_real_roots",
+    "steps_duration", "sweep",
 ]
 
-_DUR_TOL = 1e-9      # durations above -_DUR_TOL are clamped to zero
+CLAMP_TOL = 1e-9     # durations above -CLAMP_TOL are clamped to zero
 _BC_TOL = 1e-9       # boundary reproduction tolerance in a, v, x
 
 
@@ -52,14 +53,16 @@ class MotionType(enum.Enum):
 Steps = list[tuple[float, float]]     # (jerk, duration) runs
 
 
-def _sweep(steps: Steps, a0: float, v0: float) -> tuple[float, float, float]:
+def sweep(steps: Steps, a0: float, v0: float) -> tuple[float, float, float]:
+    """Final (a, v, x) of the steps run from (a0, v0) at x = 0."""
     st = KinematicState(a0, v0, 0.0)
     for jerk, dur in steps:
         st = integrate_segment(st, jerk, max(dur, 0.0))
     return st.a, st.v, st.x
 
 
-def _total(steps: Steps) -> float:
+def steps_duration(steps: Steps) -> float:
+    """Total duration of the steps, negative durations counted as zero."""
     # summed left to right on every Python version (sum() of floats is
     # compensated from 3.12 on), as the array form in adjust also sums
     total = 0.0
@@ -91,8 +94,8 @@ def check_boundary_state(state: KinematicState, limits: KinematicLimits,
             f"state (a={a}, v={v}) forces velocity to {excursion}, beyond vmax={vm}")
 
 
-def _connect_steps(a0: float, v0: float, af: float, vf: float,
-                   limits: KinematicLimits) -> Steps:
+def connect_steps(a0: float, v0: float, af: float, vf: float,
+                  limits: KinematicLimits) -> Steps:
     """Minimal-time phase-plane connection of (a0,v0) to (af,vf); x is free.
 
     Bang-bang with a single switch: jerk +J up to a peak acceleration then
@@ -121,10 +124,10 @@ def _connect_steps(a0: float, v0: float, af: float, vf: float,
                 cands.append([(-j, (a0 + am) / j), (0.0, hold), (j, (af + am) / j)])
     best: Steps | None = None
     for steps in cands:
-        if any(t < -_DUR_TOL for _, t in steps):
+        if any(t < -CLAMP_TOL for _, t in steps):
             continue
         steps = [(jj, max(t, 0.0)) for jj, t in steps]
-        if best is None or _total(steps) < _total(best):
+        if best is None or steps_duration(steps) < steps_duration(best):
             best = steps
     if best is None:
         raise InfeasibleBoundary(
@@ -141,8 +144,8 @@ def critical_length(init: KinematicState, final: KinematicState,
     """
     check_boundary_state(init, limits, outgoing=False)
     check_boundary_state(final, limits, outgoing=True)
-    steps = _connect_steps(init.a, init.v, final.a, final.v, limits)
-    return _sweep(steps, init.a, init.v)[2]
+    steps = connect_steps(init.a, init.v, final.a, final.v, limits)
+    return sweep(steps, init.a, init.v)[2]
 
 
 def classify(init: KinematicState, final: KinematicState, displacement: float,
@@ -223,12 +226,12 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
 
     # cruise at +vmax: two direct connections joined by a constant-velocity run
     try:
-        r1 = _connect_steps(a0, v0, 0.0, vm, limits)
-        r2 = _connect_steps(0.0, vm, af, vf, limits)
-        s1 = _sweep(r1, a0, v0)[2]
-        s2 = _sweep(r2, 0.0, vm)[2]
+        r1 = connect_steps(a0, v0, 0.0, vm, limits)
+        r2 = connect_steps(0.0, vm, af, vf, limits)
+        s1 = sweep(r1, a0, v0)[2]
+        s2 = sweep(r2, 0.0, vm)[2]
         t_cruise = (D - s1 - s2) / vm
-        if t_cruise >= -_DUR_TOL:
+        if t_cruise >= -CLAMP_TOL:
             rebuild = lambda tc, r1=r1, r2=r2: r1 + [(0.0, max(tc, 0.0))] + r2
             out.append(_Candidate(rebuild, t_cruise))
     except InfeasibleBoundary:
@@ -238,7 +241,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
     # second plateau time is u + delta by velocity balance.
     delta = ((af * af - a0 * a0) / (2.0 * j) - (vf - v0)) / am
     v1 = [v0 + (am * am - a0 * a0) / (2.0 * j)]
-    x1 = [_sweep([(j, (am - a0) / j)], a0, v0)[2]]
+    x1 = [sweep([(j, (am - a0) / j)], a0, v0)[2]]
     v2, x2 = _hold_poly([am], u, v1, x1)
     v3, x3 = _arc_poly([am], [-am], v2, x2, -j)
     v4, x4 = _hold_poly([-am], _padd(u, [delta]), v3, x3)
@@ -249,7 +252,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
                 (0.0, max(t2 + delta, 0.0)), (j, (af + am) / j)]
 
     for r in _real_roots_safe(_padd(x5, [-D])):
-        if r < -_DUR_TOL or r + delta < -_DUR_TOL:
+        if r < -CLAMP_TOL or r + delta < -CLAMP_TOL:
             continue
         out.append(_Candidate(rebuild_b1, r))
 
@@ -267,7 +270,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
 
     for r in _real_roots_safe(_padd(x4, [-D])):
         t2 = c20 + r * r / (j * am)
-        if t2 < -_DUR_TOL or r < -am - 1e-12 or r > min(af, am) + 1e-12:
+        if t2 < -CLAMP_TOL or r < -am - 1e-12 or r > min(af, am) + 1e-12:
             continue
         out.append(_Candidate(rebuild_b2, r))
 
@@ -285,7 +288,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
 
     for r in _real_roots_safe(_padd(x4, [-D])):
         t6 = c60 + r * r / (j * am)
-        if t6 < -_DUR_TOL or r > am + 1e-12 or r < max(a0, -am) - 1e-12:
+        if t6 < -CLAMP_TOL or r > am + 1e-12 or r < max(a0, -am) - 1e-12:
             continue
         out.append(_Candidate(rebuild_b3, r))
 
@@ -345,7 +348,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
             t1 = (r - a0) / j
             t3 = (r - a2) / j
             t5 = (af - a2) / j
-            if min(t1, t3, t5) < -_DUR_TOL:
+            if min(t1, t3, t5) < -CLAMP_TOL:
                 continue
             if r > am + 1e-12 or a2 < -am - 1e-12:
                 continue
@@ -384,7 +387,7 @@ def _refine_candidate(cand: _Candidate, a0: float, v0: float, D: float) -> Steps
     scale = max(1.0, abs(D))
 
     def resid(uu: float) -> float:
-        return _sweep(cand.rebuild(uu), a0, v0)[2] - D
+        return sweep(cand.rebuild(uu), a0, v0)[2] - D
 
     u0, u1 = cand.u, cand.u
     f0 = resid(u0)
@@ -416,12 +419,12 @@ def _solve_type1(a0: float, v0: float, af: float, vf: float, D: float,
     best_t = math.inf
     for cand in _type1_candidates(a0, v0, af, vf, D, limits):
         steps = _refine_candidate(cand, a0, v0, D)
-        ea, ev, ex = _sweep(steps, a0, v0)
+        ea, ev, ex = sweep(steps, a0, v0)
         if max(abs(ea - af), abs(ev - vf)) > 1e-7 or abs(ex - D) > 1e-7:
             continue
         if _peak_speed(steps, a0, v0) > vm + 1e-7:
             continue
-        t = _total(steps)
+        t = steps_duration(steps)
         if t < best_t - 1e-12:
             best, best_t = steps, t
     if best is None:
@@ -454,8 +457,8 @@ def _bisect_peak_velocity(a0: float, v0: float, af: float, vf: float, D: float,
     j, vm = limits.jmax, limits.vmax
 
     def ramps(vp: float) -> Steps:
-        return (_connect_steps(a0, v0, 0.0, vp, limits)
-                + _connect_steps(0.0, vp, af, vf, limits))
+        return (connect_steps(a0, v0, 0.0, vp, limits)
+                + connect_steps(0.0, vp, af, vf, limits))
 
     lo = max(v0 + a0 * abs(a0) / (2.0 * j), vf - af * abs(af) / (2.0 * j))
     hi = vm
@@ -463,7 +466,7 @@ def _bisect_peak_velocity(a0: float, v0: float, af: float, vf: float, D: float,
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _sweep(ramps(mid), a0, v0)[2] < D:
+        if sweep(ramps(mid), a0, v0)[2] < D:
             lo = mid
         else:
             hi = mid
@@ -477,7 +480,8 @@ def plan_min_time_1d(init: KinematicState, final: KinematicState,
     The displacement is final.x - init.x.  The result has at most seven
     constant-jerk segments, matches both boundary states within 1e-9 and
     respects all limits.  Infeasible boundary states raise
-    InfeasibleBoundary.
+    InfeasibleBoundary; a plan that misses the final state raises
+    SolverFailure.
     """
     check_boundary_state(init, limits, outgoing=False)
     check_boundary_state(final, limits, outgoing=True)
@@ -488,14 +492,14 @@ def plan_min_time_1d(init: KinematicState, final: KinematicState,
         end = profile.final_state
         err = max(abs(end.a - final.a), abs(end.v - final.v), abs(end.x - final.x))
         if err > _BC_TOL:
-            raise RuntimeError(f"planner failed to meet boundary ({err:.2e})")
+            raise SolverFailure(f"planner failed to meet boundary ({err:.2e})")
     return profile
 
 
 def _min_time_steps(a0: float, v0: float, af: float, vf: float, D: float,
                     limits: KinematicLimits) -> Steps:
-    connect = _connect_steps(a0, v0, af, vf, limits)
-    dc = _sweep(connect, a0, v0)[2]
+    connect = connect_steps(a0, v0, af, vf, limits)
+    dc = sweep(connect, a0, v0)[2]
     if abs(D - dc) <= 1e-12:
         return connect
     if D < dc:

@@ -112,6 +112,18 @@ class PoseTracker:
         w, _ = qdot_to_omega(self.pose().orient, np.array(vals[3:]))
         return Twist((vals[0], vals[1], vals[2]), tuple(float(c) for c in w))
 
+    def settled(self, twist: Twist) -> bool:
+        """True when every axis sits at zero acceleration and at the clamped
+        velocity a tick would track for this twist, both within 1e-9."""
+        qdot = omega_to_qdot(self.pose().orient, twist.w)
+        targets = list(twist.v) + list(qdot)
+        for state, lim, target in zip(self._inner.states, self._inner.limits,
+                                      targets):
+            target = max(-lim.vmax, min(lim.vmax, target))
+            if abs(state.a) > 1e-9 or abs(state.v - target) > 1e-9:
+                return False
+        return True
+
     def tick(self, twist: Twist) -> Pose:
         raw = np.array([s.x for s in self._inner.states[3:]])
         self.norm_drift = max(self.norm_drift,

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import TransitionProblem, impose_common_time, transition_problem
+from .adjust import impose_common_time, transition_problem
 from .multiaxis import plan_ptp_nd_with_times
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        concat_profiles, evaluate, shift_profile, slice_profile)
-
-_ZERO_ACC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,66 +32,6 @@ class TransitionSummary:
     displacement: float
     t_opt: float
     t_imp: float
-
-
-def cruise_window(profiles: list[AxisProfile]) -> tuple[float, float]:
-    """Common cruise time window [start, end] of a synchronized leg.
-
-    For a leg with a constant-velocity piece this is that piece's span; a
-    leg too short to cruise collapses the window to its peak-velocity
-    instant.  Axes of a synchronized leg share the window, so the first
-    moving axis decides.  An all-dwell leg yields the full span.
-    """
-    duration = max((p.duration for p in profiles if p.segments), default=0.0)
-    for prof in profiles:
-        if not prof.segments:
-            continue
-        span = abs(prof.final_state.x - prof.start_state.x)
-        if span < 1e-15:
-            continue
-        ts = prof.boundaries()
-        # cruise piece: zero jerk at zero acceleration with nonzero speed
-        for k, seg in enumerate(prof.segments):
-            if seg.jerk == 0.0 and abs(seg.start.a) <= _ZERO_ACC_TOL \
-                    and abs(seg.start.v) > 1e-12:
-                return ts[k], ts[k + 1]
-        # no cruise: the peak-speed boundary where acceleration crosses zero
-        best_t, best_v = ts[0], -1.0
-        for k in range(1, len(ts) - 1):
-            st = prof.segments[k].start
-            if abs(st.a) <= _ZERO_ACC_TOL and abs(st.v) > best_v:
-                best_t, best_v = ts[k], abs(st.v)
-        return best_t, best_t
-    return 0.0, duration
-
-
-def transition_conditions(leg_in: list[AxisProfile], leg_out: list[AxisProfile],
-                          limits: KinematicLimits) -> list[TransitionProblem]:
-    """Per-axis transition problems joining two synchronized legs.
-
-    Initial conditions are taken at the end of the incoming leg's cruise
-    window, final conditions at the start of the outgoing leg's cruise
-    window; both are zero-acceleration states with the legs' cruise
-    velocities, and the displacement is the position gap between them.
-    """
-    if len(leg_in) != len(leg_out):
-        raise ValueError("legs must have the same number of axes")
-    _, t_ic = cruise_window(leg_in)
-    t_fc, _ = cruise_window(leg_out)
-    problems = []
-    for ax in range(len(leg_in)):
-        ic = _leg_state(leg_in[ax], t_ic)
-        fc = _leg_state(leg_out[ax], t_fc)
-        problems.append(transition_problem(ic.v, fc.v, fc.x - ic.x, limits,
-                                           x0=ic.x))
-    return problems
-
-
-def _leg_state(profile: AxisProfile, t: float) -> KinematicState:
-    if not profile.segments:
-        raise ValueError("cannot anchor a transition on an empty profile")
-    state, _ = evaluate(profile, min(max(t, profile.t0), profile.end_time))
-    return state
 
 
 def plan_waypoint_path(points, limits: KinematicLimits) -> list[AxisProfile]:
@@ -120,15 +58,11 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
     legs = []
     windows = []
     for k in range(len(pts) - 1):
+        # a dwell leg (coincident points) has empty profiles and the
+        # single-instant window (0, 0)
         prof, times = plan_ptp_nd_with_times(pts[k], pts[k + 1], limits)
-        # dwell legs (coincident points) contribute nothing and collapse
-        # their window to a single instant
-        if not prof[0].segments and times.total == 0.0:
-            prof = [AxisProfile() for _ in range(n_axes)]
-            windows.append((0.0, 0.0))
-        else:
-            windows.append((times.cruise_start, times.cruise_end))
         legs.append(prof)
+        windows.append((times.cruise_start, times.cruise_end))
 
     transitions: list[list[AxisProfile]] = []
     summaries: list[TransitionSummary] = []
@@ -159,7 +93,7 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
             pieces.append(transitions[w - 1][ax])
             leg = legs[w][ax]
             lo = windows[w][0]
-            hi = windows[w][1] if w < len(pts) - 2 else leg.duration if leg.segments else 0.0
+            hi = windows[w][1] if w < len(pts) - 2 else leg.duration
             if leg.segments and hi > lo:
                 pieces.append(slice_profile(leg, lo, hi))
         profile = concat_profiles([shift_profile(p, 0.0) for p in pieces if p.segments])

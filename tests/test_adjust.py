@@ -6,7 +6,7 @@ from softmotion import (InfeasibleDuration, KinematicState, check_limits,
                         impose_common_time, plan_for_duration,
                         plan_slowing_velocity, stop_time, transition_problem)
 from softmotion import adjust
-from softmotion.adjust import _slowing_pieces
+from softmotion.adjust import slowing_pieces
 
 
 def exhaustive_vc_times(problem, lin, n=30001):
@@ -15,7 +15,7 @@ def exhaustive_vc_times(problem, lin, n=30001):
     for vc in np.linspace(-lin.vmax, lin.vmax, n):
         if abs(vc) < 1e-6:
             continue
-        res = _slowing_pieces(problem, float(vc), lin)
+        res = slowing_pieces(problem, float(vc), lin)
         if res is not None:
             out.append(res[0])
     return np.array(out)
@@ -181,7 +181,7 @@ def scalar_duration_runs(problem, limits, n):
     for side in scalar_vc_grid(limits, problem.init.v, problem.final.v, n):
         current, prev = [], None
         for vc in side:
-            res = _slowing_pieces(problem, vc, limits)
+            res = slowing_pieces(problem, vc, limits)
             if res is not None:
                 if not current and prev is not None:
                     edge = adjust._refine_vc_edge(problem, limits, vc, prev)

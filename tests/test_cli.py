@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import softmotion
+from softmotion import SolverFailure, cli
 
 BASE = [sys.executable, "-m", "softmotion"]
 # the command line runs the package these tests import, installed or not
@@ -14,9 +15,9 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
                 os.environ.get("PYTHONPATH")) if p)}
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", timeout=600):
     return subprocess.run(BASE + list(args), input=stdin, capture_output=True,
-                          text=True, timeout=600, env=ENV)
+                          text=True, timeout=timeout, env=ENV)
 
 
 def parse_csv(text):
@@ -186,3 +187,29 @@ def test_vector_option_still_needs_a_value():
     res = run_cli(["plan-ptp", "--from", "--to", "0.1,0,0"])
     assert res.returncode == 2
     assert "expected one argument" in res.stderr
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01"])
+@pytest.mark.parametrize("command", ["plan-ptp", "plan-path"])
+def test_non_positive_dt_exits_2(tmp_path, command, dt):
+    if command == "plan-ptp":
+        args = ["plan-ptp", "--from=0,0,0", "--to=0.1,0,0"]
+    else:
+        wp = tmp_path / "waypoints.txt"
+        wp.write_text("0,0,0\n0.1,0,0\n0.1,0.1,0\n")
+        args = ["plan-path", "--waypoints", str(wp)]
+    res = run_cli(args + ["--dt", dt, "--out", str(tmp_path / "traj.csv")],
+                  timeout=60)
+    assert res.returncode == 2
+    assert "dt must be > 0" in res.stderr
+
+
+def test_solver_failure_exits_3(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverFailure("oracle found no trajectory within its horizon")
+
+    monkeypatch.setattr(cli, "brute_force_min_time", fail)
+    code = cli.main(["oracle", "--init", "0,0", "--final", "0,0",
+                     "--displacement", "0.01"])
+    assert code == 3
+    assert "solver failed" in capsys.readouterr().err

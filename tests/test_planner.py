@@ -3,8 +3,9 @@ import pytest
 
 from conftest import random_boundary
 from softmotion import (InfeasibleBoundary, KinematicState, MotionType,
-                        brute_force_min_time, check_limits, classify,
-                        critical_length, mirror_problem, plan_min_time_1d)
+                        SolverFailure, brute_force_min_time, check_limits,
+                        classify, critical_length, mirror_problem,
+                        plan_min_time_1d)
 
 
 def test_critical_length_examples(lin):
@@ -171,3 +172,20 @@ def test_short_transitions_match_oracle(lin):
         t_oracle = brute_force_min_time(init, final, lin, dt)
         assert t_plan <= t_oracle + 2.0 * dt + 1e-9
         assert t_oracle <= t_plan + 3.0 * dt + 1e-9
+
+
+def test_boundary_miss_raises_solver_failure(lin):
+    # a case where the type-1 templates miss the final state: the planner
+    # must return a valid plan or raise SolverFailure, never a bare error
+    a0, v0, af, vf, off = 0.2756, 0.0757, 0.2486, 0.1461, 0.0317
+    init = KinematicState(a0, v0, 0.0)
+    dc = critical_length(init, KinematicState(af, vf), lin)
+    final = KinematicState(af, vf, dc + off)
+    try:
+        prof = plan_min_time_1d(init, final, lin)
+    except SolverFailure:
+        return
+    assert check_limits(prof, lin).ok
+    start, end = prof.start_state, prof.final_state
+    assert max(abs(start.a - a0), abs(start.v - v0), abs(start.x)) <= 1e-9
+    assert max(abs(end.a - af), abs(end.v - vf), abs(end.x - final.x)) <= 1e-9

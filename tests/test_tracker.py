@@ -101,3 +101,18 @@ def test_pose_tracker_translation(lin, ang):
     tw = tracker.twist()
     assert tw.v[0] == pytest.approx(0.15, abs=1e-9)
     assert pose.p[0] > 0.06
+
+
+def test_pose_tracker_settles_on_a_held_twist(lin, ang):
+    tracker = PoseTracker(lin, ang, dt=0.01)
+    twist = Twist((0.4, -0.05, 0.0), (0.0, 0.0, 0.0))    # x beyond vmax
+    assert not tracker.settled(twist)
+    for _ in range(5):
+        tracker.tick(twist)
+    assert not tracker.settled(twist)
+    for _ in range(200):
+        tracker.tick(twist)
+    assert tracker.settled(twist)
+    assert tracker.twist().v[0] == pytest.approx(lin.vmax, abs=1e-9)
+    assert not tracker.settled(Twist((0.0, -0.05, 0.0), (0.0, 0.0, 0.0)))
+    assert not tracker.settled(Twist((0.4, -0.05, 0.0), (0.0, 0.0, 0.1)))

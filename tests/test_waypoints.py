@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from softmotion import (check_limits, cruise_window, evaluate, plan_ptp_nd,
-                        plan_waypoint_path, plan_waypoint_path_detailed,
-                        transition_conditions)
+from softmotion import (check_limits, evaluate, plan_ptp_nd_with_times,
+                        plan_waypoint_path, plan_waypoint_path_detailed)
 
 
 def seam_discontinuity(profile):
@@ -82,30 +81,40 @@ def test_requires_three_points(lin):
 
 
 def test_transition_conditions_match_pipeline(lin):
+    # each corner is anchored at the incoming leg's cruise end and the
+    # outgoing leg's cruise start, both zero-acceleration states
     p0 = np.zeros(3)
     p1 = np.array([0.15, 0.15, 0.0])
     pf = np.array([0.30, 0.30, 0.15])
-    leg_in = plan_ptp_nd(p0, p1, lin)
-    leg_out = plan_ptp_nd(p1, pf, lin)
-    problems = transition_conditions(leg_in, leg_out, lin)
-    assert problems[0].init.v == pytest.approx(0.15, abs=1e-9)
-    assert problems[2].init.v == pytest.approx(0.0, abs=1e-9)
-    assert problems[0].displacement == pytest.approx(0.125, abs=1e-9)
-    assert problems[2].displacement == pytest.approx(0.0625, abs=1e-9)
-    for prob in problems:
-        assert prob.init.a == 0.0 and prob.final.a == 0.0
-        assert prob.t_opt == pytest.approx(5.0 / 6.0, abs=1e-3)
+    leg_in, times_in = plan_ptp_nd_with_times(p0, p1, lin)
+    leg_out, times_out = plan_ptp_nd_with_times(p1, pf, lin)
+    _, report = plan_waypoint_path_detailed([p0, p1, pf], lin)
+    assert [r.axis for r in report] == [0, 1, 2]
+    for r in report:
+        ic, _ = evaluate(leg_in[r.axis], times_in.cruise_end)
+        fc, _ = evaluate(leg_out[r.axis], times_out.cruise_start)
+        assert abs(ic.a) <= 1e-9 and abs(fc.a) <= 1e-9
+        assert r.v_in == pytest.approx(ic.v, abs=1e-12)
+        assert r.v_out == pytest.approx(fc.v, abs=1e-12)
+        assert r.displacement == pytest.approx(fc.x - ic.x, abs=1e-12)
+        assert r.t_opt == pytest.approx(5.0 / 6.0, abs=1e-3)
+    assert report[0].v_in == pytest.approx(0.15, abs=1e-9)
+    assert report[2].v_in == pytest.approx(0.0, abs=1e-9)
+    assert report[0].displacement == pytest.approx(0.125, abs=1e-9)
+    assert report[2].displacement == pytest.approx(0.0625, abs=1e-9)
 
 
 def test_cruise_window_with_and_without_plateau(lin):
-    legs = plan_ptp_nd([0.0], [0.15], lin)
-    lo, hi = cruise_window(legs)
-    assert lo == pytest.approx(2.0 / 3.0 + 1.0 / 6.0, abs=1e-9)
-    assert hi == pytest.approx(1.0, abs=1e-9)
-    short = plan_ptp_nd([0.0], [0.05], lin)
-    lo, hi = cruise_window(short)
-    assert lo == hi                       # collapses to the peak instant
-    st, _ = evaluate(short[0], lo)
+    legs, times = plan_ptp_nd_with_times([0.0], [0.15], lin)
+    assert times.cruise_start == pytest.approx(2.0 / 3.0 + 1.0 / 6.0, abs=1e-9)
+    assert times.cruise_end == pytest.approx(1.0, abs=1e-9)
+    for t in (times.cruise_start, times.cruise_end):
+        st, _ = evaluate(legs[0], t)
+        assert abs(st.a) <= 1e-9
+        assert st.v == pytest.approx(lin.vmax, abs=1e-9)
+    short, times = plan_ptp_nd_with_times([0.0], [0.05], lin)
+    assert times.cruise_start == times.cruise_end    # collapses to the peak instant
+    st, _ = evaluate(short[0], times.cruise_start)
     assert abs(st.a) <= 1e-9
 
 
