@@ -7,10 +7,17 @@ achievable and any duration beyond it is reachable by dwelling at the
 stop.  Between t_opt and t_stop the only limit-respecting way to slow down
 is a profile whose cruise runs at some |vc| below vmax, and for some
 durations no such vc exists, so the feasible set is a union of intervals.
+
+The duration map vc -> T is sampled on one cruise-velocity grid per
+transition: each sign of vc gets 8 points per millisecond of slack
+t_stop - t_opt (2048 to 65536), plus the ramp-shape breakpoints.  The
+feasibility intervals and the slowing search read this one grid, so each
+interval end is a duration the slowing search can build.  A gap in vc
+narrower than the grid spacing may go undetected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +37,16 @@ class TransitionProblem:
 
     Both boundary accelerations are zero.  ``displacement`` equals
     final.x - init.x and is kept explicit because it is the quantity the
-    slowing search preserves.
+    slowing search preserves.  Build it with ``transition_problem``, which
+    fills in the minimal time ``t_opt`` and the stop-and-restart time
+    ``t_stop``.
     """
 
     init: KinematicState
     final: KinematicState
     displacement: float
-    t_opt: float | None = None
-    t_stop: float | None = None
-    t_imp: float | None = None
+    t_opt: float
+    t_stop: float
 
     def __post_init__(self) -> None:
         if abs(self.init.a) > 1e-9 or abs(self.final.a) > 1e-9:
@@ -52,35 +60,36 @@ def transition_problem(v0: float, vf: float, displacement: float,
     """Build a TransitionProblem with t_opt and t_stop filled in."""
     init = KinematicState(0.0, v0, x0)
     final = KinematicState(0.0, vf, x0 + displacement)
-    prob = TransitionProblem(init, final, displacement)
     t_opt = plan_min_time_1d(init, final, limits).duration
-    t_stop, _ = stop_time(prob, limits)
-    return replace(prob, t_opt=t_opt, t_stop=t_stop)
+    halt, restart = _halt_and_restart(init, final, limits)
+    return TransitionProblem(init, final, displacement, t_opt,
+                             halt.duration + restart.duration)
 
 
-def stop_time(problem: TransitionProblem,
-              limits: KinematicLimits) -> tuple[float, AxisProfile]:
-    """Duration and profile of the halt-then-continue fallback.
-
-    The axis brakes to a standstill along its natural stopping motion,
-    then replans from the stop point to the final state.  If the problem
-    carries an imposed time beyond the stop-and-restart duration, a dwell
-    of the difference is inserted at the standstill.
-    """
-    init, final = problem.init, problem.final
+def _halt_and_restart(init: KinematicState, final: KinematicState,
+                      limits: KinematicLimits) -> tuple[AxisProfile, AxisProfile]:
+    """Minimal-time legs to the natural standstill and on to the final state."""
     sweep_stop = critical_length(init, KinematicState(0.0, 0.0), limits)
     halt = KinematicState(0.0, 0.0, init.x + sweep_stop)
     part1 = plan_min_time_1d(init, halt, limits)
-    part2 = plan_min_time_1d(halt, final, limits, t0=part1.duration)
+    return part1, plan_min_time_1d(halt, final, limits, t0=part1.duration)
+
+
+def stop_time(problem: TransitionProblem, limits: KinematicLimits,
+              t_imp: float | None = None) -> tuple[float, AxisProfile]:
+    """Duration and profile of the halt-then-continue fallback.
+
+    The axis brakes to a standstill, then replans from the stop point to
+    the final state.  If ``t_imp`` exceeds the stop-and-restart duration,
+    a dwell of the difference is inserted at the standstill.
+    """
+    part1, part2 = _halt_and_restart(problem.init, problem.final, limits)
     t_stop = part1.duration + part2.duration
-    dwell = 0.0
-    if problem.t_imp is not None and problem.t_imp > t_stop:
-        dwell = problem.t_imp - t_stop
     steps = [(s.jerk, s.duration) for s in part1.segments]
-    if dwell > 0.0:
-        steps.append((0.0, dwell))
+    if t_imp is not None and t_imp > t_stop:
+        steps.append((0.0, t_imp - t_stop))
     steps += [(s.jerk, s.duration) for s in part2.segments]
-    return t_stop, make_profile(steps, init)
+    return t_stop, make_profile(steps, problem.init)
 
 
 def slowing_pieces(problem: TransitionProblem, vc: float,
@@ -179,25 +188,24 @@ def _slowing_durations(problem: TransitionProblem, vc: np.ndarray,
     return total, ok
 
 
+def _grid_size(problem: TransitionProblem) -> int:
+    """Points per side of the cruise-velocity grid: 8 per ms of slack."""
+    return min(max(2048, int(8.0 * (problem.t_stop - problem.t_opt) / 1e-3)),
+               65536)
+
+
 def _vc_grid(limits: KinematicLimits, v0: float, vf: float,
-             n: int = 4096) -> list[np.ndarray]:
-    """Sampling grids over admissible cruise velocities, negative side first.
+             n: int) -> list[np.ndarray]:
+    """Sampling grids of ``n`` cruise velocities per sign, negative side first.
 
     Ramp shapes change where |vc - v| crosses the plateau threshold
-    amax^2/jmax; those breakpoints are inserted into each side so every grid
-    cell sees a smooth duration map.
+    amax^2/jmax; those breakpoints are inserted into each side so every
+    grid cell sees a smooth duration map.
     """
     vm = limits.vmax
     eps = vm * 1e-9
     thr = limits.amax ** 2 / limits.jmax
-    marks = set()
-    for v in (v0, vf):
-        for s in (-1.0, 1.0):
-            w = v + s * thr
-            if -vm < w < vm:
-                marks.add(w)
-        if -vm < v < vm:
-            marks.add(v)
+    marks = {w for v in (v0, vf) for w in (v - thr, v + thr, v) if -vm < w < vm}
     sides = []
     for lo, hi in ((-vm, -eps), (eps, vm)):
         pts = np.linspace(lo, hi, n)
@@ -208,141 +216,118 @@ def _vc_grid(limits: KinematicLimits, v0: float, vf: float,
     return sides
 
 
+def _bisect_vc(problem: TransitionProblem, limits: KinematicLimits,
+               keep: float, drop: float, steps: int, accept=None):
+    """Bisect the cruise velocities between ``keep`` and ``drop``.
+
+    A midpoint replaces ``keep`` when its slowed profile exists and passes
+    ``accept`` (if given) on its duration, and ``drop`` otherwise.  Returns
+    both ends and the ``slowing_pieces`` result at ``keep`` (None if
+    ``keep`` never moved).
+    """
+    res = None
+    for _ in range(steps):
+        mid = 0.5 * (keep + drop)
+        if mid == keep or mid == drop:
+            break
+        r = slowing_pieces(problem, mid, limits)
+        if r is not None and (accept is None or accept(r[0])):
+            keep, res = mid, r
+        else:
+            drop = mid
+    return keep, drop, res
+
+
 def _duration_runs(problem: TransitionProblem, limits: KinematicLimits,
-                   n: int = 4096) -> list[tuple[np.ndarray, np.ndarray]]:
+                   n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Maximal runs of cruise velocities with non-negative cruise time.
 
-    Each side of the grid is evaluated in one array pass.  A run is a
-    contiguous stretch of feasible cruise velocities of one sign, returned
-    as increasing ``vc`` with the durations ``T`` there.  Where a run ends
-    inside the grid, its edge (where the cruise time hits zero) is refined
-    by bisection and included, so the duration map is sampled through to
-    the run ends.  A gap in vc narrower than the grid spacing may go
-    undetected.
+    Each side of the ``n``-point grid is evaluated in one array pass.  A
+    run is a contiguous stretch of feasible cruise velocities of one sign,
+    returned as increasing ``vc`` with the durations ``T`` there.  Where a
+    run ends inside the grid, its edge (where the cruise time hits zero)
+    is refined to about 1e-12 in vc by bisection and included, so the
+    duration map is sampled through to the run ends.
     """
     eps = limits.vmax * 1e-9
+
+    def edge(good: float, bad: float) -> tuple[list, list]:
+        vc, _, res = _bisect_vc(problem, limits, good, bad, 60)
+        return ([vc], [res[0]]) if abs(vc - good) > eps else ([], [])
+
     runs: list[tuple[np.ndarray, np.ndarray]] = []
-    for side in _vc_grid(limits, problem.init.v, problem.final.v, n=n):
+    for side in _vc_grid(limits, problem.init.v, problem.final.v, n):
         T, ok = _slowing_durations(problem, side, limits)
         cuts = np.flatnonzero(ok[1:] != ok[:-1]) + 1
         for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), side.size]):
             if not ok[lo]:
                 continue
-            vcs, ts = [side[lo:hi]], [T[lo:hi]]
-            if lo > 0:
-                edge = _refine_vc_edge(problem, limits, float(side[lo]),
-                                       float(side[lo - 1]))
-                if edge is not None and abs(edge[0] - side[lo]) > eps:
-                    vcs.insert(0, [edge[0]])
-                    ts.insert(0, [edge[1]])
-            if hi < side.size:
-                edge = _refine_vc_edge(problem, limits, float(side[hi - 1]),
-                                       float(side[hi]))
-                if edge is not None and abs(edge[0] - side[hi - 1]) > eps:
-                    vcs.append([edge[0]])
-                    ts.append([edge[1]])
-            runs.append((np.concatenate(vcs), np.concatenate(ts)))
+            vc1, t1 = edge(float(side[lo]), float(side[lo - 1])) if lo > 0 else ([], [])
+            vc2, t2 = (edge(float(side[hi - 1]), float(side[hi]))
+                       if hi < side.size else ([], []))
+            runs.append((np.concatenate([vc1, side[lo:hi], vc2]),
+                         np.concatenate([t1, T[lo:hi], t2])))
     return runs
-
-
-def _refine_vc_edge(problem: TransitionProblem, limits: KinematicLimits,
-                    good: float, bad: float) -> tuple[float, float] | None:
-    """(vc, duration) at the boundary of a feasible run, to ~1e-12 in vc."""
-    res = slowing_pieces(problem, good, limits)
-    if res is None:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            break
-        r = slowing_pieces(problem, mid, limits)
-        if r is None:
-            bad = mid
-        else:
-            good = mid
-            res = r
-    return good, res[0]
 
 
 def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
                           limits: KinematicLimits) -> AxisProfile:
     """Transition stretched to t_imp by cruising below vmax.
 
-    Evaluates the duration-vs-cruise-velocity map over each run at once,
-    then bisects only the cells where T - t_imp changes sign (the map is
-    continuous and monotone between breakpoints).  Of the crossings that
-    reproduce t_imp, the fastest cruise wins.  Raises InfeasibleDuration
-    when t_imp falls in a gap where no cruise velocity yields a valid
-    profile; a gap narrower than the grid spacing may go undetected.
+    Evaluates the duration-vs-cruise-velocity map over each run of the
+    transition's grid at once, then bisects only the cells where
+    T - t_imp changes sign (the map is continuous and monotone between
+    breakpoints); a sample with T = t_imp, the refined run edges included,
+    is taken as it is.  Of the crossings that reproduce t_imp, the fastest
+    cruise wins.  Raises InfeasibleDuration when t_imp falls in a gap
+    where no cruise velocity yields a valid profile; a gap narrower than
+    the grid spacing may go undetected.
     """
-    if problem.t_opt is not None and t_imp < problem.t_opt - 1e-9:
+    if t_imp < problem.t_opt - 1e-9:
         raise InfeasibleDuration(f"t_imp={t_imp} is below the minimal time")
-    base = plan_min_time_1d(problem.init, problem.final, limits)
-    if abs(base.duration - t_imp) <= 1e-9:
-        return base
+    if abs(problem.t_opt - t_imp) <= 1e-9:
+        return plan_min_time_1d(problem.init, problem.final, limits)
 
-    best_vc: float | None = None
-    for vcs, T in _duration_runs(problem, limits):
+    best: tuple[float, list] | None = None
+    for vcs, T in _duration_runs(problem, limits, _grid_size(problem)):
         f = T - t_imp
         below = f < 0.0
-        for k in np.flatnonzero((f[:-1] == 0.0) | (below[:-1] != below[1:])).tolist():
-            vc0, f0 = float(vcs[k]), float(f[k])
-            if f0 == 0.0:
-                vc_star = vc0
-            else:
-                lo, hi = vc0, float(vcs[k + 1])
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if mid == lo or mid == hi:
-                        break
-                    r = slowing_pieces(problem, mid, limits)
-                    if r is None:
-                        hi = mid   # off the run edge; shrink toward the good side
-                        continue
-                    if ((r[0] - t_imp) < 0.0) == (f0 < 0.0):
-                        lo = mid
-                    else:
-                        hi = mid
+        hits = f == 0.0
+        hits[:-1] |= below[:-1] != below[1:]
+        for k in np.flatnonzero(hits).tolist():
+            vc_star = float(vcs[k])
+            if f[k] != 0.0:
+                was_below = bool(below[k])
+                lo, hi, _ = _bisect_vc(
+                    problem, limits, vc_star, float(vcs[k + 1]), 100,
+                    lambda t: ((t - t_imp) < 0.0) == was_below)
                 vc_star = 0.5 * (lo + hi)
             r = slowing_pieces(problem, vc_star, limits)
             if r is None or abs(r[0] - t_imp) > DURATION_TOL:
                 continue
-            if best_vc is None or abs(vc_star) > abs(best_vc):
-                best_vc = vc_star
-    if best_vc is None:
+            if best is None or abs(vc_star) > abs(best[0]):
+                best = (vc_star, r[1])
+    if best is None:
         raise InfeasibleDuration(
             f"no slowed profile of duration {t_imp}: the duration lies in a gap")
-    _, steps = slowing_pieces(problem, best_vc, limits)
-    return make_profile(steps, problem.init)
+    return make_profile(best[1], problem.init)
 
 
-def feasibility_intervals(problem: TransitionProblem, limits: KinematicLimits,
-                          resolution: float = 1e-3) -> list[tuple[float, float]]:
+def feasibility_intervals(problem: TransitionProblem,
+                          limits: KinematicLimits) -> list[tuple[float, float]]:
     """Closed intervals of achievable durations within [t_opt, t_stop].
 
     The duration map vc -> T is continuous on each maximal vc-run where the
-    cruise time stays non-negative, so each run contributes the interval
-    [min T, max T] of its duration array; run edges (where the cruise time
-    hits zero) are refined by bisection.  The grid holds about
-    8 (t_stop - t_opt) / resolution points per side (2048 to 65536).
+    cruise time stays non-negative, so each run of the transition's grid
+    contributes the interval [min T, max T] of its duration array; run
+    edges (where the cruise time hits zero) are refined by bisection.
     t_opt is always feasible (the minimal-time profile) and everything
     from t_stop upward is feasible via stop-and-dwell.  Gaps narrower than
-    ``resolution`` may go undetected.
+    the grid spacing may go undetected.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be > 0")
-    t_opt = problem.t_opt
-    t_stop = problem.t_stop
-    if t_opt is None or t_stop is None:
-        fresh = transition_problem(problem.init.v, problem.final.v,
-                                   problem.displacement, limits, problem.init.x)
-        t_opt, t_stop = fresh.t_opt, fresh.t_stop
-
-    n = 2048
-    if t_stop > t_opt:
-        n = min(max(2048, int(8.0 * (t_stop - t_opt) / resolution)), 65536)
+    t_opt, t_stop = problem.t_opt, problem.t_stop
     intervals = [(t_opt, t_opt), (t_stop, t_stop)]
-    for _, T in _duration_runs(problem, limits, n=n):
+    for _, T in _duration_runs(problem, limits, _grid_size(problem)):
         lo, hi = max(float(T.min()), t_opt), min(float(T.max()), t_stop)
         if lo <= hi:
             intervals.append((lo, hi))
@@ -357,66 +342,47 @@ def feasibility_intervals(problem: TransitionProblem, limits: KinematicLimits,
 
 
 def impose_common_time(problems: list[TransitionProblem],
-                       limits) -> tuple[float, list[AxisProfile]]:
+                       limits: KinematicLimits) -> tuple[float, list[AxisProfile]]:
     """Common duration for all axes and the per-axis profiles realizing it.
 
     The imposed time is the smallest t at or above every axis's minimal
     time that is feasible for every axis; the intersection of the per-axis
     feasible sets attains its minimum at one of the interval edges.  The
-    largest stop time is always a valid fallback.  ``limits`` is either a
-    shared KinematicLimits or one per axis.
+    largest stop time is always a valid fallback.
     """
     if not problems:
         raise ValueError("at least one axis problem is required")
-    if isinstance(limits, KinematicLimits):
-        limits = [limits] * len(problems)
-    if len(limits) != len(problems):
-        raise ValueError("one limits object per axis is required")
 
-    probs = []
-    for prob, lim in zip(problems, limits):
-        if prob.t_opt is None or prob.t_stop is None:
-            prob = transition_problem(prob.init.v, prob.final.v,
-                                      prob.displacement, lim, prob.init.x)
-        probs.append(prob)
-
-    t_lo = max(p.t_opt for p in probs)
-    axis_ivals = [feasibility_intervals(p, lim) for p, lim in zip(probs, limits)]
+    t_lo = max(p.t_opt for p in problems)
+    axis_ivals = [feasibility_intervals(p, limits) for p in problems]
 
     def feasible(axis: int, t: float) -> bool:
-        if t >= probs[axis].t_stop - 1e-9:
+        if t >= problems[axis].t_stop - 1e-9:
             return True
         return any(lo - 1e-9 <= t <= hi + 1e-9 for lo, hi in axis_ivals[axis])
 
+    fallback = max(max(p.t_stop for p in problems), t_lo)
     candidates = {t_lo}
-    for ivals, p in zip(axis_ivals, probs):
+    for ivals, p in zip(axis_ivals, problems):
         candidates.update(lo for lo, _ in ivals if lo >= t_lo - 1e-12)
         candidates.add(max(p.t_stop, t_lo))
-    fallback = max(max(p.t_stop for p in probs), t_lo)
-    candidates.add(fallback)
 
     # the interval data is numerically approximate, so a candidate only
-    # counts once every axis profile actually materializes at it
-    for t in sorted(candidates):
-        if not all(feasible(ax, t) for ax in range(len(probs))):
+    # counts once every axis profile actually materializes at it; at the
+    # fallback, stop-and-dwell always does
+    for t in sorted(c for c in candidates if c < fallback):
+        if not all(feasible(ax, t) for ax in range(len(problems))):
             continue
         try:
-            profiles = [plan_for_duration(prob, t, lim)
-                        for prob, lim in zip(probs, limits)]
-            return t, profiles
+            return t, [plan_for_duration(p, t, limits) for p in problems]
         except InfeasibleDuration:
             continue
-    profiles = [plan_for_duration(prob, fallback, lim)
-                for prob, lim in zip(probs, limits)]
-    return fallback, profiles
+    return fallback, [plan_for_duration(p, fallback, limits) for p in problems]
 
 
 def plan_for_duration(problem: TransitionProblem, t_imp: float,
                       limits: KinematicLimits) -> AxisProfile:
     """Profile of duration t_imp: minimal-time, slowed, or stop-and-dwell."""
-    if problem.t_opt is not None and abs(t_imp - problem.t_opt) <= 1e-9:
-        return plan_min_time_1d(problem.init, problem.final, limits)
-    if problem.t_stop is not None and t_imp >= problem.t_stop - 1e-9:
-        _, profile = stop_time(replace(problem, t_imp=t_imp), limits)
-        return profile
+    if abs(t_imp - problem.t_opt) > 1e-9 and t_imp >= problem.t_stop - 1e-9:
+        return stop_time(problem, limits, t_imp)[1]
     return plan_slowing_velocity(problem, t_imp, limits)

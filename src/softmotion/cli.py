@@ -9,6 +9,7 @@ search budget or solver failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import (InfeasibleBoundary, InfeasibleDuration, SearchBudgetExceeded,
@@ -32,6 +33,17 @@ def _load_limits(path: str | None) -> LimitSet:
     if path is None:
         return LimitSet()
     return read_limits(path)
+
+
+def _sample_period(text: str) -> float:
+    """The --dt value: a finite number of seconds above zero."""
+    try:
+        dt = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise argparse.ArgumentTypeError("dt must be > 0")
+    return dt
 
 
 def _open_out(path: str):
@@ -170,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", required=True, metavar="X,Y,Z[,QN,QI,QJ,QK]")
     p.add_argument("--to", required=True, metavar="X,Y,Z[,QN,QI,QJ,QK]")
     p.add_argument("--limits", default=None, metavar="FILE")
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=_sample_period, default=0.01)
     p.add_argument("--out", default="-", metavar="FILE")
     p.set_defaults(func=_cmd_plan_ptp)
 
     p = sub.add_parser("plan-path", help="waypoint trajectory with transitions")
     p.add_argument("--waypoints", required=True, metavar="FILE")
     p.add_argument("--limits", default=None, metavar="FILE")
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=_sample_period, default=0.01)
     p.add_argument("--out", default="-", metavar="FILE")
     p.add_argument("--report", default=None, metavar="FILE")
     p.set_defaults(func=_cmd_plan_path)

@@ -16,7 +16,7 @@ import numpy as np
 from .orientation import (Pose, Quaternion, Twist, omega_to_qdot,
                           qdot_to_omega)
 from .planner import critical_length, plan_min_time_1d
-from .profiles import AxisProfile, KinematicLimits, KinematicState, evaluate
+from .profiles import KinematicLimits, KinematicState, evaluate
 
 
 class OnlineTracker:
@@ -45,7 +45,6 @@ class OnlineTracker:
         self.states: list[KinematicState] = list(states)
         self.dt = dt
         self.time = 0.0
-        self.profiles: list[AxisProfile | None] = [None] * n
 
     def tick(self, v_ref) -> list[KinematicState]:
         """Advance all axes by one tick toward the reference velocities."""
@@ -53,21 +52,19 @@ class OnlineTracker:
         if len(refs) != len(self.states):
             raise ValueError("one reference per axis is required")
         new_states = []
-        for ax, (state, lim, ref) in enumerate(zip(self.states, self.limits, refs)):
+        for state, lim, ref in zip(self.states, self.limits, refs):
             ref = max(-lim.vmax, min(lim.vmax, ref))
-            new_states.append(self._tick_axis(ax, state, lim, ref))
+            new_states.append(self._tick_axis(state, lim, ref))
         self.states = new_states
         self.time += self.dt
         return list(self.states)
 
-    def _tick_axis(self, ax: int, state: KinematicState, lim: KinematicLimits,
+    def _tick_axis(self, state: KinematicState, lim: KinematicLimits,
                    ref: float) -> KinematicState:
         if state.a == 0.0 and state.v == ref:
-            self.profiles[ax] = None
             return KinematicState(0.0, ref, state.x + ref * self.dt)
         target_x = state.x + critical_length(state, KinematicState(0.0, ref), lim)
         profile = plan_min_time_1d(state, KinematicState(0.0, ref, target_x), lim)
-        self.profiles[ax] = profile
         total = profile.duration
         if total <= self.dt:
             # land exactly on the reference, coast the rest of the tick

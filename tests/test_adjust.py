@@ -40,10 +40,9 @@ def test_stop_time_cruise_case(lin):
 
 
 def test_stop_time_inserts_dwell(lin):
-    from dataclasses import replace
     prob = transition_problem(0.15, 0.15, 0.125, lin)
     t_stop, _ = stop_time(prob, lin)
-    _, padded = stop_time(replace(prob, t_imp=t_stop + 0.5), lin)
+    _, padded = stop_time(prob, lin, t_stop + 0.5)
     assert padded.duration == pytest.approx(t_stop + 0.5, abs=1e-9)
     dwell = [s for s in padded.segments
              if s.jerk == 0.0 and abs(s.start.v) < 1e-12 and abs(s.start.a) < 1e-12]
@@ -70,6 +69,18 @@ def test_slowing_velocity_stretch(lin):
     # the dense sweep finds the same duration reachable
     times = exhaustive_vc_times(prob, lin)
     assert np.min(np.abs(times - t_imp)) < 1e-3
+
+
+def test_slowing_reaches_the_lower_end_of_an_interval(lin):
+    # the interval's lower end is a refined run edge, the last sample of
+    # its run; the slowing search must build a profile there
+    prob = transition_problem(0.1, 0.0, 0.041666666666666664, lin)
+    ivals = feasibility_intervals(prob, lin)
+    assert ivals[-1][0] == pytest.approx(0.9224477589623111, abs=1e-12)
+    prof = plan_slowing_velocity(prob, ivals[-1][0], lin)
+    assert abs(prof.duration - 0.9224477589623111) <= 1e-6
+    assert prof.final_state.x == pytest.approx(prob.displacement, abs=1e-9)
+    assert check_limits(prof, lin).ok
 
 
 def test_ramp_transition_has_a_duration_gap(lin):
@@ -174,6 +185,24 @@ def scalar_vc_grid(limits, v0, vf, n):
             for lo, hi in ((-vm, -eps), (eps, vm))]
 
 
+def scalar_vc_edge(problem, limits, good, bad):
+    """(vc, duration) at the boundary of a feasible run, to ~1e-12 in vc."""
+    res = slowing_pieces(problem, good, limits)
+    if res is None:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        r = slowing_pieces(problem, mid, limits)
+        if r is None:
+            bad = mid
+        else:
+            good = mid
+            res = r
+    return good, res[0]
+
+
 def scalar_duration_runs(problem, limits, n):
     """The duration runs rebuilt one cruise velocity at a time."""
     eps = limits.vmax * 1e-9
@@ -184,12 +213,12 @@ def scalar_duration_runs(problem, limits, n):
             res = slowing_pieces(problem, vc, limits)
             if res is not None:
                 if not current and prev is not None:
-                    edge = adjust._refine_vc_edge(problem, limits, vc, prev)
+                    edge = scalar_vc_edge(problem, limits, vc, prev)
                     if edge is not None and abs(edge[0] - vc) > eps:
                         current.append(edge)
                 current.append((vc, res[0]))
             elif current:
-                edge = adjust._refine_vc_edge(problem, limits, current[-1][0], vc)
+                edge = scalar_vc_edge(problem, limits, current[-1][0], vc)
                 if edge is not None and abs(edge[0] - current[-1][0]) > eps:
                     current.append(edge)
                 runs.append(current)
@@ -256,7 +285,7 @@ def test_impose_common_time_matches_scalar_loop_on_readme_corner(lin, monkeypatc
                 transition_problem(0.0, 0.15, 0.0625, lin)]
     t_imp, profs = impose_common_time(problems, lin)
     monkeypatch.setattr(adjust, "_duration_runs",
-                        lambda p, lim, n=4096: scalar_duration_runs(p, lim, n))
+                        lambda p, lim, n: scalar_duration_runs(p, lim, n))
     ref_t, ref_profs = impose_common_time(problems, lin)
     assert t_imp == ref_t
     for prof, ref in zip(profs, ref_profs):

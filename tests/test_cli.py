@@ -189,7 +189,7 @@ def test_vector_option_still_needs_a_value():
     assert "expected one argument" in res.stderr
 
 
-@pytest.mark.parametrize("dt", ["0", "-0.01"])
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan"])
 @pytest.mark.parametrize("command", ["plan-ptp", "plan-path"])
 def test_non_positive_dt_exits_2(tmp_path, command, dt):
     if command == "plan-ptp":
@@ -198,10 +198,11 @@ def test_non_positive_dt_exits_2(tmp_path, command, dt):
         wp = tmp_path / "waypoints.txt"
         wp.write_text("0,0,0\n0.1,0,0\n0.1,0.1,0\n")
         args = ["plan-path", "--waypoints", str(wp)]
-    res = run_cli(args + ["--dt", dt, "--out", str(tmp_path / "traj.csv")],
-                  timeout=60)
+    out = tmp_path / "traj.csv"
+    res = run_cli(args + ["--dt", dt, "--out", str(out)], timeout=60)
     assert res.returncode == 2
     assert "dt must be > 0" in res.stderr
+    assert not out.exists()
 
 
 def test_solver_failure_exits_3(monkeypatch, capsys):

@@ -43,6 +43,18 @@ def test_three_point_mission_report(lin):
         assert seam_discontinuity(prof) <= 1e-9
 
 
+def test_five_point_path_takes_the_smallest_common_duration(lin):
+    # the corner's smallest common duration is the lower end of one axis's
+    # feasible interval, a refined run edge of its duration map
+    pts = [[0, 0, 0], [0.1, 0.2, 0.05], [0.25, 0.2, 0], [0.25, 0.05, 0.15],
+           [0.05, 0, 0.1]]
+    _, report = plan_waypoint_path_detailed(np.array(pts, dtype=float), lin)
+    first = [r for r in report if r.waypoint == 1]
+    assert len(first) == 3
+    for row in first:
+        assert row.t_imp == pytest.approx(0.8818082367952901, abs=1e-9)
+
+
 def test_collinear_long_legs_cruise_through(lin):
     # legs long enough to cruise: the transition is a pure constant-velocity
     # run, no slowdown at the middle point
