@@ -23,7 +23,7 @@ from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
                        KinematicState, LimitReport, LimitViolation,
                        check_limits, concat_profiles, dilate_profile,
                        evaluate, integrate_segment, make_profile,
-                       phase_parabola, sample_times, scale_profile,
+                       phase_parabola, sample, sample_times, scale_profile,
                        shift_profile, slice_profile)
 from .ptp import (PtpTimes, accel_plateau_threshold, plan_ptp_1d,
                   ptp_saturation_threshold, ptp_times)
@@ -49,7 +49,7 @@ __all__ = [
     "plan_ptp_nd_with_times", "plan_slowing_velocity", "plan_waypoint_path",
     "plan_waypoint_path_detailed", "pose_at", "ptp_saturation_threshold",
     "ptp_times", "qdot_to_omega", "qr_matrix", "quaternion_norm_drift",
-    "sample_times", "scale_limits_for_duration", "scale_profile",
+    "sample", "sample_times", "scale_limits_for_duration", "scale_profile",
     "shift_profile", "slice_profile", "solve_real_roots", "stop_time",
     "transition_problem",
 ]

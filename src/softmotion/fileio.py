@@ -10,7 +10,9 @@ Waypoints file: one point per line, comma separated, either ``x,y,z`` or
 Trajectory CSV: header ``t`` then ``<axis>_pos,<axis>_vel,<axis>_acc,
 <axis>_jerk`` per axis; samples on the grid t0 + k*dt plus the exact final
 time.  All numbers are serialized with 9 significant digits, so output is
-byte-identical across runs.
+byte-identical across runs.  Rows are sampled and formatted in blocks of
+grid instants, one array pass per axis and block; the bytes are the same
+as formatting each value with ``fmt`` after ``evaluate``.
 """
 from __future__ import annotations
 
@@ -19,10 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import AxisProfile, KinematicLimits, evaluate, sample_times
+from .profiles import AxisProfile, KinematicLimits, sample, sample_times
+from .profiles import evaluate  # noqa: F401  (perfbench/tracing.py wraps fileio.evaluate)
 
 DEFAULT_LINEAR = KinematicLimits(jmax=0.900, amax=0.300, vmax=0.150)
 DEFAULT_ANGULAR = KinematicLimits(jmax=0.600, amax=0.200, vmax=0.100)
+
+#: Grid instants sampled and formatted together; bounds the writer's memory.
+_BLOCK_ROWS = 256
 
 _LIMIT_KEYS = ("linear.jmax", "linear.amax", "linear.vmax",
                "angular.jmax", "angular.amax", "angular.vmax")
@@ -107,20 +113,22 @@ def write_trajectory_csv(stream: io.TextIOBase, profiles: list[AxisProfile],
     if rest_positions is None:
         rest_positions = [0.0] * len(profiles)
     longest = max(profiles, key=lambda p: p.end_time, default=AxisProfile())
-    grid = sample_times(longest, dt)
+    grid = np.array(sample_times(longest, dt))
     header = ["t"]
     for name in names:
         header += [f"{name}_pos", f"{name}_vel", f"{name}_acc", f"{name}_jerk"]
     stream.write(",".join(header) + "\n")
-    for t in grid:
-        row = [fmt(t)]
+    rowfmt = ",".join(["%.9g"] * len(header)) + "\n"
+    for lo in range(0, len(grid), _BLOCK_ROWS):
+        ts = grid[lo:lo + _BLOCK_ROWS]
+        zero = np.zeros(len(ts))
+        cols = [ts]
         for prof, rest in zip(profiles, rest_positions):
             if prof.segments:
-                state, jerk = evaluate(prof, min(max(t, prof.t0), prof.end_time))
-                row += [fmt(state.x), fmt(state.v), fmt(state.a), fmt(jerk)]
+                cols += sample(prof, ts)
             else:
-                row += [fmt(rest), fmt(0.0), fmt(0.0), fmt(0.0)]
-        stream.write(",".join(row) + "\n")
+                cols += [np.full(len(ts), float(rest)), zero, zero, zero]
+        stream.write("".join(rowfmt % row for row in zip(*[c.tolist() for c in cols])))
 
 
 def write_transition_report(stream: io.TextIOBase, summaries, axis_names) -> None:

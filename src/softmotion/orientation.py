@@ -17,7 +17,7 @@ import numpy as np
 
 from .multiaxis import plan_ptp_nd_with_times
 from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
-                       KinematicState, evaluate, sample_times)
+                       KinematicState, evaluate, sample, sample_times)
 
 
 @dataclass(frozen=True)
@@ -214,11 +214,6 @@ def quaternion_norm_drift(profiles: list[AxisProfile], dt: float = 0.01) -> floa
     if not spans:
         return 0.0
     ref = max(spans, key=lambda p: p.duration)
-    worst = 0.0
-    for t in sample_times(ref, dt):
-        comps = []
-        for p in quat_profiles:
-            state, _ = evaluate(p, min(max(t, p.t0), p.end_time))
-            comps.append(state.x)
-        worst = max(worst, abs(float(np.linalg.norm(comps)) - 1.0))
-    return worst
+    ts = sample_times(ref, dt)
+    comps = np.column_stack([sample(p, ts)[0] for p in quat_profiles])
+    return float(np.max(np.abs(np.linalg.norm(comps, axis=1) - 1.0)))

@@ -11,6 +11,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 #: Segments shorter than this are numerical noise from case boundaries
 #: and are dropped during profile construction.
 DROP_DURATION = 1e-12
@@ -89,12 +91,19 @@ def integrate_segment(start: KinematicState, jerk: float, dt: float) -> Kinemati
         raise ValueError("jerk and dt must be finite")
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    a0, v0, x0 = start.a, start.v, start.x
-    return KinematicState(
-        a=a0 + jerk * dt,
-        v=v0 + (a0 + 0.5 * jerk * dt) * dt,
-        x=x0 + (v0 + (0.5 * a0 + jerk * dt / 6.0) * dt) * dt,
-    )
+    a, v, x = _cubic(start.a, start.v, start.x, jerk, dt)
+    return KinematicState(a=a, v=v, x=x)
+
+
+def _cubic(a0, v0, x0, jerk, dt):
+    """(a, v, x) after dt under constant jerk, for floats or arrays alike.
+
+    The one home of the closed form: ``integrate_segment`` and ``sample``
+    both call it, so their results agree bit for bit.
+    """
+    return (a0 + jerk * dt,
+            v0 + (a0 + 0.5 * jerk * dt) * dt,
+            x0 + (v0 + (0.5 * a0 + jerk * dt / 6.0) * dt) * dt)
 
 
 def phase_parabola(v_at_zero_accel: float, a: float, branch: str,
@@ -125,7 +134,11 @@ class AxisProfile:
 
     @property
     def duration(self) -> float:
-        return sum(s.duration for s in self.segments)
+        # left to right like boundaries(): sum() is compensated from Python 3.12 on
+        total = 0.0
+        for s in self.segments:
+            total += s.duration
+        return total
 
     @property
     def end_time(self) -> float:
@@ -178,6 +191,31 @@ def evaluate(profile: AxisProfile, t: float) -> tuple[KinematicState, float]:
         k = len(profile.segments) - 1
     seg = profile.segments[k]
     return seg.state_at(t - ts[k]), seg.jerk
+
+
+def sample(profile: AxisProfile, ts) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray, np.ndarray]:
+    """Position, velocity, acceleration and jerk arrays at the times ts.
+
+    Times are first held to [t0, end_time], so instants outside the profile
+    read its start or final state.  Every value equals, bit for bit, what
+    ``evaluate`` returns at the held time.
+    """
+    if not profile.segments:
+        raise ValueError("cannot sample an empty profile")
+    b = np.array(profile.boundaries())
+    t = np.asarray(ts, dtype=float)
+    # held to [t0, end_time] like the samplers, then to the boundaries like
+    # evaluate (the two ends can differ by an ulp when t0 != 0); np.where keeps
+    # min(max(t, lo), hi)'s pick between equal values, so signed zeros match
+    for lo, hi in ((profile.t0, profile.end_time), (b[0], b[-1])):
+        t = np.where(lo > t, lo, t)
+        t = np.where(hi < t, hi, t)
+    k = np.minimum(np.searchsorted(b, t, side="right") - 1, len(profile.segments) - 1)
+    a0, v0, x0, jerk = np.array([(s.start.a, s.start.v, s.start.x, s.jerk)
+                                 for s in profile.segments], dtype=float)[k].T
+    a, v, x = _cubic(a0, v0, x0, jerk, t - b[k])
+    return x, v, a, jerk
 
 
 def make_profile(steps, start: KinematicState,

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from softmotion import (Pose, Quaternion, check_limits, omega_to_qdot,
-                        plan_pose_axes, pose_at, qdot_to_omega, qr_matrix,
-                        quaternion_norm_drift)
+from softmotion import (Pose, Quaternion, check_limits, evaluate,
+                        omega_to_qdot, plan_pose_axes, pose_at, qdot_to_omega,
+                        qr_matrix, quaternion_norm_drift, sample_times)
 
 
 def random_unit_quaternion(rng):
@@ -125,3 +125,24 @@ def test_norm_drift_small_for_small_rotations(lin, ang):
     posef = Pose((0, 0, 0), Quaternion.from_axis_angle((0, 1, 0), math.radians(30)))
     profiles = plan_pose_axes(pose0, posef, lin, ang)
     assert quaternion_norm_drift(profiles, dt=0.01) < 1e-2
+
+
+def reference_norm_drift(profiles, dt):
+    """The per-instant loop that quaternion_norm_drift replaced."""
+    quat_profiles = profiles[3:]
+    ref = max((p for p in quat_profiles if p.segments), key=lambda p: p.duration)
+    worst = 0.0
+    for t in sample_times(ref, dt):
+        comps = [evaluate(p, min(max(t, p.t0), p.end_time))[0].x for p in quat_profiles]
+        worst = max(worst, abs(float(np.linalg.norm(comps)) - 1.0))
+    return worst
+
+
+@pytest.mark.parametrize("angle", [math.pi / 2, math.radians(30)])
+@pytest.mark.parametrize("dt", [0.01, 0.0037])
+def test_norm_drift_matches_per_instant_loop(lin, ang, angle, dt):
+    pose0 = Pose((0, 0, 0), Quaternion.identity())
+    posef = Pose((0.05, 0, 0), Quaternion.from_axis_angle((0, 1, 1), angle))
+    profiles = plan_pose_axes(pose0, posef, lin, ang)
+    assert quaternion_norm_drift(profiles, dt) == pytest.approx(
+        reference_norm_drift(profiles, dt), abs=1e-15)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_boundary
 
-from softmotion import (AxisProfile, CubicSegment, KinematicState,
-                        check_limits, concat_profiles, dilate_profile,
-                        evaluate, integrate_segment, make_profile,
-                        phase_parabola, plan_ptp_1d, sample_times,
-                        slice_profile)
+from softmotion import (AxisProfile, CubicSegment, KinematicState, Pose,
+                        Quaternion, SoftMotionError, check_limits,
+                        concat_profiles, dilate_profile, evaluate,
+                        integrate_segment, make_profile, phase_parabola,
+                        plan_min_time_1d, plan_pose_axes, plan_ptp_1d, sample,
+                        sample_times, shift_profile, slice_profile)
 
 
 def brute_integrate(state, jerk, dt, steps=1_000_000):
@@ -101,6 +103,69 @@ def test_evaluate_cruise_samples_constant_velocity(lin):
         st, jerk = evaluate(prof, t)
         assert st.v == pytest.approx(0.15, abs=1e-15)
         assert jerk == 0.0
+
+
+def test_duration_sums_left_to_right():
+    # sum() would give 1.0 from Python 3.12 on; the loop gives the same on every version
+    prof = make_profile([(0.0, 0.1)] * 10, KinematicState(0.0, 0.1, 0.0))
+    assert prof.duration == 0.9999999999999999
+    assert prof.end_time == prof.boundaries()[-1]
+
+
+def _seeded_profiles(lin, ang):
+    rng = np.random.default_rng(808)
+    out = []
+    for i in range(200):
+        a0, v0 = random_boundary(rng, lin)
+        af, vf = random_boundary(rng, lin, outgoing=True)
+        x0 = rng.uniform(-0.2, 0.2)
+        try:
+            prof = plan_min_time_1d(KinematicState(a0, v0, x0),
+                                    KinematicState(af, vf, x0 + rng.uniform(-0.3, 0.3)),
+                                    lin)
+        except SoftMotionError:
+            continue
+        out.append(shift_profile(prof, rng.uniform(-3.0, 7.0)) if i % 3 == 0 else prof)
+    for i in range(12):
+        q = rng.normal(size=4)
+        posef = Pose(tuple(rng.uniform(-0.2, 0.2, 3)),
+                     Quaternion.from_array(q / np.linalg.norm(q)))
+        pose0 = Pose((0.0, 0.0, 0.0), Quaternion.identity())
+        for prof in plan_pose_axes(pose0, posef, lin, ang):
+            out.append(shift_profile(prof, 1.7) if i % 2 else prof)
+    hold = CubicSegment(duration=1.5, jerk=0.0, start=KinematicState(0.0, 0.0, 0.3))
+    cruise = CubicSegment(duration=2.0, jerk=0.0, start=KinematicState(0.0, 0.1, -0.05))
+    out += [AxisProfile(segments=(hold,)), AxisProfile(t0=0.4, segments=(cruise,)),
+            plan_ptp_1d(0.6, lin)]
+    return out
+
+
+def test_sample_equals_evaluate_bit_for_bit(lin, ang):
+    rng = np.random.default_rng(809)
+    profiles = _seeded_profiles(lin, ang)
+    assert len(profiles) >= 250
+    for prof in profiles:
+        t0, end = prof.t0, prof.end_time
+        ts = np.concatenate([
+            prof.boundaries(),                       # every segment boundary exactly
+            [t0 - 1.0, t0 - 1e-13, end + 1e-13, end + 1.0, np.nextafter(end, 0.0)],
+            sample_times(prof, 0.0137),
+            rng.uniform(t0, end, 40)])
+        got = sample(prof, ts)
+        ref = [[], [], [], []]
+        for t in ts:
+            state, jerk = evaluate(prof, min(max(t, t0), end))
+            for col, val in zip(ref, (state.x, state.v, state.a, jerk)):
+                col.append(val)
+        for arr, col in zip(got, ref):
+            # == and the same sign of every zero: the same bits
+            assert arr.tolist() == col
+            assert np.array_equal(np.signbit(arr), np.signbit(col))
+
+
+def test_sample_rejects_an_empty_profile():
+    with pytest.raises(ValueError):
+        sample(AxisProfile(), [0.0])
 
 
 def test_phase_parabola(lin):
