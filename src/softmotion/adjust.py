@@ -8,16 +8,16 @@ stop.  Between t_opt and t_stop the only limit-respecting way to slow down
 is a profile whose cruise runs at some |vc| below vmax, and for some
 durations no such vc exists, so the feasible set is a union of intervals.
 
-The duration map vc -> T is sampled on one cruise-velocity grid per
-transition: each sign of vc gets 8 points per millisecond of slack
-t_stop - t_opt (2048 to 65536), plus the ramp-shape breakpoints.  The
-feasibility intervals and the slowing search read this one grid, so each
-interval end is a duration the slowing search can build.  A gap in vc
-narrower than the grid spacing may go undetected.
+``transition_problem`` solves an axis once: the minimal-time profile, the
+halt and restart legs, and the duration map vc -> T sampled on one grid
+(per sign of vc, 8 points per ms of slack t_stop - t_opt, 2048 to 65536,
+plus the ramp-shape breakpoints).  Everything after it only reads the
+problem, so each interval end is a duration the slowing search can build.
+A gap in vc narrower than the grid spacing may go undetected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,24 +29,35 @@ from .profiles import (AxisProfile, KinematicLimits, KinematicState,
 
 #: Imposed durations are matched to this absolute tolerance (seconds).
 DURATION_TOL = 1e-6
+#: Slack (seconds) of a duration against t_opt, t_stop or an interval end.
+TIME_TOL = 1e-9
+#: Feasible intervals closer than this (seconds) merge into one.
+MERGE_GAP = 1e-6
+#: Slack (seconds) below the largest t_opt of an interval start candidate.
+CANDIDATE_TOL = 1e-12
+#: The cruise-velocity grid stops this fraction of vmax short of vc = 0.
+GRID_END = 1e-9
 
 
 @dataclass(frozen=True)
 class TransitionProblem:
-    """Boundary data of one axis transition plus its timing summary.
+    """One axis transition, solved once under ``limits``.
 
     Both boundary accelerations are zero.  ``displacement`` equals
     final.x - init.x and is kept explicit because it is the quantity the
     slowing search preserves.  Build it with ``transition_problem``, which
-    fills in the minimal time ``t_opt`` and the stop-and-restart time
-    ``t_stop``.
+    plans the minimal-time profile (duration ``t_opt``), the ``halt`` and
+    ``restart`` legs (together ``t_stop``) and the duration ``runs``.
     """
 
     init: KinematicState
     final: KinematicState
     displacement: float
-    t_opt: float
-    t_stop: float
+    limits: KinematicLimits
+    min_time: AxisProfile
+    halt: AxisProfile
+    restart: AxisProfile
+    runs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if abs(self.init.a) > 1e-9 or abs(self.final.a) > 1e-9:
@@ -54,50 +65,49 @@ class TransitionProblem:
         if abs((self.final.x - self.init.x) - self.displacement) > 1e-9:
             raise ValueError("displacement disagrees with boundary positions")
 
+    @property
+    def t_opt(self) -> float:
+        return self.min_time.duration
+
+    @property
+    def t_stop(self) -> float:
+        return self.halt.duration + self.restart.duration
+
 
 def transition_problem(v0: float, vf: float, displacement: float,
                        limits: KinematicLimits, x0: float = 0.0) -> TransitionProblem:
-    """Build a TransitionProblem with t_opt and t_stop filled in."""
+    """Plan one axis transition and sample its duration map."""
     init = KinematicState(0.0, v0, x0)
     final = KinematicState(0.0, vf, x0 + displacement)
-    t_opt = plan_min_time_1d(init, final, limits).duration
-    halt, restart = _halt_and_restart(init, final, limits)
-    return TransitionProblem(init, final, displacement, t_opt,
-                             halt.duration + restart.duration)
-
-
-def _halt_and_restart(init: KinematicState, final: KinematicState,
-                      limits: KinematicLimits) -> tuple[AxisProfile, AxisProfile]:
-    """Minimal-time legs to the natural standstill and on to the final state."""
+    min_time = plan_min_time_1d(init, final, limits)
     sweep_stop = critical_length(init, KinematicState(0.0, 0.0), limits)
-    halt = KinematicState(0.0, 0.0, init.x + sweep_stop)
-    part1 = plan_min_time_1d(init, halt, limits)
-    return part1, plan_min_time_1d(halt, final, limits, t0=part1.duration)
+    stop = KinematicState(0.0, 0.0, init.x + sweep_stop)   # the natural standstill
+    halt = plan_min_time_1d(init, stop, limits)
+    restart = plan_min_time_1d(stop, final, limits, t0=halt.duration)
+    problem = TransitionProblem(init, final, displacement, limits, min_time,
+                                halt, restart, runs=())
+    n = min(max(2048, int(8.0 * (problem.t_stop - problem.t_opt) / 1e-3)), 65536)
+    return replace(problem, runs=tuple(_duration_runs(problem, n)))
 
 
-def stop_time(problem: TransitionProblem, limits: KinematicLimits,
-              t_imp: float | None = None) -> tuple[float, AxisProfile]:
-    """Duration and profile of the halt-then-continue fallback.
+def stop_time(problem: TransitionProblem, t_imp: float | None = None) -> AxisProfile:
+    """The stored halt and restart legs as one profile.
 
-    The axis brakes to a standstill, then replans from the stop point to
-    the final state.  If ``t_imp`` exceeds the stop-and-restart duration,
-    a dwell of the difference is inserted at the standstill.
+    If ``t_imp`` exceeds t_stop, a dwell of the difference is inserted at
+    the standstill between them.
     """
-    part1, part2 = _halt_and_restart(problem.init, problem.final, limits)
-    t_stop = part1.duration + part2.duration
-    steps = [(s.jerk, s.duration) for s in part1.segments]
-    if t_imp is not None and t_imp > t_stop:
-        steps.append((0.0, t_imp - t_stop))
-    steps += [(s.jerk, s.duration) for s in part2.segments]
-    return t_stop, make_profile(steps, problem.init)
+    steps = [(s.jerk, s.duration) for s in problem.halt.segments]
+    if t_imp is not None and t_imp > problem.t_stop:
+        steps.append((0.0, t_imp - problem.t_stop))
+    steps += [(s.jerk, s.duration) for s in problem.restart.segments]
+    return make_profile(steps, problem.init)
 
 
-def slowing_pieces(problem: TransitionProblem, vc: float,
-                   limits: KinematicLimits):
+def slowing_pieces(problem: TransitionProblem, vc: float):
     """Duration and steps of the vc-cruise profile, or None when t_c < 0."""
     v0, vf = problem.init.v, problem.final.v
-    ramp1 = connect_steps(0.0, v0, 0.0, vc, limits)
-    ramp2 = connect_steps(0.0, vc, 0.0, vf, limits)
+    ramp1 = connect_steps(0.0, v0, 0.0, vc, problem.limits)
+    ramp2 = connect_steps(0.0, vc, 0.0, vf, problem.limits)
     s1 = sweep(ramp1, 0.0, v0)[2]
     s2 = sweep(ramp2, 0.0, vc)[2]
     t_c = (problem.displacement - s1 - s2) / vc
@@ -165,18 +175,18 @@ def _ramp_arrays(va, vb, limits: KinematicLimits):
     return edge, hold, dist
 
 
-def _slowing_durations(problem: TransitionProblem, vc: np.ndarray,
-                       limits: KinematicLimits) -> tuple[np.ndarray, np.ndarray]:
+def _slowing_durations(problem: TransitionProblem,
+                       vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Durations T and the mask t_c >= 0 of ``slowing_pieces`` over an array.
 
     Element for element, ``T[k]`` equals ``slowing_pieces(problem, vc[k])[0]``
     wherever ``ok[k]``, and ``ok[k]`` is False exactly where it returns None.
     """
-    edge1, hold1, s1 = _ramp_arrays(problem.init.v, vc, limits)
+    edge1, hold1, s1 = _ramp_arrays(problem.init.v, vc, problem.limits)
     total = np.add(edge1, hold1, out=hold1)
     total += edge1
     del edge1   # free it before the second ramp's temporaries
-    edge2, hold2, s2 = _ramp_arrays(vc, problem.final.v, limits)
+    edge2, hold2, s2 = _ramp_arrays(vc, problem.final.v, problem.limits)
     t_c = np.subtract(problem.displacement, s1, out=s1)
     t_c -= s2
     t_c /= vc
@@ -188,12 +198,6 @@ def _slowing_durations(problem: TransitionProblem, vc: np.ndarray,
     return total, ok
 
 
-def _grid_size(problem: TransitionProblem) -> int:
-    """Points per side of the cruise-velocity grid: 8 per ms of slack."""
-    return min(max(2048, int(8.0 * (problem.t_stop - problem.t_opt) / 1e-3)),
-               65536)
-
-
 def _vc_grid(limits: KinematicLimits, v0: float, vf: float,
              n: int) -> list[np.ndarray]:
     """Sampling grids of ``n`` cruise velocities per sign, negative side first.
@@ -203,7 +207,7 @@ def _vc_grid(limits: KinematicLimits, v0: float, vf: float,
     grid cell sees a smooth duration map.
     """
     vm = limits.vmax
-    eps = vm * 1e-9
+    eps = vm * GRID_END
     thr = limits.amax ** 2 / limits.jmax
     marks = {w for v in (v0, vf) for w in (v - thr, v + thr, v) if -vm < w < vm}
     sides = []
@@ -216,8 +220,8 @@ def _vc_grid(limits: KinematicLimits, v0: float, vf: float,
     return sides
 
 
-def _bisect_vc(problem: TransitionProblem, limits: KinematicLimits,
-               keep: float, drop: float, steps: int, accept=None):
+def _bisect_vc(problem: TransitionProblem, keep: float, drop: float,
+               steps: int, accept=None):
     """Bisect the cruise velocities between ``keep`` and ``drop``.
 
     A midpoint replaces ``keep`` when its slowed profile exists and passes
@@ -230,7 +234,7 @@ def _bisect_vc(problem: TransitionProblem, limits: KinematicLimits,
         mid = 0.5 * (keep + drop)
         if mid == keep or mid == drop:
             break
-        r = slowing_pieces(problem, mid, limits)
+        r = slowing_pieces(problem, mid)
         if r is not None and (accept is None or accept(r[0])):
             keep, res = mid, r
         else:
@@ -238,7 +242,7 @@ def _bisect_vc(problem: TransitionProblem, limits: KinematicLimits,
     return keep, drop, res
 
 
-def _duration_runs(problem: TransitionProblem, limits: KinematicLimits,
+def _duration_runs(problem: TransitionProblem,
                    n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Maximal runs of cruise velocities with non-negative cruise time.
 
@@ -249,15 +253,15 @@ def _duration_runs(problem: TransitionProblem, limits: KinematicLimits,
     is refined to about 1e-12 in vc by bisection and included, so the
     duration map is sampled through to the run ends.
     """
-    eps = limits.vmax * 1e-9
+    eps = problem.limits.vmax * GRID_END
 
     def edge(good: float, bad: float) -> tuple[list, list]:
-        vc, _, res = _bisect_vc(problem, limits, good, bad, 60)
+        vc, _, res = _bisect_vc(problem, good, bad, 60)
         return ([vc], [res[0]]) if abs(vc - good) > eps else ([], [])
 
     runs: list[tuple[np.ndarray, np.ndarray]] = []
-    for side in _vc_grid(limits, problem.init.v, problem.final.v, n):
-        T, ok = _slowing_durations(problem, side, limits)
+    for side in _vc_grid(problem.limits, problem.init.v, problem.final.v, n):
+        T, ok = _slowing_durations(problem, side)
         cuts = np.flatnonzero(ok[1:] != ok[:-1]) + 1
         for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), side.size]):
             if not ok[lo]:
@@ -270,26 +274,24 @@ def _duration_runs(problem: TransitionProblem, limits: KinematicLimits,
     return runs
 
 
-def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
-                          limits: KinematicLimits) -> AxisProfile:
+def plan_slowing_velocity(problem: TransitionProblem, t_imp: float) -> AxisProfile:
     """Transition stretched to t_imp by cruising below vmax.
 
-    Evaluates the duration-vs-cruise-velocity map over each run of the
-    transition's grid at once, then bisects only the cells where
-    T - t_imp changes sign (the map is continuous and monotone between
-    breakpoints); a sample with T = t_imp, the refined run edges included,
-    is taken as it is.  Of the crossings that reproduce t_imp, the fastest
-    cruise wins.  Raises InfeasibleDuration when t_imp falls in a gap
-    where no cruise velocity yields a valid profile; a gap narrower than
-    the grid spacing may go undetected.
+    Reads the duration map of each run of the problem's grid and bisects
+    only the cells where T - t_imp changes sign (the map is continuous and
+    monotone between breakpoints); a sample with T = t_imp, the refined
+    run edges included, is taken as it is.  Of the crossings that
+    reproduce t_imp, the fastest cruise wins.  Raises InfeasibleDuration
+    when t_imp falls in a gap where no cruise velocity yields a valid
+    profile; a gap narrower than the grid spacing may go undetected.
     """
-    if t_imp < problem.t_opt - 1e-9:
+    if t_imp < problem.t_opt - TIME_TOL:
         raise InfeasibleDuration(f"t_imp={t_imp} is below the minimal time")
-    if abs(problem.t_opt - t_imp) <= 1e-9:
-        return plan_min_time_1d(problem.init, problem.final, limits)
+    if abs(problem.t_opt - t_imp) <= TIME_TOL:
+        return problem.min_time
 
     best: tuple[float, list] | None = None
-    for vcs, T in _duration_runs(problem, limits, _grid_size(problem)):
+    for vcs, T in problem.runs:
         f = T - t_imp
         below = f < 0.0
         hits = f == 0.0
@@ -299,10 +301,10 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
             if f[k] != 0.0:
                 was_below = bool(below[k])
                 lo, hi, _ = _bisect_vc(
-                    problem, limits, vc_star, float(vcs[k + 1]), 100,
+                    problem, vc_star, float(vcs[k + 1]), 100,
                     lambda t: ((t - t_imp) < 0.0) == was_below)
                 vc_star = 0.5 * (lo + hi)
-            r = slowing_pieces(problem, vc_star, limits)
+            r = slowing_pieces(problem, vc_star)
             if r is None or abs(r[0] - t_imp) > DURATION_TOL:
                 continue
             if best is None or abs(vc_star) > abs(best[0]):
@@ -313,36 +315,34 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float,
     return make_profile(best[1], problem.init)
 
 
-def feasibility_intervals(problem: TransitionProblem,
-                          limits: KinematicLimits) -> list[tuple[float, float]]:
+def feasibility_intervals(problem: TransitionProblem) -> list[tuple[float, float]]:
     """Closed intervals of achievable durations within [t_opt, t_stop].
 
     The duration map vc -> T is continuous on each maximal vc-run where the
-    cruise time stays non-negative, so each run of the transition's grid
-    contributes the interval [min T, max T] of its duration array; run
-    edges (where the cruise time hits zero) are refined by bisection.
-    t_opt is always feasible (the minimal-time profile) and everything
-    from t_stop upward is feasible via stop-and-dwell.  Gaps narrower than
-    the grid spacing may go undetected.
+    cruise time stays non-negative, so each run of the problem's grid
+    contributes the interval [min T, max T] of its durations.  t_opt is
+    always feasible (the minimal-time profile) and everything from t_stop
+    upward is feasible via stop-and-dwell.  Gaps narrower than the grid
+    spacing may go undetected.
     """
     t_opt, t_stop = problem.t_opt, problem.t_stop
     intervals = [(t_opt, t_opt), (t_stop, t_stop)]
-    for _, T in _duration_runs(problem, limits, _grid_size(problem)):
+    for _, T in problem.runs:
         lo, hi = max(float(T.min()), t_opt), min(float(T.max()), t_stop)
         if lo <= hi:
             intervals.append((lo, hi))
     intervals.sort()
     merged = [intervals[0]]
     for lo, hi in intervals[1:]:
-        if lo <= merged[-1][1] + 1e-6:
+        if lo <= merged[-1][1] + MERGE_GAP:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
     return merged
 
 
-def impose_common_time(problems: list[TransitionProblem],
-                       limits: KinematicLimits) -> tuple[float, list[AxisProfile]]:
+def impose_common_time(
+        problems: list[TransitionProblem]) -> tuple[float, list[AxisProfile]]:
     """Common duration for all axes and the per-axis profiles realizing it.
 
     The imposed time is the smallest t at or above every axis's minimal
@@ -354,17 +354,17 @@ def impose_common_time(problems: list[TransitionProblem],
         raise ValueError("at least one axis problem is required")
 
     t_lo = max(p.t_opt for p in problems)
-    axis_ivals = [feasibility_intervals(p, limits) for p in problems]
+    axis_ivals = [feasibility_intervals(p) for p in problems]
 
     def feasible(axis: int, t: float) -> bool:
-        if t >= problems[axis].t_stop - 1e-9:
+        if t >= problems[axis].t_stop - TIME_TOL:
             return True
-        return any(lo - 1e-9 <= t <= hi + 1e-9 for lo, hi in axis_ivals[axis])
+        return any(lo - TIME_TOL <= t <= hi + TIME_TOL for lo, hi in axis_ivals[axis])
 
     fallback = max(max(p.t_stop for p in problems), t_lo)
     candidates = {t_lo}
     for ivals, p in zip(axis_ivals, problems):
-        candidates.update(lo for lo, _ in ivals if lo >= t_lo - 1e-12)
+        candidates.update(lo for lo, _ in ivals if lo >= t_lo - CANDIDATE_TOL)
         candidates.add(max(p.t_stop, t_lo))
 
     # the interval data is numerically approximate, so a candidate only
@@ -374,15 +374,14 @@ def impose_common_time(problems: list[TransitionProblem],
         if not all(feasible(ax, t) for ax in range(len(problems))):
             continue
         try:
-            return t, [plan_for_duration(p, t, limits) for p in problems]
+            return t, [plan_for_duration(p, t) for p in problems]
         except InfeasibleDuration:
             continue
-    return fallback, [plan_for_duration(p, fallback, limits) for p in problems]
+    return fallback, [plan_for_duration(p, fallback) for p in problems]
 
 
-def plan_for_duration(problem: TransitionProblem, t_imp: float,
-                      limits: KinematicLimits) -> AxisProfile:
+def plan_for_duration(problem: TransitionProblem, t_imp: float) -> AxisProfile:
     """Profile of duration t_imp: minimal-time, slowed, or stop-and-dwell."""
-    if abs(t_imp - problem.t_opt) > 1e-9 and t_imp >= problem.t_stop - 1e-9:
-        return stop_time(problem, limits, t_imp)[1]
-    return plan_slowing_velocity(problem, t_imp, limits)
+    if abs(t_imp - problem.t_opt) > TIME_TOL and t_imp >= problem.t_stop - TIME_TOL:
+        return stop_time(problem, t_imp)
+    return plan_slowing_velocity(problem, t_imp)

@@ -36,7 +36,7 @@ def _load_limits(path: str | None) -> LimitSet:
 
 
 def _sample_period(text: str) -> float:
-    """The --dt value: a finite number of seconds above zero."""
+    """A --dt or --tick value: a finite number of seconds above zero."""
     try:
         dt = float(text)
     except ValueError:
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="online tracking of a reference stream")
     p.add_argument("--limits", default=None, metavar="FILE")
-    p.add_argument("--tick", type=float, default=0.01)
+    p.add_argument("--tick", type=_sample_period, default=0.01)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("oracle", help="brute-force minimal time")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--final", required=True, metavar="A,V")
     p.add_argument("--displacement", type=float, required=True)
     p.add_argument("--limits", default=None, metavar="FILE")
-    p.add_argument("--dt", type=float, default=0.002)
+    p.add_argument("--dt", type=_sample_period, default=0.002)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

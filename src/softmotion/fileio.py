@@ -113,7 +113,7 @@ def write_trajectory_csv(stream: io.TextIOBase, profiles: list[AxisProfile],
     if rest_positions is None:
         rest_positions = [0.0] * len(profiles)
     longest = max(profiles, key=lambda p: p.end_time, default=AxisProfile())
-    grid = np.array(sample_times(longest, dt))
+    grid = sample_times(longest, dt)
     header = ["t"]
     for name in names:
         header += [f"{name}_pos", f"{name}_vel", f"{name}_acc", f"{name}_jerk"]

@@ -225,7 +225,7 @@ def brute_force_min_time(init: KinematicState, final: KinematicState,
     which is distinct from plain infeasibility, and finding no trajectory
     within the widened horizon raises SolverFailure.
     """
-    if dt <= 0.0:
+    if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be > 0")
     jm, am, vm = limits.jmax, limits.amax, limits.vmax
     a0, v0 = init.a, init.v

@@ -313,18 +313,19 @@ def scale_profile(profile: AxisProfile, r: float, x_offset: float = 0.0) -> Axis
     return AxisProfile(t0=profile.t0, segments=tuple(segs))
 
 
-def sample_times(profile: AxisProfile, dt: float) -> list[float]:
-    """Sampling grid t0 + k*dt, always including the exact end time."""
-    if dt <= 0.0:
+def sample_times(profile: AxisProfile, dt: float) -> np.ndarray:
+    """Sampling grid t0 + k*dt below end - 1e-12, then the exact end time.
+
+    The grid values rise with k, so the instants below the cut are a
+    prefix of the candidates; the candidates run two past the estimated
+    cut, which covers any rounding of that estimate.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be > 0")
-    ts = []
     end = profile.end_time if profile.segments else profile.t0
-    k = 0
-    while profile.t0 + k * dt < end - 1e-12:
-        ts.append(profile.t0 + k * dt)
-        k += 1
-    ts.append(end)
-    return ts
+    cut = end - 1e-12
+    ts = profile.t0 + np.arange(int((cut - profile.t0) / dt) + 3) * dt
+    return np.append(ts[ts < cut], end)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ minimal time and then held exactly.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .orientation import (Pose, Quaternion, Twist, omega_to_qdot,
@@ -30,7 +32,7 @@ class OnlineTracker:
 
     def __init__(self, limits, n_axes: int | None = None,
                  states=None, dt: float = 0.01) -> None:
-        if dt <= 0.0:
+        if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError("tick period must be > 0")
         if isinstance(limits, KinematicLimits):
             if n_axes is None:

@@ -76,7 +76,7 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
             fc = _anchor_state(leg_out[ax], t_fc, rest_x=float(pts[w][ax]))
             problems.append(transition_problem(ic.v, fc.v, fc.x - ic.x,
                                                limits, x0=ic.x))
-        t_imp, tprofiles = impose_common_time(problems, limits)
+        t_imp, tprofiles = impose_common_time(problems)
         transitions.append(tprofiles)
         for ax, prob in enumerate(problems):
             summaries.append(TransitionSummary(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from softmotion import adjust
 from softmotion.adjust import slowing_pieces
 
 
-def exhaustive_vc_times(problem, lin, n=30001):
+def exhaustive_vc_times(problem, n=30001):
     """Independent oracle: dense sweep of the cruise-velocity map."""
     out = []
-    for vc in np.linspace(-lin.vmax, lin.vmax, n):
+    vmax = problem.limits.vmax
+    for vc in np.linspace(-vmax, vmax, n):
         if abs(vc) < 1e-6:
             continue
-        res = slowing_pieces(problem, float(vc), lin)
+        res = slowing_pieces(problem, float(vc))
         if res is not None:
             out.append(res[0])
     return np.array(out)
@@ -23,17 +26,17 @@ def exhaustive_vc_times(problem, lin, n=30001):
 
 def test_stop_time_trivial(lin):
     prob = transition_problem(0.0, 0.0, 0.0, lin)
-    t_stop, prof = stop_time(prob, lin)
-    assert t_stop == 0.0
+    prof = stop_time(prob)
+    assert prob.t_stop == 0.0
     assert prof.segments == ()
 
 
 def test_stop_time_cruise_case(lin):
     prob = transition_problem(0.15, 0.15, 0.125, lin)
     assert prob.t_opt == pytest.approx(0.125 / 0.15, abs=1e-9)
-    t_stop, prof = stop_time(prob, lin)
+    prof = stop_time(prob)
     # brake sweeps 0.0625 m, restart sweeps the remaining 0.0625 m
-    assert t_stop == pytest.approx(2.0 * 5.0 / 6.0, abs=1e-9)
+    assert prob.t_stop == pytest.approx(2.0 * 5.0 / 6.0, abs=1e-9)
     end = prof.final_state
     assert end.v == pytest.approx(0.15, abs=1e-9)
     assert end.x == pytest.approx(0.125, abs=1e-9)
@@ -41,8 +44,8 @@ def test_stop_time_cruise_case(lin):
 
 def test_stop_time_inserts_dwell(lin):
     prob = transition_problem(0.15, 0.15, 0.125, lin)
-    t_stop, _ = stop_time(prob, lin)
-    _, padded = stop_time(prob, lin, t_stop + 0.5)
+    t_stop = prob.t_stop
+    padded = stop_time(prob, t_stop + 0.5)
     assert padded.duration == pytest.approx(t_stop + 0.5, abs=1e-9)
     dwell = [s for s in padded.segments
              if s.jerk == 0.0 and abs(s.start.v) < 1e-12 and abs(s.start.a) < 1e-12]
@@ -51,14 +54,14 @@ def test_stop_time_inserts_dwell(lin):
 
 def test_slowing_at_t_opt_returns_minimal_profile(lin):
     prob = transition_problem(0.15, 0.15, 0.125, lin)
-    prof = plan_slowing_velocity(prob, prob.t_opt, lin)
+    prof = plan_slowing_velocity(prob, prob.t_opt)
     assert prof.duration == pytest.approx(prob.t_opt, abs=1e-9)
 
 
 def test_slowing_velocity_stretch(lin):
     prob = transition_problem(0.15, 0.15, 0.125, lin)
     t_imp = 1.0
-    prof = plan_slowing_velocity(prob, t_imp, lin)
+    prof = plan_slowing_velocity(prob, t_imp)
     assert abs(prof.duration - t_imp) <= 1e-6
     end = prof.final_state
     assert end.x == pytest.approx(0.125, abs=1e-9)
@@ -67,7 +70,7 @@ def test_slowing_velocity_stretch(lin):
     cruise = [s for s in prof.segments if s.jerk == 0.0 and abs(s.start.a) < 1e-9]
     assert cruise and abs(cruise[0].start.v) < lin.vmax
     # the dense sweep finds the same duration reachable
-    times = exhaustive_vc_times(prob, lin)
+    times = exhaustive_vc_times(prob)
     assert np.min(np.abs(times - t_imp)) < 1e-3
 
 
@@ -75,9 +78,9 @@ def test_slowing_reaches_the_lower_end_of_an_interval(lin):
     # the interval's lower end is a refined run edge, the last sample of
     # its run; the slowing search must build a profile there
     prob = transition_problem(0.1, 0.0, 0.041666666666666664, lin)
-    ivals = feasibility_intervals(prob, lin)
+    ivals = feasibility_intervals(prob)
     assert ivals[-1][0] == pytest.approx(0.9224477589623111, abs=1e-12)
-    prof = plan_slowing_velocity(prob, ivals[-1][0], lin)
+    prof = plan_slowing_velocity(prob, ivals[-1][0])
     assert abs(prof.duration - 0.9224477589623111) <= 1e-6
     assert prof.final_state.x == pytest.approx(prob.displacement, abs=1e-9)
     assert check_limits(prof, lin).ok
@@ -88,14 +91,14 @@ def test_ramp_transition_has_a_duration_gap(lin):
     # stretching beyond t_opt is impossible until the stop time
     prob = transition_problem(0.0, 0.15, 0.0625, lin)
     with pytest.raises(InfeasibleDuration):
-        plan_slowing_velocity(prob, 0.84, lin)
-    times = exhaustive_vc_times(prob, lin)
+        plan_slowing_velocity(prob, 0.84)
+    times = exhaustive_vc_times(prob)
     assert np.all(np.abs(times - 0.84) > 1e-3)
 
 
 def test_feasibility_intervals_rest_to_rest(lin):
     prob = transition_problem(0.0, 0.0, 0.1, lin)
-    ivals = feasibility_intervals(prob, lin)
+    ivals = feasibility_intervals(prob)
     assert ivals[0][0] == pytest.approx(prob.t_opt, abs=1e-6)
     assert ivals[-1][1] == pytest.approx(prob.t_stop, abs=1e-6)
     # a rest-to-rest motion can always be slowed: one solid interval
@@ -104,7 +107,7 @@ def test_feasibility_intervals_rest_to_rest(lin):
 
 def test_feasibility_intervals_gap_case(lin):
     prob = transition_problem(0.0, 0.15, 0.0625, lin)
-    ivals = feasibility_intervals(prob, lin)
+    ivals = feasibility_intervals(prob)
     # only the endpoints are feasible; everything between is a gap
     assert ivals[0] == pytest.approx((prob.t_opt, prob.t_opt), abs=1e-6)
     assert ivals[-1] == pytest.approx((prob.t_stop, prob.t_stop), abs=1e-6)
@@ -118,7 +121,7 @@ def test_t_opt_always_feasible(lin):
         base = transition_problem(v0, vf, 0.0, lin)
         d = float(rng.uniform(-0.1, 0.1))
         prob = transition_problem(v0, vf, d, lin)
-        prof = plan_for_duration(prob, prob.t_opt, lin)
+        prof = plan_for_duration(prob, prob.t_opt)
         assert prof.duration == pytest.approx(prob.t_opt, abs=1e-9)
 
 
@@ -132,7 +135,7 @@ def test_plan_for_duration_exactness(lin):
         prob = transition_problem(v0, vf, d, lin)
         t_imp = float(rng.uniform(prob.t_opt, prob.t_stop + 0.3))
         try:
-            prof = plan_for_duration(prob, t_imp, lin)
+            prof = plan_for_duration(prob, t_imp)
         except InfeasibleDuration:
             continue
         checked += 1
@@ -144,9 +147,9 @@ def test_plan_for_duration_exactness(lin):
 
 def test_impose_common_time_single_and_identical(lin):
     prob = transition_problem(0.15, 0.15, 0.125, lin)
-    t_imp, profs = impose_common_time([prob], lin)
+    t_imp, profs = impose_common_time([prob])
     assert t_imp == pytest.approx(prob.t_opt, abs=1e-9)
-    t_imp, profs = impose_common_time([prob, prob], lin)
+    t_imp, profs = impose_common_time([prob, prob])
     assert t_imp == pytest.approx(prob.t_opt, abs=1e-9)
     for p in profs:
         assert abs(p.duration - t_imp) <= 1e-6
@@ -156,7 +159,7 @@ def test_impose_common_time_three_axis_mission(lin):
     problems = [transition_problem(0.15, 0.15, 0.125, lin),
                 transition_problem(0.15, 0.15, 0.125, lin),
                 transition_problem(0.0, 0.15, 0.0625, lin)]
-    t_imp, profs = impose_common_time(problems, lin)
+    t_imp, profs = impose_common_time(problems)
     assert t_imp == pytest.approx(5.0 / 6.0, abs=1e-6)
     for p, prob in zip(profs, problems):
         assert abs(p.duration - t_imp) <= 1e-6
@@ -169,7 +172,7 @@ def test_stretched_profiles_respect_limits_everywhere(lin):
     prob = transition_problem(0.12, 0.12, 0.09, lin)
     for t_imp in np.linspace(prob.t_opt, prob.t_stop + 0.4, 9):
         try:
-            prof = plan_for_duration(prob, float(t_imp), lin)
+            prof = plan_for_duration(prob, float(t_imp))
         except InfeasibleDuration:
             continue
         assert check_limits(prof, lin).ok
@@ -185,16 +188,16 @@ def scalar_vc_grid(limits, v0, vf, n):
             for lo, hi in ((-vm, -eps), (eps, vm))]
 
 
-def scalar_vc_edge(problem, limits, good, bad):
+def scalar_vc_edge(problem, good, bad):
     """(vc, duration) at the boundary of a feasible run, to ~1e-12 in vc."""
-    res = slowing_pieces(problem, good, limits)
+    res = slowing_pieces(problem, good)
     if res is None:
         return None
     for _ in range(60):
         mid = 0.5 * (good + bad)
         if mid == good or mid == bad:
             break
-        r = slowing_pieces(problem, mid, limits)
+        r = slowing_pieces(problem, mid)
         if r is None:
             bad = mid
         else:
@@ -203,22 +206,23 @@ def scalar_vc_edge(problem, limits, good, bad):
     return good, res[0]
 
 
-def scalar_duration_runs(problem, limits, n):
+def scalar_duration_runs(problem, n):
     """The duration runs rebuilt one cruise velocity at a time."""
+    limits = problem.limits
     eps = limits.vmax * 1e-9
     runs = []
     for side in scalar_vc_grid(limits, problem.init.v, problem.final.v, n):
         current, prev = [], None
         for vc in side:
-            res = slowing_pieces(problem, vc, limits)
+            res = slowing_pieces(problem, vc)
             if res is not None:
                 if not current and prev is not None:
-                    edge = scalar_vc_edge(problem, limits, vc, prev)
+                    edge = scalar_vc_edge(problem, vc, prev)
                     if edge is not None and abs(edge[0] - vc) > eps:
                         current.append(edge)
                 current.append((vc, res[0]))
             elif current:
-                edge = scalar_vc_edge(problem, limits, current[-1][0], vc)
+                edge = scalar_vc_edge(problem, current[-1][0], vc)
                 if edge is not None and abs(edge[0] - current[-1][0]) > eps:
                     current.append(edge)
                 runs.append(current)
@@ -248,45 +252,89 @@ def equivalence_cases(lin, count=520):
         yield v0, vf, d
 
 
-def test_array_duration_map_matches_scalar_loop(lin, monkeypatch):
+def test_array_duration_map_matches_scalar_loop(lin):
     n = 48
     checked = 0
     for v0, vf, d in equivalence_cases(lin):
         prob = transition_problem(v0, vf, d, lin)
         grid = adjust._vc_grid(lin, v0, vf, n=n)
         assert [side.tolist() for side in grid] == scalar_vc_grid(lin, v0, vf, n)
-        runs = adjust._duration_runs(prob, lin, n=n)
-        ref = scalar_duration_runs(prob, lin, n)
+        runs = adjust._duration_runs(prob, n=n)
+        ref = scalar_duration_runs(prob, n)
         assert len(runs) == len(ref)
         for (vcs, ts), (ref_vcs, ref_ts) in zip(runs, ref):
             assert vcs.tolist() == ref_vcs.tolist()
             assert ts.tolist() == ref_ts.tolist()
         # intervals and slowed profiles of the same grid from either form
-        with monkeypatch.context() as m:
-            m.setattr(adjust, "_duration_runs", lambda *args, **kw: ref)
-            ref_ivals = feasibility_intervals(prob, lin)
-            t_imp = next((0.5 * (lo + hi) for lo, hi in ref_ivals if hi > lo),
-                         None)
-            ref_prof = (None if t_imp is None
-                        else plan_slowing_velocity(prob, t_imp, lin))
-        with monkeypatch.context() as m:
-            m.setattr(adjust, "_duration_runs", lambda *args, **kw: runs)
-            assert feasibility_intervals(prob, lin) == ref_ivals
-            if t_imp is not None:
-                prof = plan_slowing_velocity(prob, t_imp, lin)
-                assert prof.segments == ref_prof.segments
+        ref_prob = replace(prob, runs=tuple(ref))
+        ref_ivals = feasibility_intervals(ref_prob)
+        t_imp = next((0.5 * (lo + hi) for lo, hi in ref_ivals if hi > lo), None)
+        ref_prof = (None if t_imp is None
+                    else plan_slowing_velocity(ref_prob, t_imp))
+        arr_prob = replace(prob, runs=tuple(runs))
+        assert feasibility_intervals(arr_prob) == ref_ivals
+        if t_imp is not None:
+            prof = plan_slowing_velocity(arr_prob, t_imp)
+            assert prof.segments == ref_prof.segments
         checked += 1
     assert checked >= 500
 
 
+README_CORNER = [(0.15, 0.15, 0.125), (0.15, 0.15, 0.125), (0.0, 0.15, 0.0625)]
+
+
 def test_impose_common_time_matches_scalar_loop_on_readme_corner(lin, monkeypatch):
-    problems = [transition_problem(0.15, 0.15, 0.125, lin),
-                transition_problem(0.15, 0.15, 0.125, lin),
-                transition_problem(0.0, 0.15, 0.0625, lin)]
-    t_imp, profs = impose_common_time(problems, lin)
-    monkeypatch.setattr(adjust, "_duration_runs",
-                        lambda p, lim, n: scalar_duration_runs(p, lim, n))
-    ref_t, ref_profs = impose_common_time(problems, lin)
+    problems = [transition_problem(*axis, lin) for axis in README_CORNER]
+    t_imp, profs = impose_common_time(problems)
+    # the same corner, its duration maps built by the scalar loop
+    monkeypatch.setattr(adjust, "_duration_runs", scalar_duration_runs)
+    ref_t, ref_profs = impose_common_time(
+        [transition_problem(*axis, lin) for axis in README_CORNER])
     assert t_imp == ref_t
     for prof, ref in zip(profs, ref_profs):
         assert prof.segments == ref.segments
+
+
+PLANNING = ("plan_min_time_1d", "critical_length", "_duration_runs")
+
+
+def count_calls(monkeypatch, names):
+    """Call counts of the named ``adjust`` functions from here on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(adjust, name), **kw):
+            counts[_name] += 1
+            return _original(*args, **kw)
+        monkeypatch.setattr(adjust, name, counted)
+    return counts
+
+
+def test_transition_problem_plans_each_part_once(lin, monkeypatch):
+    counts = count_calls(monkeypatch, PLANNING)
+    prob = transition_problem(0.15, 0.15, 0.125, lin)
+    # the minimal-time profile, the halt and the restart leg; one map
+    assert counts == {"plan_min_time_1d": 3, "critical_length": 1,
+                      "_duration_runs": 1}
+    # the duration map takes no part in equality and hashing
+    again = replace(prob, runs=())
+    assert again == prob and hash(again) == hash(prob)
+
+
+@pytest.mark.parametrize("axes, strategy", [
+    (README_CORNER, "min-time"),
+    ([(0.1, 0.1, 0.15), (0.0, 0.0, 0.1)], "slowed"),
+    ([(0.15, 0.15, 0.125), (0.0, 0.0, 0.25)], "stop-and-dwell"),
+])
+def test_impose_common_time_does_no_planning(lin, monkeypatch, axes, strategy):
+    problems = [transition_problem(*axis, lin) for axis in axes]
+    counts = count_calls(monkeypatch, PLANNING)
+    t_imp, profs = impose_common_time(problems)
+    assert counts == dict.fromkeys(PLANNING, 0)
+    first = problems[0]
+    if strategy == "min-time":
+        assert t_imp == pytest.approx(max(p.t_opt for p in problems), abs=1e-9)
+    elif strategy == "slowed":
+        assert first.t_opt < t_imp < first.t_stop
+    else:
+        assert t_imp > first.t_stop
+    assert abs(profs[0].duration - t_imp) <= 1e-6

@@ -189,17 +189,22 @@ def test_vector_option_still_needs_a_value():
     assert "expected one argument" in res.stderr
 
 
-@pytest.mark.parametrize("dt", ["0", "-0.01", "nan"])
-@pytest.mark.parametrize("command", ["plan-ptp", "plan-path"])
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+@pytest.mark.parametrize("command", ["plan-ptp", "plan-path", "track", "oracle"])
 def test_non_positive_dt_exits_2(tmp_path, command, dt):
+    out = tmp_path / "traj.csv"
     if command == "plan-ptp":
-        args = ["plan-ptp", "--from=0,0,0", "--to=0.1,0,0"]
-    else:
+        args = ["plan-ptp", "--from=0,0,0", "--to=0.1,0,0", "--dt", dt, "--out", str(out)]
+    elif command == "plan-path":
         wp = tmp_path / "waypoints.txt"
         wp.write_text("0,0,0\n0.1,0,0\n0.1,0.1,0\n")
-        args = ["plan-path", "--waypoints", str(wp)]
-    out = tmp_path / "traj.csv"
-    res = run_cli(args + ["--dt", dt, "--out", str(out)], timeout=60)
+        args = ["plan-path", "--waypoints", str(wp), "--dt", dt, "--out", str(out)]
+    elif command == "track":
+        args = ["track", "--tick", dt]
+    else:
+        args = ["oracle", "--init", "0,0", "--final", "0,0", "--displacement", "0.01",
+                "--dt", dt]
+    res = run_cli(args, stdin="0 0.05 0 0 0 0 0\n", timeout=60)
     assert res.returncode == 2
     assert "dt must be > 0" in res.stderr
     assert not out.exists()

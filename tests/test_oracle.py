@@ -95,6 +95,13 @@ def test_rejects_bad_dt(lin):
                              KinematicState(0, 0, 0.01), lin, 0.0)
 
 
+@pytest.mark.parametrize("dt", [-0.01, float("nan"), float("inf")])
+def test_rejects_a_non_positive_or_non_finite_dt(lin, dt):
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        brute_force_min_time(KinematicState(0, 0, 0),
+                             KinematicState(0, 0, 0.01), lin, dt)
+
+
 def test_cell_extremes_match_lexsort_with_ties():
     # The frontier keeps, per cell key, the first least-x and the last
     # greatest-x row of the stable (key, x) order; ties in x and -0.0 must

@@ -240,3 +240,60 @@ def test_make_profile_drops_noise_segments(lin):
     prof = make_profile([(0.9, 0.1), (0.0, 1e-14), (-0.9, 0.1)],
                         KinematicState(0, 0, 0))
     assert len(prof.segments) == 2
+
+
+def loop_sample_times(profile, dt):
+    """The Python loop that the array grid of sample_times replaced."""
+    ts = []
+    end = profile.end_time if profile.segments else profile.t0
+    k = 0
+    while profile.t0 + k * dt < end - 1e-12:
+        ts.append(profile.t0 + k * dt)
+        k += 1
+    ts.append(end)
+    return ts
+
+
+def _span(t0, end):
+    """A one-segment hold from t0 to end (an empty profile when end == t0)."""
+    if end == t0:
+        return AxisProfile(t0=t0)
+    return AxisProfile(t0=t0, segments=(
+        CubicSegment(duration=end - t0, jerk=0.0, start=KinematicState(0.0, 0.0, 0.0)),))
+
+
+def sample_time_cases():
+    """Seeded (t0, dt, end), with the edge cases of the end-1e-12 cut."""
+    rng = np.random.default_rng(4711)
+    cases = [(0.0, 0.25, 2.0),            # exact multiple of dt
+             (1.5, 0.1, 1.5 + 0.8),       # t0 != 0, rounded multiple
+             (3.0, 0.01, 3.0),            # empty profile: one row
+             (-2.0, 0.01, -2.0 + 4e-13),  # shorter than the cut: one row
+             (0.7, 0.5, 0.9)]             # dt beyond the end: two rows
+    for _ in range(300):
+        t0 = float(rng.choice([0.0, rng.uniform(-5.0, 5.0)]))
+        dt = float(rng.choice([0.001, 0.01, 0.0137, rng.uniform(1e-3, 0.2)]))
+        k = int(rng.integers(1, 3000))
+        # at, just inside and just outside 1e-12 of grid point k, or anywhere
+        off = float(rng.choice([0.0, 1e-12, -1e-12, 0.5e-12, -0.5e-12, 2e-12,
+                                rng.uniform(-0.5, 0.5) * dt]))
+        cases.append((t0, dt, t0 + k * dt + off))
+    return cases
+
+
+def test_sample_times_matches_the_loop():
+    rows = set()
+    for t0, dt, end in sample_time_cases():
+        prof = _span(t0, end)
+        got = sample_times(prof, dt)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        ref = loop_sample_times(prof, dt)
+        assert got.tolist() == ref
+        rows.add(len(ref))
+    assert 1 in rows and 2 in rows
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+def test_sample_times_rejects_a_bad_period(dt):
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        sample_times(_span(0.0, 1.0), dt)

@@ -4,6 +4,12 @@ import pytest
 from softmotion import KinematicState, OnlineTracker, PoseTracker, Twist
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+def test_rejects_a_bad_tick_period(lin, dt):
+    with pytest.raises(ValueError, match="tick period must be > 0"):
+        OnlineTracker(lin, n_axes=1, dt=dt)
+
+
 def test_at_rest_zero_reference_stays_put(lin):
     tracker = OnlineTracker(lin, n_axes=1)
     for _ in range(10):
