@@ -107,11 +107,9 @@ def _cmd_plan_path(args) -> int:
     return 0
 
 
-def _cmd_track(args) -> int:
-    limits = _load_limits(args.limits)
-    tracker = PoseTracker(limits.linear, limits.angular, dt=args.tick)
-    refs: list[tuple[float, Twist]] = []
-    for lineno, line in enumerate(sys.stdin, 1):
+def _read_references(stream):
+    """(t, twist) of each reference line as it is read; other lines warn."""
+    for lineno, line in enumerate(stream, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,28 +124,33 @@ def _cmd_track(args) -> int:
             print(f"warning: line {lineno}: malformed number, holding previous "
                   "reference", file=sys.stderr)
             continue
-        refs.append((t, Twist((vx, vy, vz), (wx, wy, wz))))
-    if not refs:
+        yield t, Twist((vx, vy, vz), (wx, wy, wz))
+
+
+def _cmd_track(args) -> int:
+    limits = _load_limits(args.limits)
+    tracker = PoseTracker(limits.linear, limits.angular, dt=args.tick)
+    refs = _read_references(sys.stdin)
+    pending = next(refs, None)
+    if pending is None:
         return 0
-    rest = Twist((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    current = rest
-    idx = 0
-    t_last = refs[-1][0]
-    safety_end = t_last + 120.0
+    current = Twist((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     while True:
-        now = tracker.time
-        while idx < len(refs) and refs[idx][0] <= now + 1e-12:
-            current = refs[idx][1]
-            idx += 1
-        tracker.tick(current)
-        pose = tracker.pose()
+        # adopt every reference that is due; the next line is read only then
+        while pending is not None and pending[0] <= tracker.time + 1e-12:
+            t_last, current = pending
+            pending = next(refs, None)
+        pose = tracker.tick(current)
         twist = tracker.twist()
         row = ([fmt(tracker.time)] + [fmt(c) for c in pose.as_array()]
                + [fmt(c) for c in twist.v] + [fmt(c) for c in twist.w])
         print(" ".join(row))
-        if idx >= len(refs) and tracker.time > t_last and tracker.settled(current):
+        if pending is not None:
+            continue
+        # end of input: the last reference and the safety end are known
+        if tracker.time > t_last and tracker.settled(current):
             return 0
-        if tracker.time > safety_end:
+        if tracker.time > t_last + 120.0:
             print("warning: tracker did not settle; stopping", file=sys.stderr)
             return 0
 

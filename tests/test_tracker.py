@@ -1,7 +1,42 @@
+import struct
+
 import numpy as np
 import pytest
+from conftest import random_boundary
 
-from softmotion import KinematicState, OnlineTracker, PoseTracker, Twist
+from softmotion import (InfeasibleBoundary, KinematicLimits, KinematicState,
+                        OnlineTracker, PoseTracker, Twist, tracker)
+from softmotion.planner import connect_steps, critical_length, plan_min_time_1d
+from softmotion.profiles import DROP_DURATION, evaluate
+
+
+def reference_tick_axis(state, lim, ref, dt):
+    """One axis tick planned in full: the critical length, the minimal-time
+    plan over it, and that plan evaluated at dt."""
+    ref = max(-lim.vmax, min(lim.vmax, ref))
+    if state.a == 0.0 and state.v == ref:
+        return KinematicState(0.0, ref, state.x + ref * dt)
+    target_x = state.x + critical_length(state, KinematicState(0.0, ref), lim)
+    profile = plan_min_time_1d(state, KinematicState(0.0, ref, target_x), lim)
+    total = profile.duration
+    if total <= dt:
+        end = profile.final_state if profile.segments else state
+        return KinematicState(0.0, ref, end.x + ref * (dt - total))
+    return evaluate(profile, profile.t0 + dt)[0]
+
+
+def _bits(state):
+    return struct.pack("<3d", state.a, state.v, state.x)
+
+
+def _assert_closed_form_tick(state, lim, ref, dt):
+    new = OnlineTracker(lim, states=[state], dt=dt).tick([ref])[0]
+    assert _bits(new) == _bits(reference_tick_axis(state, lim, ref, dt)), \
+        (state, lim, ref, dt)
+    assert abs(new.v - state.v) <= lim.amax * dt + 1e-12
+    assert abs(new.a - state.a) <= lim.jmax * dt + 1e-12
+    assert abs(new.a) <= lim.amax + 1e-9 and abs(new.v) <= lim.vmax + 1e-9
+    return new
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
@@ -122,3 +157,99 @@ def test_pose_tracker_settles_on_a_held_twist(lin, ang):
     assert tracker.twist().v[0] == pytest.approx(lin.vmax, abs=1e-9)
     assert not tracker.settled(Twist((0.0, -0.05, 0.0), (0.0, 0.0, 0.0)))
     assert not tracker.settled(Twist((0.4, -0.05, 0.0), (0.0, 0.0, 0.1)))
+
+
+EXACT = KinematicLimits(jmax=2.0, amax=1.0, vmax=1.0)   # powers of two: exact steps
+
+
+def test_closed_form_tick_matches_the_planned_tick(lin, ang):
+    rng = np.random.default_rng(2024)
+    limit_sets = [lin, ang.scaled(0.5)]
+    dts = [0.001, 0.01, 0.037, 0.5]
+    for k in range(20000):
+        lim = limit_sets[k % 2]
+        a, v = random_boundary(rng, lim)
+        state = KinematicState(a, v, float(rng.uniform(-10.0, 10.0)))
+        ref = float(rng.uniform(-1.2, 1.2)) * lim.vmax
+        _assert_closed_form_tick(state, lim, ref, dts[k % 4])
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.01, 0.037, 0.5])
+def test_closed_form_tick_edge_cases(lin, dt):
+    j, am, vm = lin.jmax, lin.amax, lin.vmax
+    cases = [
+        (KinematicState(0.0, 0.1, 3.0), 0.1),             # fast path
+        (KinematicState(0.0, -vm, -2.0), -vm),            # fast path at -vmax
+        (KinematicState(0.0, 0.1 - 1e-6, 1.0), 0.1),      # lands within the tick
+        (KinematicState(0.0, 0.0, 0.5), vm),              # ref = +vmax
+        (KinematicState(0.0, 0.05, -0.5), -vm),           # ref = -vmax
+        (KinematicState(0.0, 0.0, 0.0), 2.0 * vm),        # clamped to +vmax
+        (KinematicState(am, 0.0, 0.2), 0.0),              # a = +amax
+        (KinematicState(-am, 0.0, -0.2), -0.1),           # a = -amax
+        (KinematicState(am, vm - am * am / (2 * j), 0.0), vm),   # saturated
+    ]
+    for state, ref in cases:
+        _assert_closed_form_tick(state, lin, ref, dt)
+    # a connection with a positive step below DROP_DURATION, which is dropped
+    state = KinematicState(0.1, 0.1 - 0.1 * 0.1 / (2 * j) - 1e-13, 0.0)
+    assert 0.0 < connect_steps(state.a, state.v, 0.0, 0.1, lin)[0][1] < DROP_DURATION
+    _assert_closed_form_tick(state, lin, 0.1, dt)
+    # the same state ticked until it rests on the reference
+    for _ in range(int(1.0 / dt) + 2):
+        state = _assert_closed_form_tick(state, lin, 0.1, dt)
+    assert state.a == 0.0 and state.v == 0.1
+
+
+def test_closed_form_tick_on_exact_boundaries():
+    # the connection's two steps total exactly the tick
+    state = KinematicState(0.0, 0.375, 1.0)
+    assert connect_steps(0.0, 0.375, 0.0, 0.5, EXACT) == [(2.0, 0.25), (-2.0, 0.25)]
+    end = _assert_closed_form_tick(state, EXACT, 0.5, 0.5)
+    assert (end.a, end.v) == (0.0, 0.5)
+    # ticks that end on a segment boundary: after the ramp, after the plateau
+    state = KinematicState(0.0, -0.5, 0.0)
+    assert connect_steps(0.0, -0.5, 0.0, 0.5, EXACT) == [
+        (2.0, 0.5), (0.0, 0.5), (-2.0, 0.5)]
+    for dt in (0.25, 0.5, 1.0, 1.5, 2.0):
+        _assert_closed_form_tick(state, EXACT, 0.5, dt)
+
+
+def test_infeasible_initial_state_raises_on_the_first_tick(lin):
+    for state in (KinematicState(lin.amax * 1.01, 0.0, 0.0),
+                  KinematicState(-lin.amax * 1.01, 0.0, 0.0),
+                  KinematicState(0.2, 0.14, 0.0),      # 0.14 + 0.2^2/1.8 > vmax
+                  KinematicState(-0.2, -0.14, 0.0)):
+        trk = OnlineTracker(lin, states=[state])
+        with pytest.raises(InfeasibleBoundary):
+            trk.tick([0.0])
+
+
+def test_pose_tracker_never_plans_a_profile(lin, ang, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the tracker tick planned a profile")
+
+    for name in ("plan_min_time_1d", "critical_length", "evaluate"):
+        monkeypatch.setattr(tracker, name, fail)
+    spin = Twist((0.0, 0.0, 0.0), (0.05, -0.1, 0.12))
+    trk = PoseTracker(lin, ang, dt=0.01)
+    for _ in range(150):
+        pose = trk.tick(spin)
+    assert abs(pose.orient.q[2]) > 0.01
+    fwd = Twist((0.12, -0.2, 0.03), (0.0, 0.0, 0.0))
+    trk = PoseTracker(lin, ang, dt=0.01)
+    for _ in range(150):
+        trk.tick(fwd)
+    assert trk.settled(fwd)
+
+
+def test_quaternion_stays_on_the_unit_sphere_for_300_s(lin, ang):
+    rng = np.random.default_rng(0)
+    trk = PoseTracker(lin, ang, dt=0.01)
+    for _ in range(100):                       # 100 holds of 3 s
+        w = rng.uniform(-1.0, 1.0, 3)
+        w *= rng.uniform(0.0, 0.17) / np.linalg.norm(w)
+        twist = Twist((0.0, 0.0, 0.0), tuple(w.tolist()))
+        for _ in range(300):
+            pose = trk.tick(twist)
+    assert trk.norm_drift < 5e-4
+    assert pose.orient.norm == pytest.approx(1.0, abs=1e-12)
