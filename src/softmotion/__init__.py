@@ -21,10 +21,10 @@ from .planner import (MotionType, classify, critical_length, mirror_problem,
                       plan_min_time_1d, solve_real_roots)
 from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
                        KinematicState, LimitReport, LimitViolation,
-                       check_limits, concat_profiles, dilate_profile,
-                       evaluate, integrate_segment, make_profile,
-                       phase_parabola, sample, sample_times, scale_profile,
-                       shift_profile, slice_profile)
+                       check_limits, concat_profiles, evaluate,
+                       integrate_segment, make_profile, sample,
+                       sample_times, scale_profile, shift_profile,
+                       slice_profile)
 from .ptp import (PtpTimes, accel_plateau_threshold, plan_ptp_1d,
                   ptp_saturation_threshold, ptp_times)
 from .tracker import OnlineTracker, PoseTracker
@@ -42,9 +42,9 @@ __all__ = [
     "InfeasibleBoundary", "InfeasibleDuration",
     "accel_plateau_threshold", "brute_force_min_time", "check_limits",
     "classify", "concat_profiles", "critical_length",
-    "dilate_profile", "evaluate", "feasibility_intervals",
+    "evaluate", "feasibility_intervals",
     "impose_common_time", "integrate_segment", "make_profile",
-    "mirror_problem", "omega_to_qdot", "phase_parabola", "plan_for_duration",
+    "mirror_problem", "omega_to_qdot", "plan_for_duration",
     "plan_min_time_1d", "plan_pose_axes", "plan_ptp_1d", "plan_ptp_nd",
     "plan_ptp_nd_with_times", "plan_slowing_velocity", "plan_waypoint_path",
     "plan_waypoint_path_detailed", "pose_at", "ptp_saturation_threshold",

@@ -8,24 +8,32 @@ stop.  Between t_opt and t_stop the only limit-respecting way to slow down
 is a profile whose cruise runs at some |vc| below vmax, and for some
 durations no such vc exists, so the feasible set is a union of intervals.
 
+That profile has a closed form.  A ramp over a velocity change d lasts
+R(d) = 2 sqrt(d/jmax) when d <= amax^2/jmax, else d/amax + amax/jmax, and
+sweeps the mean of its end velocities times R.  So a cruise at vc takes
+T(vc) = (D + g(vc - v0) + g(vc - vf)) / vc with g(d) = d R(|d|) / 2, of
+which the cruise itself lasts t_c = T - R1 - R2.  At a stationary point of
+T the cruise time would be negative, so T is strictly monotone on every
+run: a maximal interval of cruise velocities of one sign with t_c >= 0.  A
+run meets every duration between those at its ends exactly once, and T
+grows without bound where a run reaches vc = 0.
+
 ``transition_problem`` solves an axis once: the minimal-time profile, the
-halt and restart legs, and the duration map vc -> T sampled on one grid
-(per sign of vc, 8 points per ms of slack t_stop - t_opt, 2048 to 65536,
-plus the ramp-shape breakpoints).  Everything after it only reads the
-problem, so each interval end is a duration the slowing search can build.
-A gap in vc narrower than the grid spacing may go undetected.
+halt and restart legs, and the exact run ends.  Everything after it only
+reads the problem, and each interval end is a duration the slowing search
+builds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .errors import InfeasibleBoundary, InfeasibleDuration
-from .planner import (CLAMP_TOL, connect_steps, critical_length,
-                      plan_min_time_1d, steps_duration, sweep)
+from .errors import InfeasibleDuration
+from .planner import (connect_steps, critical_length, plan_min_time_1d,
+                      steps_duration, sweep)
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        make_profile)
+from .roots import no_root_between, padd, pmul, pscale, solve_real_roots
 
 #: Imposed durations are matched to this absolute tolerance (seconds).
 DURATION_TOL = 1e-6
@@ -35,8 +43,6 @@ TIME_TOL = 1e-9
 MERGE_GAP = 1e-6
 #: Slack (seconds) below the largest t_opt of an interval start candidate.
 CANDIDATE_TOL = 1e-12
-#: The cruise-velocity grid stops this fraction of vmax short of vc = 0.
-GRID_END = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,8 @@ class TransitionProblem:
     final.x - init.x and is kept explicit because it is the quantity the
     slowing search preserves.  Build it with ``transition_problem``, which
     plans the minimal-time profile (duration ``t_opt``), the ``halt`` and
-    ``restart`` legs (together ``t_stop``) and the duration ``runs``.
+    ``restart`` legs (together ``t_stop``) and the ``runs`` of cruise
+    velocities, each a ``(vc_lo, vc_hi)`` pair.
     """
 
     init: KinematicState
@@ -57,7 +64,7 @@ class TransitionProblem:
     min_time: AxisProfile
     halt: AxisProfile
     restart: AxisProfile
-    runs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(compare=False, repr=False)
+    runs: tuple[tuple[float, float], ...] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if abs(self.init.a) > 1e-9 or abs(self.final.a) > 1e-9:
@@ -76,7 +83,7 @@ class TransitionProblem:
 
 def transition_problem(v0: float, vf: float, displacement: float,
                        limits: KinematicLimits, x0: float = 0.0) -> TransitionProblem:
-    """Plan one axis transition and sample its duration map."""
+    """Plan one axis transition and find its runs of cruise velocities."""
     init = KinematicState(0.0, v0, x0)
     final = KinematicState(0.0, vf, x0 + displacement)
     min_time = plan_min_time_1d(init, final, limits)
@@ -86,8 +93,7 @@ def transition_problem(v0: float, vf: float, displacement: float,
     restart = plan_min_time_1d(stop, final, limits, t0=halt.duration)
     problem = TransitionProblem(init, final, displacement, limits, min_time,
                                 halt, restart, runs=())
-    n = min(max(2048, int(8.0 * (problem.t_stop - problem.t_opt) / 1e-3)), 65536)
-    return replace(problem, runs=tuple(_duration_runs(problem, n)))
+    return replace(problem, runs=_feasible_runs(problem))
 
 
 def stop_time(problem: TransitionProblem, t_imp: float | None = None) -> AxisProfile:
@@ -117,173 +123,148 @@ def slowing_pieces(problem: TransitionProblem, vc: float):
     return steps_duration(steps), steps
 
 
-def _ramp_arrays(va, vb, limits: KinematicLimits):
-    """Array form of ``connect_steps(0.0, va, 0.0, vb)`` and its sweep from va.
+def _cell_roots(problem: TransitionProblem, lo: float, hi: float) -> list[float]:
+    """Cruise velocities in (lo, hi) where vc * t_c = D - s1 - s2 may vanish.
 
-    One of va, vb is an array of cruise velocities.  Each ramp is jerk
-    +-jmax for ``edge`` seconds, a hold of ``hold`` seconds at +-amax (zero
-    for a ramp without plateau) and the opposite jerk for ``edge`` seconds;
-    ``dist`` is the displacement it sweeps from velocity va.  The shape is
-    chosen by the scalar rules, and every value is computed by the scalar
-    formulas in the same order, up to exact negations and halvings, so each
-    element equals its scalar counterpart.  Terms that add the exactly-zero
-    boundary accelerations are left out; they could only flip the sign of
-    a zero.
+    Between the cuts of ``_feasible_runs`` both ramp shapes are fixed.  A
+    ramp between v and vc sweeps (v + vc) R / 2: a quadratic in vc with a
+    plateau, and (v + vc) p / sqrt(jmax) with p = sqrt(|vc - v|) without
+    one.  The unknown is vc, or p of a triangular ramp; a triangular ramp
+    from the other velocity goes to one side, and the equation is squared.
+    With two triangular ramps both choices are solved, as each resolves
+    the roots near its own v.  Squaring may add roots where t_c does not
+    vanish; the caller reads the sign of t_c between them.
     """
-    j, am = limits.jmax, limits.amax
-    dv = np.subtract(vb, va)
-    jerk_down = dv < 0.0
-    np.abs(dv, out=dv)
-    # peak acceleration sqrt(j*|dv|); where j*|dv| <= 1e-15 both shapes
-    # are valid and the one that wins has no duration at all
-    edge = dv * j
-    edge[edge <= 1e-15] = 0.0
-    np.sqrt(edge, out=edge)
-    plateau = edge > am
-    edge /= j
-    edge[plateau] = am / j
-    hold = np.subtract(dv, 2 * am * am / (2 * j), out=dv)
-    hold /= am
-    hold[~plateau] = 0.0
-    if np.any(hold < -CLAMP_TOL):
-        raise InfeasibleBoundary("no phase-plane connection for a cruise velocity")
-    hold[hold < 0.0] = 0.0
-    # integrate_segment over (J, edge), (0, hold), (-J, edge) from (0, va, 0);
-    # jt = J*edge is the acceleration after the first segment
-    jt = edge * j
-    np.negative(jt, out=jt, where=jerk_down)
-    jt6 = jt / 6.0
-    v1 = 0.5 * jt
-    v1 *= edge
-    v1 += va
-    dist = jt6 * edge
-    dist += va
-    dist *= edge
-    tmp = 0.5 * jt          # the hold: position, then velocity
-    tmp *= hold
-    tmp += v1
-    tmp *= hold
-    dist += tmp
-    np.multiply(jt, hold, out=tmp)
-    v1 += tmp
-    np.multiply(jt, 0.5, out=tmp)   # the last segment: position
-    tmp -= jt6
-    tmp *= edge
-    tmp += v1
-    tmp *= edge
-    dist += tmp
-    return edge, hold, dist
-
-
-def _slowing_durations(problem: TransitionProblem,
-                       vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Durations T and the mask t_c >= 0 of ``slowing_pieces`` over an array.
-
-    Element for element, ``T[k]`` equals ``slowing_pieces(problem, vc[k])[0]``
-    wherever ``ok[k]``, and ``ok[k]`` is False exactly where it returns None.
-    """
-    edge1, hold1, s1 = _ramp_arrays(problem.init.v, vc, problem.limits)
-    total = np.add(edge1, hold1, out=hold1)
-    total += edge1
-    del edge1   # free it before the second ramp's temporaries
-    edge2, hold2, s2 = _ramp_arrays(vc, problem.final.v, problem.limits)
-    t_c = np.subtract(problem.displacement, s1, out=s1)
-    t_c -= s2
-    t_c /= vc
-    ok = t_c >= 0.0
-    total += t_c
-    total += edge2
-    total += hold2
-    total += edge2
-    return total, ok
-
-
-def _vc_grid(limits: KinematicLimits, v0: float, vf: float,
-             n: int) -> list[np.ndarray]:
-    """Sampling grids of ``n`` cruise velocities per sign, negative side first.
-
-    Ramp shapes change where |vc - v| crosses the plateau threshold
-    amax^2/jmax; those breakpoints are inserted into each side so every
-    grid cell sees a smooth duration map.
-    """
-    vm = limits.vmax
-    eps = vm * GRID_END
-    thr = limits.amax ** 2 / limits.jmax
-    marks = {w for v in (v0, vf) for w in (v - thr, v + thr, v) if -vm < w < vm}
-    sides = []
-    for lo, hi in ((-vm, -eps), (eps, vm)):
-        pts = np.linspace(lo, hi, n)
-        inner = np.array(sorted(m for m in marks if lo < m < hi))
-        at = np.searchsorted(pts, inner)
-        fresh = pts[at] != inner
-        sides.append(np.insert(pts, at[fresh], inner[fresh]))
-    return sides
-
-
-def _bisect_vc(problem: TransitionProblem, keep: float, drop: float,
-               steps: int, accept=None):
-    """Bisect the cruise velocities between ``keep`` and ``drop``.
-
-    A midpoint replaces ``keep`` when its slowed profile exists and passes
-    ``accept`` (if given) on its duration, and ``drop`` otherwise.  Returns
-    both ends and the ``slowing_pieces`` result at ``keep`` (None if
-    ``keep`` never moved).
-    """
-    res = None
-    for _ in range(steps):
-        mid = 0.5 * (keep + drop)
-        if mid == keep or mid == drop:
-            break
-        r = slowing_pieces(problem, mid)
-        if r is not None and (accept is None or accept(r[0])):
-            keep, res = mid, r
-        else:
-            drop = mid
-    return keep, drop, res
-
-
-def _duration_runs(problem: TransitionProblem,
-                   n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Maximal runs of cruise velocities with non-negative cruise time.
-
-    Each side of the ``n``-point grid is evaluated in one array pass.  A
-    run is a contiguous stretch of feasible cruise velocities of one sign,
-    returned as increasing ``vc`` with the durations ``T`` there.  Where a
-    run ends inside the grid, its edge (where the cruise time hits zero)
-    is refined to about 1e-12 in vc by bisection and included, so the
-    duration map is sampled through to the run ends.
-    """
-    eps = problem.limits.vmax * GRID_END
-
-    def edge(good: float, bad: float) -> tuple[list, list]:
-        vc, _, res = _bisect_vc(problem, good, bad, 60)
-        return ([vc], [res[0]]) if abs(vc - good) > eps else ([], [])
-
-    runs: list[tuple[np.ndarray, np.ndarray]] = []
-    for side in _vc_grid(problem.limits, problem.init.v, problem.final.v, n):
-        T, ok = _slowing_durations(problem, side)
-        cuts = np.flatnonzero(ok[1:] != ok[:-1]) + 1
-        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), side.size]):
-            if not ok[lo]:
+    j, am = problem.limits.jmax, problem.limits.amax
+    mid = 0.5 * (lo + hi)
+    ramps = [(v, math.copysign(1.0, mid - v), abs(mid - v) < am * am / j)
+             for v in (problem.init.v, problem.final.v)]
+    # the unknown: p of a triangular ramp (vc = v + s p^2), or vc itself
+    unknowns = {(v, s): [v, 0.0, s] for v, s, triangular in ramps if triangular}
+    found = []
+    for vc in list(unknowns.values()) or [[0.0, 1.0]]:
+        h = [problem.displacement]
+        other = None
+        for v, s, triangular in ramps:
+            mean = padd(vc, [v])
+            if not triangular:
+                swept = pmul(pscale(mean, 0.5),
+                             padd(pscale(padd(vc, [-v]), s / am), [am / j]))
+            elif v == vc[0]:
+                swept = pmul(mean, [0.0, 1.0 / math.sqrt(j)])
+            else:
+                other = (mean, pscale(padd(vc, [-v]), s / j))
                 continue
-            vc1, t1 = edge(float(side[lo]), float(side[lo - 1])) if lo > 0 else ([], [])
-            vc2, t2 = (edge(float(side[hi - 1]), float(side[hi]))
-                       if hi < side.size else ([], []))
-            runs.append((np.concatenate([vc1, side[lo:hi], vc2]),
-                         np.concatenate([t1, T[lo:hi], t2])))
-    return runs
+            h = padd(h, pscale(swept, -1.0))
+        if other is not None:   # h = (v + vc) p' / sqrt(jmax), squared
+            mean, p2 = other
+            h = padd(pmul(h, h), pscale(pmul(pmul(mean, mean), p2), -1.0))
+        ends = ((lo, hi) if len(vc) == 2
+                else sorted(math.sqrt(abs(w - vc[0])) for w in (lo, hi)))
+        if not any(h) or no_root_between(h, *ends):
+            continue
+        roots = solve_real_roots(h, merge_tol=0.0)
+        if len(vc) == 3:
+            roots = [vc[0] + vc[2] * r * r for r in roots if r >= 0.0]
+        found += roots
+    return sorted(r for r in found if lo < r < hi)
+
+
+def _bisect(keep: float, drop: float, accept) -> float:
+    """The last float from ``keep`` towards ``drop`` where ``accept`` holds.
+
+    ``accept`` holds at ``keep`` and not at ``drop``.
+    """
+    while (mid := 0.5 * (keep + drop)) != keep and mid != drop:
+        keep, drop = (mid, drop) if accept(mid) else (keep, mid)
+    return keep
+
+
+def _snap(problem: TransitionProblem, edge: float, inner: float,
+          outer: float) -> float:
+    """The run end near ``edge``: the last velocity that builds before ``outer``.
+
+    ``slowing_pieces`` builds at ``inner`` and not at ``outer`` (unless
+    outer == edge, a bound of the velocities).  ``edge`` is a root good to a
+    few ulps of vmax, and at an exact root the rounded ramps can still give
+    t_c = -1e-17, so doubling steps bracket the end, outwards from an edge
+    that builds and inwards from one that does not.  An end at vc = 0
+    stays: the run's durations grow without bound there.
+    """
+    if edge == 0.0:
+        return edge
+    builds = lambda vc: slowing_pieces(problem, vc) is not None
+    ok = builds(edge)
+    near, far = edge, (outer if ok else inner)   # builds(far) != ok
+    step = max(math.ulp(edge), math.ulp(problem.limits.vmax))
+    while (far - (vc := edge + math.copysign(step, far - edge))) * (far - edge) > 0.0:
+        if builds(vc) != ok:
+            far = vc
+            break
+        near, step = vc, 2.0 * step
+    return _bisect(near, far, builds) if ok else _bisect(far, near, builds)
+
+
+def _feasible_runs(problem: TransitionProblem) -> tuple[tuple[float, float], ...]:
+    """Maximal runs (vc_lo, vc_hi) of cruise velocities with t_c >= 0.
+
+    Each sign of vc is cut at v0, vf and v +- amax^2/jmax, where a ramp
+    changes shape, and each cell at the roots of ``_cell_roots``; t_c keeps
+    its sign between consecutive cuts, so ``slowing_pieces`` at the middle
+    of each piece decides it.  Feasible pieces that touch form one run.
+    """
+    v0, vf, vm = problem.init.v, problem.final.v, problem.limits.vmax
+    thr = problem.limits.amax ** 2 / problem.limits.jmax
+    runs = []
+    for lo, hi in ((-vm, 0.0), (0.0, vm)):
+        cells = sorted({lo, hi} | {w for v in (v0, vf) for w in (v - thr, v, v + thr)
+                                   if lo < w < hi})
+        cuts = [lo]
+        for a, b in zip(cells, cells[1:]):
+            cuts += _cell_roots(problem, a, b) + [b]
+        pieces = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < 0.5 * (a + b) < b]
+        mids = [0.5 * (a + b) for a, b in pieces] + [hi]
+        ok = [slowing_pieces(problem, m) is not None for m in mids[:-1]] + [False]
+        for k, (a, b) in enumerate(pieces):
+            if ok[k] and (k == 0 or not ok[k - 1]):
+                first = k
+            if ok[k] and not ok[k + 1]:
+                runs.append((_snap(problem, pieces[first][0], mids[first],
+                                   mids[first - 1] if first else lo),
+                             _snap(problem, b, mids[k], mids[k + 1])))
+    return tuple(runs)
+
+
+def _end_duration(problem: TransitionProblem, vc: float) -> float:
+    """Duration T at a run end; T grows without bound towards vc = 0."""
+    return math.inf if vc == 0.0 else slowing_pieces(problem, vc)[0]
+
+
+def _nearest_in_run(problem: TransitionProblem, run: tuple[float, float],
+                    t_imp: float) -> float:
+    """The cruise velocity of ``run`` whose duration is nearest t_imp.
+
+    T is monotone along the run, so one bisection between its ends finds
+    the velocity where T crosses t_imp.
+    """
+    (fast, t_fast), (slow, t_slow) = sorted(
+        ((vc, _end_duration(problem, vc)) for vc in run), key=lambda e: e[1])
+    if t_imp <= t_fast:
+        return fast
+    if t_imp >= t_slow:
+        return slow
+    return _bisect(fast, slow, lambda vc: (r := slowing_pieces(problem, vc))
+                   is not None and r[0] < t_imp)
 
 
 def plan_slowing_velocity(problem: TransitionProblem, t_imp: float) -> AxisProfile:
     """Transition stretched to t_imp by cruising below vmax.
 
-    Reads the duration map of each run of the problem's grid and bisects
-    only the cells where T - t_imp changes sign (the map is continuous and
-    monotone between breakpoints); a sample with T = t_imp, the refined
-    run edges included, is taken as it is.  Of the crossings that
-    reproduce t_imp, the fastest cruise wins.  Raises InfeasibleDuration
-    when t_imp falls in a gap where no cruise velocity yields a valid
-    profile; a gap narrower than the grid spacing may go undetected.
+    Each run of the problem meets the durations between those at its ends
+    once; its velocity nearest t_imp counts if its duration is within
+    DURATION_TOL, and the fastest such cruise wins.  Raises
+    InfeasibleDuration when t_imp falls in a gap where no cruise velocity
+    yields a valid profile.
     """
     if t_imp < problem.t_opt - TIME_TOL:
         raise InfeasibleDuration(f"t_imp={t_imp} is below the minimal time")
@@ -291,24 +272,11 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float) -> AxisProfi
         return problem.min_time
 
     best: tuple[float, list] | None = None
-    for vcs, T in problem.runs:
-        f = T - t_imp
-        below = f < 0.0
-        hits = f == 0.0
-        hits[:-1] |= below[:-1] != below[1:]
-        for k in np.flatnonzero(hits).tolist():
-            vc_star = float(vcs[k])
-            if f[k] != 0.0:
-                was_below = bool(below[k])
-                lo, hi, _ = _bisect_vc(
-                    problem, vc_star, float(vcs[k + 1]), 100,
-                    lambda t: ((t - t_imp) < 0.0) == was_below)
-                vc_star = 0.5 * (lo + hi)
-            r = slowing_pieces(problem, vc_star)
-            if r is None or abs(r[0] - t_imp) > DURATION_TOL:
-                continue
-            if best is None or abs(vc_star) > abs(best[0]):
-                best = (vc_star, r[1])
+    for run in problem.runs:
+        vc = _nearest_in_run(problem, run, t_imp)
+        t, steps = slowing_pieces(problem, vc)
+        if abs(t - t_imp) <= DURATION_TOL and (best is None or abs(vc) > abs(best[0])):
+            best = (vc, steps)
     if best is None:
         raise InfeasibleDuration(
             f"no slowed profile of duration {t_imp}: the duration lies in a gap")
@@ -318,17 +286,15 @@ def plan_slowing_velocity(problem: TransitionProblem, t_imp: float) -> AxisProfi
 def feasibility_intervals(problem: TransitionProblem) -> list[tuple[float, float]]:
     """Closed intervals of achievable durations within [t_opt, t_stop].
 
-    The duration map vc -> T is continuous on each maximal vc-run where the
-    cruise time stays non-negative, so each run of the problem's grid
-    contributes the interval [min T, max T] of its durations.  t_opt is
-    always feasible (the minimal-time profile) and everything from t_stop
-    upward is feasible via stop-and-dwell.  Gaps narrower than the grid
-    spacing may go undetected.
+    Each run contributes the durations between those at its ends.  t_opt
+    is always feasible (the minimal-time profile) and everything from
+    t_stop upward is feasible via stop-and-dwell.
     """
     t_opt, t_stop = problem.t_opt, problem.t_stop
     intervals = [(t_opt, t_opt), (t_stop, t_stop)]
-    for _, T in problem.runs:
-        lo, hi = max(float(T.min()), t_opt), min(float(T.max()), t_stop)
+    for run in problem.runs:
+        T = [_end_duration(problem, vc) for vc in run]
+        lo, hi = max(min(T), t_opt), min(max(T), t_stop)
         if lo <= hi:
             intervals.append((lo, hi))
     intervals.sort()
@@ -348,36 +314,19 @@ def impose_common_time(
     The imposed time is the smallest t at or above every axis's minimal
     time that is feasible for every axis; the intersection of the per-axis
     feasible sets attains its minimum at one of the interval edges.  The
-    largest stop time is always a valid fallback.
+    largest stop time is always feasible, so every axis is planned once.
     """
     if not problems:
         raise ValueError("at least one axis problem is required")
 
     t_lo = max(p.t_opt for p in problems)
-    axis_ivals = [feasibility_intervals(p) for p in problems]
-
-    def feasible(axis: int, t: float) -> bool:
-        if t >= problems[axis].t_stop - TIME_TOL:
-            return True
-        return any(lo - TIME_TOL <= t <= hi + TIME_TOL for lo, hi in axis_ivals[axis])
-
-    fallback = max(max(p.t_stop for p in problems), t_lo)
-    candidates = {t_lo}
-    for ivals, p in zip(axis_ivals, problems):
-        candidates.update(lo for lo, _ in ivals if lo >= t_lo - CANDIDATE_TOL)
-        candidates.add(max(p.t_stop, t_lo))
-
-    # the interval data is numerically approximate, so a candidate only
-    # counts once every axis profile actually materializes at it; at the
-    # fallback, stop-and-dwell always does
-    for t in sorted(c for c in candidates if c < fallback):
-        if not all(feasible(ax, t) for ax in range(len(problems))):
-            continue
-        try:
-            return t, [plan_for_duration(p, t) for p in problems]
-        except InfeasibleDuration:
-            continue
-    return fallback, [plan_for_duration(p, fallback) for p in problems]
+    axes = [(p.t_stop, feasibility_intervals(p)) for p in problems]
+    candidates = {t_lo} | {max(t_stop, t_lo) for t_stop, _ in axes} | {
+        lo for _, ivals in axes for lo, _ in ivals if lo >= t_lo - CANDIDATE_TOL}
+    t = min(c for c in candidates if all(
+        c >= t_stop - TIME_TOL or any(lo - TIME_TOL <= c <= hi + TIME_TOL for lo, hi in ivals)
+        for t_stop, ivals in axes))
+    return t, [plan_for_duration(p, t) for p in problems]
 
 
 def plan_for_duration(problem: TransitionProblem, t_imp: float) -> AxisProfile:

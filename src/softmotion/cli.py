@@ -9,6 +9,7 @@ search budget or solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -119,11 +120,14 @@ def _read_references(stream):
                   "reference", file=sys.stderr)
             continue
         try:
-            t, vx, vy, vz, wx, wy, wz = (float(tok) for tok in toks)
+            values = [float(tok) for tok in toks]
         except ValueError:
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):   # nan and inf count as malformed
             print(f"warning: line {lineno}: malformed number, holding previous "
                   "reference", file=sys.stderr)
             continue
+        t, vx, vy, vz, wx, wy, wz = values
         yield t, Twist((vx, vy, vz), (wx, wy, wz))
 
 
@@ -170,7 +174,9 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="softmotion",
         description="Jerk/acceleration/velocity-bounded trajectory planning.")

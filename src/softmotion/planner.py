@@ -32,7 +32,7 @@ import math
 from .errors import InfeasibleBoundary, SolverFailure
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        integrate_segment, make_profile)
-from .roots import solve_real_roots
+from .roots import padd, pmul, pscale, solve_real_roots
 
 __all__ = [
     "CLAMP_TOL", "MotionType", "Steps", "connect_steps", "critical_length",
@@ -172,44 +172,23 @@ def mirror_problem(init: KinematicState, final: KinematicState,
 # ---------------------------------------------------------------------------
 # type-1 template solving
 # ---------------------------------------------------------------------------
-# Local polynomial helpers: plain coefficient lists, ascending degree.
-
-def _padd(p: list[float], q: list[float]) -> list[float]:
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0.0) + (q[i] if i < len(q) else 0.0)
-            for i in range(n)]
-
-
-def _pmul(p: list[float], q: list[float]) -> list[float]:
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0.0:
-            continue
-        for k, b in enumerate(q):
-            out[i + k] += a * b
-    return out
-
-
-def _pscale(p: list[float], c: float) -> list[float]:
-    return [c * x for x in p]
-
 
 def _arc_poly(a_in: list[float], a_out: list[float], v_in: list[float],
               x_in: list[float], jerk: float) -> tuple[list[float], list[float]]:
     """Velocity/position polynomials after a jerk arc from a_in to a_out."""
-    t = _pscale(_padd(a_out, _pscale(a_in, -1.0)), 1.0 / jerk)
-    dv = _pscale(_padd(_pmul(a_out, a_out), _pscale(_pmul(a_in, a_in), -1.0)),
-                 1.0 / (2.0 * jerk))
-    dx = _padd(_pmul(v_in, t),
-               _pmul(_pmul(t, t), _pscale(_padd(_pscale(a_in, 2.0), a_out), 1.0 / 6.0)))
-    return _padd(v_in, dv), _padd(x_in, dx)
+    t = pscale(padd(a_out, pscale(a_in, -1.0)), 1.0 / jerk)
+    dv = pscale(padd(pmul(a_out, a_out), pscale(pmul(a_in, a_in), -1.0)),
+                1.0 / (2.0 * jerk))
+    dx = padd(pmul(v_in, t),
+              pmul(pmul(t, t), pscale(padd(pscale(a_in, 2.0), a_out), 1.0 / 6.0)))
+    return padd(v_in, dv), padd(x_in, dx)
 
 
 def _hold_poly(a: list[float], t: list[float], v_in: list[float],
                x_in: list[float]) -> tuple[list[float], list[float]]:
-    dv = _pmul(a, t)
-    dx = _padd(_pmul(v_in, t), _pscale(_pmul(a, _pmul(t, t)), 0.5))
-    return _padd(v_in, dv), _padd(x_in, dx)
+    dv = pmul(a, t)
+    dx = padd(pmul(v_in, t), pscale(pmul(a, pmul(t, t)), 0.5))
+    return padd(v_in, dv), padd(x_in, dx)
 
 
 def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
@@ -244,14 +223,14 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
     x1 = [sweep([(j, (am - a0) / j)], a0, v0)[2]]
     v2, x2 = _hold_poly([am], u, v1, x1)
     v3, x3 = _arc_poly([am], [-am], v2, x2, -j)
-    v4, x4 = _hold_poly([-am], _padd(u, [delta]), v3, x3)
+    v4, x4 = _hold_poly([-am], padd(u, [delta]), v3, x3)
     _, x5 = _arc_poly([-am], [af], v4, x4, j)
 
     def rebuild_b1(t2: float) -> Steps:
         return [(j, (am - a0) / j), (0.0, max(t2, 0.0)), (-j, 2.0 * am / j),
                 (0.0, max(t2 + delta, 0.0)), (j, (af + am) / j)]
 
-    for r in _real_roots_safe(_padd(x5, [-D])):
+    for r in _real_roots_safe(padd(x5, [-D])):
         if r < -CLAMP_TOL or r + delta < -CLAMP_TOL:
             continue
         out.append(_Candidate(rebuild_b1, r))
@@ -259,7 +238,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
     # B2: plateau at +amax only; unknown u = valley acceleration a2,
     # plateau time follows from velocity balance (quadratic in u).
     c20 = (vf - v0 - (2.0 * am * am - a0 * a0 + af * af) / (2.0 * j)) / am
-    t2p = _padd([c20], _pscale(_pmul(u, u), 1.0 / (j * am)))
+    t2p = padd([c20], pscale(pmul(u, u), 1.0 / (j * am)))
     v2, x2 = _hold_poly([am], t2p, v1, x1)
     v3, x3 = _arc_poly([am], u, v2, x2, -j)
     _, x4 = _arc_poly(u, [af], v3, x3, j)
@@ -268,7 +247,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
         return [(j, (am - a0) / j), (0.0, max(c20 + a2 * a2 / (j * am), 0.0)),
                 (-j, (am - a2) / j), (j, (af - a2) / j)]
 
-    for r in _real_roots_safe(_padd(x4, [-D])):
+    for r in _real_roots_safe(padd(x4, [-D])):
         t2 = c20 + r * r / (j * am)
         if t2 < -CLAMP_TOL or r < -am - 1e-12 or r > min(af, am) + 1e-12:
             continue
@@ -276,7 +255,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
 
     # B3: plateau at -amax only; unknown u = peak acceleration a1.
     c60 = ((af * af - a0 * a0 - 2.0 * am * am) / (2.0 * j) - (vf - v0)) / am
-    t6p = _padd([c60], _pscale(_pmul(u, u), 1.0 / (j * am)))
+    t6p = padd([c60], pscale(pmul(u, u), 1.0 / (j * am)))
     v1p, x1p = _arc_poly([a0], u, [v0], [0.0], j)
     v2, x2 = _arc_poly(u, [-am], v1p, x1p, -j)
     v3, x3 = _hold_poly([-am], t6p, v2, x2)
@@ -286,7 +265,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
         return [(j, (a1 - a0) / j), (-j, (a1 + am) / j),
                 (0.0, max(c60 + a1 * a1 / (j * am), 0.0)), (j, (af + am) / j)]
 
-    for r in _real_roots_safe(_padd(x4, [-D])):
+    for r in _real_roots_safe(padd(x4, [-D])):
         t6 = c60 + r * r / (j * am)
         if t6 < -CLAMP_TOL or r > am + 1e-12 or r < max(a0, -am) - 1e-12:
             continue
@@ -303,34 +282,34 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
     c = [x1p, [0.0], [0.0], [0.0]]     # position as sum c[k](u) * a2^k
 
     def acc(k: int, p: list[float]) -> None:
-        c[k] = _padd(c[k], p)
+        c[k] = padd(c[k], p)
 
-    u2 = _pmul(u, u)
-    u3 = _pmul(u2, u)
+    u2 = pmul(u, u)
+    u3 = pmul(u2, u)
     # middle arc u -> a2 at -J: dx = v1*(u - a2)/J + (u - a2)^2 (2u + a2)/(6 J^2)
     # and (u - a2)^2 (2u + a2) expands to 2u^3 - 3u^2 a2 + a2^3
-    acc(0, _pscale(_pmul(v1p, u), 1.0 / j))
-    acc(1, _pscale(v1p, -1.0 / j))
-    acc(0, _pscale(u3, 2.0 / (6.0 * j * j)))
-    acc(1, _pscale(u2, -3.0 / (6.0 * j * j)))
+    acc(0, pscale(pmul(v1p, u), 1.0 / j))
+    acc(1, pscale(v1p, -1.0 / j))
+    acc(0, pscale(u3, 2.0 / (6.0 * j * j)))
+    acc(1, pscale(u2, -3.0 / (6.0 * j * j)))
     acc(3, [1.0 / (6.0 * j * j)])
     # velocity entering the last arc: v2 = v1 + u^2/(2J) - a2^2/(2J)
-    v2_0 = _padd(v1p, _pscale(u2, 1.0 / (2.0 * j)))
+    v2_0 = padd(v1p, pscale(u2, 1.0 / (2.0 * j)))
     v2_2 = [-1.0 / (2.0 * j)]
     # last arc a2 -> af at +J: dx = v2*(af - a2)/J + (af - a2)^2 (2 a2 + af)/(6 J^2)
     # and (af - a2)^2 (2 a2 + af) expands to af^3 - 3 af a2^2 + 2 a2^3
-    acc(0, _pscale(v2_0, af / j))
-    acc(1, _pscale(v2_0, -1.0 / j))
-    acc(2, _pscale(v2_2, af / j))
-    acc(3, _pscale(v2_2, -1.0 / j))
+    acc(0, pscale(v2_0, af / j))
+    acc(1, pscale(v2_0, -1.0 / j))
+    acc(2, pscale(v2_2, af / j))
+    acc(3, pscale(v2_2, -1.0 / j))
     acc(0, [af ** 3 / (6.0 * j * j)])
     acc(2, [-3.0 * af / (6.0 * j * j)])
     acc(3, [2.0 / (6.0 * j * j)])
-    w = _padd(u2, [K])                 # a2^2 reduced
-    E = _padd(c[0], _pmul(c[2], w))
-    F = _padd(c[1], _pmul(c[3], w))
-    EmD = _padd(E, [-D])
-    H = _padd(_pmul(EmD, EmD), _pscale(_pmul(w, _pmul(F, F)), -1.0))
+    w = padd(u2, [K])                 # a2^2 reduced
+    E = padd(c[0], pmul(c[2], w))
+    F = padd(c[1], pmul(c[3], w))
+    EmD = padd(E, [-D])
+    H = padd(pmul(EmD, EmD), pscale(pmul(w, pmul(F, F)), -1.0))
 
     def make_rebuild_b4(sign: float):
         def rebuild(a1: float) -> Steps:

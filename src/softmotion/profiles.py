@@ -106,20 +106,6 @@ def _cubic(a0, v0, x0, jerk, dt):
             x0 + (v0 + (0.5 * a0 + jerk * dt / 6.0) * dt) * dt)
 
 
-def phase_parabola(v_at_zero_accel: float, a: float, branch: str,
-                   limits: KinematicLimits) -> float:
-    """Velocity on a saturated-jerk parabola of the acceleration-velocity plane.
-
-    Along a max-jerk evolution v(a) = v0 + a^2/(2*jmax); along a min-jerk
-    evolution v(a) = v0 - a^2/(2*jmax), where v0 is the velocity at the
-    a = 0 crossing.  ``branch`` selects "max" or "min".
-    """
-    if branch not in ("max", "min"):
-        raise ValueError(f"branch must be 'max' or 'min', got {branch!r}")
-    sign = 1.0 if branch == "max" else -1.0
-    return v_at_zero_accel + sign * a * a / (2.0 * limits.jmax)
-
-
 @dataclass(frozen=True)
 class AxisProfile:
     """Ordered run of constant-jerk segments for one axis, starting at t0.
@@ -279,25 +265,6 @@ def concat_profiles(parts: list[AxisProfile]) -> AxisProfile:
             raise ValueError("profiles do not chain continuously")
         segs.extend(p.segments)
     return AxisProfile(t0=parts[0].t0, segments=tuple(segs))
-
-
-def dilate_profile(profile: AxisProfile, s: float) -> AxisProfile:
-    """Uniform time dilation t -> t/s: durations scale by s, jerk by 1/s^3.
-
-    The position trace is preserved (x(t) = x_orig(t/s)); velocities scale
-    by 1/s and accelerations by 1/s^2.
-    """
-    if s <= 0.0:
-        raise ValueError("dilation factor must be > 0")
-    segs = []
-    for seg in profile.segments:
-        st = seg.start
-        segs.append(CubicSegment(
-            duration=seg.duration * s,
-            jerk=seg.jerk / s ** 3,
-            start=KinematicState(a=st.a / s ** 2, v=st.v / s, x=st.x),
-        ))
-    return AxisProfile(t0=profile.t0, segments=tuple(segs))
 
 
 def scale_profile(profile: AxisProfile, r: float, x_offset: float = 0.0) -> AxisProfile:

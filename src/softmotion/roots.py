@@ -11,6 +11,31 @@ from __future__ import annotations
 import math
 
 
+# Polynomials as plain coefficient lists, ascending degree.
+
+def padd(p: list[float], q: list[float]) -> list[float]:
+    """Sum of two polynomials."""
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0.0) + (q[i] if i < len(q) else 0.0)
+            for i in range(n)]
+
+
+def pmul(p: list[float], q: list[float]) -> list[float]:
+    """Product of two polynomials."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0.0:
+            continue
+        for k, b in enumerate(q):
+            out[i + k] += a * b
+    return out
+
+
+def pscale(p: list[float], c: float) -> list[float]:
+    """Polynomial times a scalar."""
+    return [c * x for x in p]
+
+
 def _poly_eval(coeffs: list[float], x: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -58,6 +83,28 @@ def _newton_polish(coeffs: list[float], x: float, lo: float, hi: float) -> float
             break
         x = x_new
     return x
+
+
+def _taylor_shift(coeffs: list[float], s: float) -> list[float]:
+    """Coefficients of p(x + s)."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += s * c[k + 1]
+    return c
+
+
+def no_root_between(coeffs, lo: float, hi: float) -> bool:
+    """True when Descartes' rule of signs rules out a root in (lo, hi).
+
+    The map x = (hi + lo t) / (1 + t) takes t > 0 onto (lo, hi); the
+    polynomial in t has as many positive roots as sign changes of its
+    coefficients, less an even number.  False means a root may lie there.
+    """
+    q = _taylor_shift(coeffs, lo)
+    q = _taylor_shift([c * (hi - lo) ** k for k, c in enumerate(q)][::-1], 1.0)
+    signs = [c > 0.0 for c in q if c != 0.0]
+    return all(sg == signs[0] for sg in signs)
 
 
 def solve_real_roots(coeffs, merge_tol: float = 1e-5) -> list[float]:

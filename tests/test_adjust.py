@@ -1,3 +1,5 @@
+import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -178,62 +180,6 @@ def test_stretched_profiles_respect_limits_everywhere(lin):
         assert check_limits(prof, lin).ok
 
 
-def scalar_vc_grid(limits, v0, vf, n):
-    """Both sides of the cruise-velocity grid, built from Python sets."""
-    vm, eps = limits.vmax, limits.vmax * 1e-9
-    thr = limits.amax ** 2 / limits.jmax
-    marks = {w for v in (v0, vf) for w in (v - thr, v + thr, v) if -vm < w < vm}
-    return [sorted(set(np.linspace(lo, hi, n).tolist())
-                   | {m for m in marks if lo < m < hi})
-            for lo, hi in ((-vm, -eps), (eps, vm))]
-
-
-def scalar_vc_edge(problem, good, bad):
-    """(vc, duration) at the boundary of a feasible run, to ~1e-12 in vc."""
-    res = slowing_pieces(problem, good)
-    if res is None:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            break
-        r = slowing_pieces(problem, mid)
-        if r is None:
-            bad = mid
-        else:
-            good = mid
-            res = r
-    return good, res[0]
-
-
-def scalar_duration_runs(problem, n):
-    """The duration runs rebuilt one cruise velocity at a time."""
-    limits = problem.limits
-    eps = limits.vmax * 1e-9
-    runs = []
-    for side in scalar_vc_grid(limits, problem.init.v, problem.final.v, n):
-        current, prev = [], None
-        for vc in side:
-            res = slowing_pieces(problem, vc)
-            if res is not None:
-                if not current and prev is not None:
-                    edge = scalar_vc_edge(problem, vc, prev)
-                    if edge is not None and abs(edge[0] - vc) > eps:
-                        current.append(edge)
-                current.append((vc, res[0]))
-            elif current:
-                edge = scalar_vc_edge(problem, current[-1][0], vc)
-                if edge is not None and abs(edge[0] - current[-1][0]) > eps:
-                    current.append(edge)
-                runs.append(current)
-                current = []
-            prev = vc
-        if current:
-            runs.append(current)
-    return [(np.array([vc for vc, _ in run]), np.array([t for _, t in run]))
-            for run in runs]
-
-
 def equivalence_cases(lin, count=520):
     """Seeded (v0, vf, D) with the edge cases of the duration map."""
     rng = np.random.default_rng(2024)
@@ -252,50 +198,122 @@ def equivalence_cases(lin, count=520):
         yield v0, vf, d
 
 
-def test_array_duration_map_matches_scalar_loop(lin):
-    n = 48
+#: Cruise velocities per sign of the dense scan.
+SCAN = 128
+
+
+@functools.lru_cache(maxsize=None)
+def scanned_case(v0, vf, d, limits):
+    """The problem and a dense scalar scan of its slowed durations.
+
+    ``slowing_pieces`` runs at SCAN cruise velocities per sign, from vmax/SCAN
+    to vmax.  Returns the problem, the ascending velocities and their
+    durations (nan where the cruise time is negative).
+    """
+    prob = transition_problem(v0, vf, d, limits)
+    side = np.linspace(limits.vmax / SCAN, limits.vmax, SCAN)
+    vcs = np.concatenate([-side[::-1], side])
+    T = np.full(vcs.size, np.nan)
+    for k, vc in enumerate(vcs.tolist()):
+        res = slowing_pieces(prob, vc)
+        if res is not None:
+            T[k] = res[0]
+    return prob, vcs, T
+
+
+def end_duration(prob, vc):
+    """Duration at a run end; a run that reaches vc = 0 has no upper bound."""
+    return np.inf if vc == 0.0 else slowing_pieces(prob, vc)[0]
+
+
+def scanned_intervals(prob, vcs, T):
+    """Durations the scan shows feasible: [min, max] of each scanned run."""
+    ok = ~np.isnan(T)
+    cuts = np.flatnonzero((ok[1:] != ok[:-1]) | (np.sign(vcs[1:]) != np.sign(vcs[:-1]))) + 1
+    return [(float(T[lo:hi].min()), float(T[lo:hi].max()))
+            for lo, hi in zip([0, *cuts], [*cuts, vcs.size]) if ok[lo]]
+
+
+def test_exact_runs_match_a_dense_scan(lin):
+    edge_tol = 1e-12   # in vc: the run ends are roots good to a few ulps
     checked = 0
     for v0, vf, d in equivalence_cases(lin):
-        prob = transition_problem(v0, vf, d, lin)
-        grid = adjust._vc_grid(lin, v0, vf, n=n)
-        assert [side.tolist() for side in grid] == scalar_vc_grid(lin, v0, vf, n)
-        runs = adjust._duration_runs(prob, n=n)
-        ref = scalar_duration_runs(prob, n)
-        assert len(runs) == len(ref)
-        for (vcs, ts), (ref_vcs, ref_ts) in zip(runs, ref):
-            assert vcs.tolist() == ref_vcs.tolist()
-            assert ts.tolist() == ref_ts.tolist()
-        # intervals and slowed profiles of the same grid from either form
-        ref_prob = replace(prob, runs=tuple(ref))
-        ref_ivals = feasibility_intervals(ref_prob)
-        t_imp = next((0.5 * (lo + hi) for lo, hi in ref_ivals if hi > lo), None)
-        ref_prof = (None if t_imp is None
-                    else plan_slowing_velocity(ref_prob, t_imp))
-        arr_prob = replace(prob, runs=tuple(runs))
-        assert feasibility_intervals(arr_prob) == ref_ivals
+        prob, vcs, T = scanned_case(v0, vf, d, lin)
+        ok = ~np.isnan(T)
+        inside = np.zeros(vcs.size, bool)
+        strictly = np.zeros(vcs.size, bool)
+        for lo, hi in prob.runs:
+            assert lo < hi and lo * hi >= 0.0
+            # each end is the last velocity that builds, to the float
+            for vc, outwards in ((lo, -np.inf), (hi, np.inf)):
+                if vc != 0.0 and abs(vc) != lin.vmax:
+                    assert slowing_pieces(prob, vc) is not None
+                    assert slowing_pieces(prob, math.nextafter(vc, outwards)) is None
+            inside |= (vcs >= lo - edge_tol) & (vcs <= hi + edge_tol)
+            strictly |= (vcs > lo + edge_tol) & (vcs < hi - edge_tol)
+            # T is monotone along the run and bounded by its end durations
+            ends = sorted(end_duration(prob, vc) for vc in (lo, hi))
+            sel = (vcs >= lo) & (vcs <= hi)
+            t = T[sel]
+            assert np.all(t >= ends[0] - 1e-12) and np.all(t <= ends[1] + 1e-12)
+            if t.size < 2:
+                continue
+            step = np.diff(t)
+            assert np.all(step >= -1e-12) or np.all(step <= 1e-12)
+            # each finite end matches the scanned run end to one scan step
+            for vc, near, inner in ((lo, t[0], t[1]), (hi, t[-1], t[-2])):
+                if vc != 0.0:
+                    gap = abs(end_duration(prob, vc) - near)
+                    assert gap <= 2.0 * abs(near - inner) + 1e-9
+        # every velocity that builds lies in a run, and no run holds one
+        # that does not
+        assert np.all(inside[ok])
+        assert not np.any(strictly[~ok])
+        # every scanned duration is a feasible one
+        ivals = feasibility_intervals(prob)
+        for t in T[ok]:
+            assert t >= prob.t_opt - 1e-9
+            assert t >= prob.t_stop - 1e-9 or any(
+                lo - 1e-9 <= t <= hi + 1e-9 for lo, hi in ivals)
+        # a slowed profile inside the first proper interval
+        t_imp = next((0.5 * (lo + hi) for lo, hi in ivals if hi > lo), None)
         if t_imp is not None:
-            prof = plan_slowing_velocity(arr_prob, t_imp)
-            assert prof.segments == ref_prof.segments
+            prof = plan_slowing_velocity(prob, t_imp)
+            assert abs(prof.duration - t_imp) <= 1e-6
+            assert prof.final_state.x - prob.init.x == pytest.approx(d, abs=1e-9)
+            assert check_limits(prof, lin).ok
         checked += 1
-    assert checked >= 500
+    assert checked == 520
 
 
 README_CORNER = [(0.15, 0.15, 0.125), (0.15, 0.15, 0.125), (0.0, 0.15, 0.0625)]
 
 
-def test_impose_common_time_matches_scalar_loop_on_readme_corner(lin, monkeypatch):
-    problems = [transition_problem(*axis, lin) for axis in README_CORNER]
-    t_imp, profs = impose_common_time(problems)
-    # the same corner, its duration maps built by the scalar loop
-    monkeypatch.setattr(adjust, "_duration_runs", scalar_duration_runs)
-    ref_t, ref_profs = impose_common_time(
-        [transition_problem(*axis, lin) for axis in README_CORNER])
-    assert t_imp == ref_t
-    for prof, ref in zip(profs, ref_profs):
-        assert prof.segments == ref.segments
+def test_impose_common_time_is_least_on_the_dense_scan(lin):
+    cases = list(equivalence_cases(lin))
+    corners = [README_CORNER] + [cases[k:k + 3] for k in range(0, len(cases) - 2, 3)]
+    for corner in corners:
+        scans = [scanned_case(*case, lin) for case in corner]
+        problems = [prob for prob, _, _ in scans]
+        t_imp, profs = impose_common_time(problems)
+        for prof, prob in zip(profs, problems):
+            assert abs(prof.duration - t_imp) <= 1e-6
+            assert prof.final_state.x - prob.init.x == pytest.approx(
+                prob.displacement, abs=1e-9)
+            assert check_limits(prof, lin).ok
+        # the least duration feasible on every axis by the scan alone
+        axis_sets = [[(p.t_opt, p.t_opt), (p.t_stop, np.inf)]
+                     + scanned_intervals(p, vcs, T) for p, vcs, T in scans]
+        t_lo = max(p.t_opt for p in problems)
+        candidates = sorted({t_lo} | {max(lo, t_lo) for ivals in axis_sets
+                                      for lo, _ in ivals})
+        t_scan = next(t for t in candidates if all(
+            any(lo - 1e-9 <= t <= hi + 1e-9 for lo, hi in ivals)
+            for ivals in axis_sets))
+        assert t_imp <= t_scan + 1e-9
 
 
-PLANNING = ("plan_min_time_1d", "critical_length", "_duration_runs")
+PLANNING = ("plan_min_time_1d", "critical_length", "_feasible_runs")
 
 
 def count_calls(monkeypatch, names):
@@ -314,8 +332,8 @@ def test_transition_problem_plans_each_part_once(lin, monkeypatch):
     prob = transition_problem(0.15, 0.15, 0.125, lin)
     # the minimal-time profile, the halt and the restart leg; one map
     assert counts == {"plan_min_time_1d": 3, "critical_length": 1,
-                      "_duration_runs": 1}
-    # the duration map takes no part in equality and hashing
+                      "_feasible_runs": 1}
+    # the runs take no part in equality and hashing
     again = replace(prob, runs=())
     assert again == prob and hash(again) == hash(prob)
 

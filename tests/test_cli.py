@@ -144,6 +144,19 @@ def test_track_skips_malformed_lines():
     assert "warning" in res.stderr
 
 
+def test_track_holds_a_non_finite_reference():
+    res = run_cli(["track", "--tick", "0.01"], stdin="0 nan 0 0 0 0 0\n")
+    assert res.returncode == 0
+    assert "warning: line 1: malformed number" in res.stderr
+    assert res.stdout == ""   # no reference was adopted, so nothing ran
+    res = run_cli(["track", "--tick", "0.01"],
+                  stdin="0 0 0 0 0 0 0\n0.05 inf 0 0 0 0 0\n0.1 0 nan 0 0 0 0\n")
+    assert res.returncode == 0
+    assert res.stderr.count("warning:") == 2
+    rows = [[float(tok) for tok in ln.split()] for ln in res.stdout.splitlines()]
+    assert rows and all(r[1] == 0.0 and r[2] == 0.0 and r[8] == 0.0 for r in rows)
+
+
 def collect_then_track(text, tick=0.01):
     """The track loop over a fully read reference list, for comparison."""
     limits = LimitSet()
@@ -159,11 +172,14 @@ def collect_then_track(text, tick=0.01):
                   "reference", file=sys.stderr)
             continue
         try:
-            t, vx, vy, vz, wx, wy, wz = (float(tok) for tok in toks)
+            values = [float(tok) for tok in toks]
         except ValueError:
+            values = [float("nan")]
+        if not np.all(np.isfinite(values)):
             print(f"warning: line {lineno}: malformed number, holding previous "
                   "reference", file=sys.stderr)
             continue
+        t, vx, vy, vz, wx, wy, wz = values
         refs.append((t, Twist((vx, vy, vz), (wx, wy, wz))))
     if not refs:
         return 0
@@ -201,8 +217,9 @@ def collect_then_track(text, tick=0.01):
     "0.3 0 0 0 0 0 0\n",
     "0 0 0 0 0.1 0 0\n",                         # never settles: safety end
     "bad line\n",
+    "0 0.05 0 0 0 0 0\n0.1 nan 0 0 0 0 0\n0.2 0 0 inf 0 0 0\n0.3 0 0 0 0 0 0\n",
 ], ids=["empty", "step", "clamped", "malformed", "mixed", "rotating",
-        "out-of-order", "unsettled", "only-malformed"])
+        "out-of-order", "unsettled", "only-malformed", "non-finite"])
 def test_track_streams_like_the_collected_loop(monkeypatch, capsys, text):
     expected_code = collect_then_track(text)
     expected = capsys.readouterr()
@@ -211,6 +228,22 @@ def test_track_streams_like_the_collected_loop(monkeypatch, capsys, text):
     got = capsys.readouterr()
     assert got.out == expected.out
     assert got.err == expected.err
+
+
+def test_main_parses_each_call_on_its_own(monkeypatch, capsys):
+    # the parser is built once; one call's options must not leak into the next
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 0.05 0 0 0 0 0\n"))
+    assert cli.main(["track", "--tick", "0.02"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert cli.main(["plan-ptp", "--from=0,0,0", "--to=0.01,0,0"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert rows[1, 0] == pytest.approx(0.01)   # its own default --dt
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 0.05 0 0 0 0 0\n"))
+    assert cli.main(["track"]) == 0   # the default tick, not the 0.02 above
+    second = capsys.readouterr().out.splitlines()
+    assert float(first[0].split()[0]) == pytest.approx(0.02)
+    assert float(second[0].split()[0]) == pytest.approx(0.01)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_oracle_subcommand():

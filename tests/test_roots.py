@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softmotion import solve_real_roots
+from softmotion.roots import no_root_between
 
 
 def coeffs_from_roots(roots):
@@ -60,3 +61,15 @@ def test_degenerate_polynomial_rejected():
 def test_constant_and_linear():
     assert solve_real_roots([3.0]) == []
     assert solve_real_roots([3.0, -1.5]) == pytest.approx([2.0], abs=1e-12)
+
+
+def test_no_root_between_brackets_the_roots():
+    # (x - 0.2)(x - 0.5)(x^2 + 1): real roots 0.2 and 0.5 only
+    c = coeffs_from_roots([0.2, 0.5])
+    c = list(np.convolve(c, [1.0, 0.0, 1.0]))
+    assert no_root_between(c, 0.25, 0.45)
+    assert no_root_between(c, 0.6, 3.0)
+    assert no_root_between(c, -2.0, 0.19)
+    assert not no_root_between(c, 0.1, 0.3)
+    assert not no_root_between(c, 0.45, 0.55)
+    assert not no_root_between(c, 0.0, 1.0)
