@@ -10,19 +10,23 @@ and a cruise is a point on the a = 0 axis.  Two facts organize everything:
   critical length dc.  It is the unique minimal-time motion when the
   requested displacement equals dc.
 
-* For displacement above dc the motion must bulge upward (type 1): jerk
-  sign pattern [+J, 0, -J, 0, -J, 0, +J], any subset of which may collapse.
-  Below dc the problem mirrors into a type-1 problem with everything
-  negated (odd symmetry), halving the case analysis.
+* Every other motion is built from the type-1 templates: jerk sign
+  pattern [+J, 0, -J, 0, -J, 0, +J], any subset of which may collapse, or
+  that pattern mirrored (everything negated, odd symmetry).  The critical
+  length only picks which is tried first: type 1 above dc, the mirrored
+  (type-2) templates below.  The other side is tried when none of the
+  first side's candidates is valid, since some problems above dc are
+  solved fastest by a down-up-down motion.
 
 A type-1 solution either cruises at +vmax (both ramps are direct
 connections, cruise time from the leftover distance) or peaks below vmax.
 The peak case is solved by enumerating which plateaus are present and
 reducing each template to a single-unknown polynomial: quadratic and
-quartic for the plateau cases, and for the plateau-free case a degree-six
-polynomial arising from the intersection of three parabolas.  Real roots
-come from solve_real_roots; every surviving candidate is rebuilt exactly
-and the fastest valid one wins.
+quartic for the plateau cases, and for the plateau-free case a quartic
+arising from the intersection of three parabolas.  Real roots come from
+solve_real_roots; every candidate is polished, then checked once on its
+step durations, |a|, |v| and both boundary states, and the fastest valid
+one wins.
 """
 from __future__ import annotations
 
@@ -40,8 +44,9 @@ __all__ = [
     "steps_duration", "sweep",
 ]
 
-CLAMP_TOL = 1e-9     # durations above -CLAMP_TOL are clamped to zero
-_BC_TOL = 1e-9       # boundary reproduction tolerance in a, v, x
+CLAMP_TOL = 1e-9         # durations above -CLAMP_TOL are clamped to zero
+_BC_TOL = 1e-9           # boundary reproduction tolerance in a, v, x
+_CRITICAL_TOL = 1e-12    # |D - dc| up to which the direct connection is the plan
 
 
 class MotionType(enum.Enum):
@@ -150,9 +155,13 @@ def critical_length(init: KinematicState, final: KinematicState,
 
 def classify(init: KinematicState, final: KinematicState, displacement: float,
              limits: KinematicLimits) -> MotionType:
-    """Type-1 above the critical length, type-2 below, critical at it."""
+    """Type-1 above the critical length, type-2 below, critical at it.
+
+    The class names the templates the planner tries first, not always the
+    shape of the plan it returns.
+    """
     dc = critical_length(init, final, limits)
-    if abs(displacement - dc) <= 1e-12:
+    if abs(displacement - dc) <= _CRITICAL_TOL:
         return MotionType.CRITICAL
     return MotionType.TYPE1 if displacement > dc else MotionType.TYPE2
 
@@ -275,8 +284,8 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
     # velocity balance ties the valley to a2^2 = u^2 + K, and eliminating
     # the square root turns the displacement equation into a degree-six
     # polynomial (E - D)^2 = (u^2 + K) F^2.  Its two leading coefficients
-    # cancel structurally (E and F share 1/J^2-scaled tops), leaving only
-    # rounding residue there; the root solver trims it.
+    # cancel structurally (E and F share 1/J^2-scaled tops), so only the
+    # quartic H[:5] is solved; their rounding residue would skew the roots.
     K = j * (v0 - vf) + 0.5 * (af * af - a0 * a0)
     v1p, x1p = _arc_poly([a0], u, [v0], [0.0], j)
     c = [x1p, [0.0], [0.0], [0.0]]     # position as sum c[k](u) * a2^k
@@ -318,7 +327,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
                     (j, max((af - a2) / j, 0.0))]
         return rebuild
 
-    for r in _real_roots_safe(H):
+    for r in _real_roots_safe(H[:5]):
         s2v = r * r + K
         if s2v < -1e-12:
             continue
@@ -337,7 +346,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
 
 def _real_roots_safe(coeffs: list[float]) -> list[float]:
     try:
-        return solve_real_roots(coeffs)
+        return solve_real_roots(coeffs, merge_tol=0.0)
     except ValueError:
         return []
 
@@ -391,65 +400,41 @@ def _refine_candidate(cand: _Candidate, a0: float, v0: float, D: float) -> Steps
     return cand.rebuild(best_u)
 
 
-def _solve_type1(a0: float, v0: float, af: float, vf: float, D: float,
-                 limits: KinematicLimits) -> Steps:
-    vm = limits.vmax
+def _admissible(steps: Steps, a0: float, v0: float, af: float, vf: float,
+                D: float, limits: KinematicLimits) -> bool:
+    """True when the steps keep every bound and reach (af, vf, D).
+
+    The one screen of every candidate: no step below -CLAMP_TOL, |a| and |v|
+    within amax and vmax at step ends and at interior a = 0 points, and the
+    final (a, v, x) within _BC_TOL of (af, vf, D).
+    """
+    am, vm = limits.amax + _BC_TOL, limits.vmax + _BC_TOL
+    st = KinematicState(a0, v0, 0.0)
+    for jerk, dur in steps:
+        if dur < -CLAMP_TOL:
+            return False
+        dur = max(dur, 0.0)
+        if jerk != 0.0:
+            t_star = -st.a / jerk
+            if 0.0 < t_star < dur and abs(integrate_segment(st, jerk, t_star).v) > vm:
+                return False
+        st = integrate_segment(st, jerk, dur)
+        if abs(st.a) > am or abs(st.v) > vm:
+            return False
+    return max(abs(st.a - af), abs(st.v - vf), abs(st.x - D)) <= _BC_TOL
+
+
+def _fastest_type1(a0: float, v0: float, af: float, vf: float, D: float,
+                   limits: KinematicLimits) -> Steps | None:
+    """The fastest polished type-1 candidate that passes _admissible."""
     best: Steps | None = None
     best_t = math.inf
     for cand in _type1_candidates(a0, v0, af, vf, D, limits):
         steps = _refine_candidate(cand, a0, v0, D)
-        ea, ev, ex = sweep(steps, a0, v0)
-        if max(abs(ea - af), abs(ev - vf)) > 1e-7 or abs(ex - D) > 1e-7:
-            continue
-        if _peak_speed(steps, a0, v0) > vm + 1e-7:
-            continue
         t = steps_duration(steps)
-        if t < best_t - 1e-12:
+        if t < best_t - 1e-12 and _admissible(steps, a0, v0, af, vf, D, limits):
             best, best_t = steps, t
-    if best is None:
-        best = _bisect_peak_velocity(a0, v0, af, vf, D, limits)
     return best
-
-
-def _peak_speed(steps: Steps, a0: float, v0: float) -> float:
-    peak = abs(v0)
-    st = KinematicState(a0, v0, 0.0)
-    for jerk, dur in steps:
-        dur = max(dur, 0.0)
-        if jerk != 0.0:
-            t_star = -st.a / jerk
-            if 0.0 < t_star < dur:
-                peak = max(peak, abs(integrate_segment(st, jerk, t_star).v))
-        st = integrate_segment(st, jerk, dur)
-        peak = max(peak, abs(st.v))
-    return peak
-
-
-def _bisect_peak_velocity(a0: float, v0: float, af: float, vf: float, D: float,
-                          limits: KinematicLimits) -> Steps:
-    """Fallback for template-boundary corner cases.
-
-    The swept displacement of [up-connect to (0, vp)] + [down-connect to
-    (af, vf)] grows monotonically with the peak velocity vp, so the unique
-    vp matching D is found by bisection on that closed-form map.
-    """
-    j, vm = limits.jmax, limits.vmax
-
-    def ramps(vp: float) -> Steps:
-        return (connect_steps(a0, v0, 0.0, vp, limits)
-                + connect_steps(0.0, vp, af, vf, limits))
-
-    lo = max(v0 + a0 * abs(a0) / (2.0 * j), vf - af * abs(af) / (2.0 * j))
-    hi = vm
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if sweep(ramps(mid), a0, v0)[2] < D:
-            lo = mid
-        else:
-            hi = mid
-    return ramps(0.5 * (lo + hi))
 
 
 def plan_min_time_1d(init: KinematicState, final: KinematicState,
@@ -459,19 +444,18 @@ def plan_min_time_1d(init: KinematicState, final: KinematicState,
     The displacement is final.x - init.x.  The result has at most seven
     constant-jerk segments, matches both boundary states within 1e-9 and
     respects all limits.  Infeasible boundary states raise
-    InfeasibleBoundary; a plan that misses the final state raises
-    SolverFailure.
+    InfeasibleBoundary; a problem that no candidate solves, or a plan that
+    misses the final state, raises SolverFailure.
     """
     check_boundary_state(init, limits, outgoing=False)
     check_boundary_state(final, limits, outgoing=True)
     D = final.x - init.x
     steps = _min_time_steps(init.a, init.v, final.a, final.v, D, limits)
     profile = make_profile(steps, init, t0=t0)
-    if profile.segments:
-        end = profile.final_state
-        err = max(abs(end.a - final.a), abs(end.v - final.v), abs(end.x - final.x))
-        if err > _BC_TOL:
-            raise SolverFailure(f"planner failed to meet boundary ({err:.2e})")
+    end = profile.final_state if profile.segments else init
+    err = max(abs(end.a - final.a), abs(end.v - final.v), abs(end.x - final.x))
+    if err > _BC_TOL:
+        raise SolverFailure(f"planner failed to meet boundary ({err:.2e})")
     return profile
 
 
@@ -479,9 +463,13 @@ def _min_time_steps(a0: float, v0: float, af: float, vf: float, D: float,
                     limits: KinematicLimits) -> Steps:
     connect = connect_steps(a0, v0, af, vf, limits)
     dc = sweep(connect, a0, v0)[2]
-    if abs(D - dc) <= 1e-12:
+    if abs(D - dc) <= _CRITICAL_TOL:
         return connect
-    if D < dc:
-        mirrored = _solve_type1(-a0, -v0, -af, -vf, -D, limits)
-        return [(-jerk, dur) for jerk, dur in mirrored]
-    return _solve_type1(a0, v0, af, vf, D, limits)
+    # the critical length picks the direction tried first; a problem above
+    # it can still need the mirrored (down-up-down) shapes, and vice versa
+    for sign in ((1.0, -1.0) if D > dc else (-1.0, 1.0)):
+        steps = _fastest_type1(sign * a0, sign * v0, sign * af, sign * vf,
+                               sign * D, limits)
+        if steps is not None:
+            return [(sign * jerk, dur) for jerk, dur in steps]
+    raise SolverFailure(f"no candidate meets (a={af}, v={vf}) over D={D}")

@@ -5,7 +5,8 @@ from conftest import random_boundary
 from softmotion import (InfeasibleBoundary, KinematicState, MotionType,
                         SolverFailure, brute_force_min_time, check_limits,
                         classify, critical_length, mirror_problem,
-                        plan_min_time_1d)
+                        plan_min_time_1d, stop_time, transition_problem)
+from softmotion import planner
 
 
 def test_critical_length_examples(lin):
@@ -174,18 +175,90 @@ def test_short_transitions_match_oracle(lin):
         assert t_oracle <= t_plan + 3.0 * dt + 1e-9
 
 
-def test_boundary_miss_raises_solver_failure(lin):
-    # a case where the type-1 templates miss the final state: the planner
-    # must return a valid plan or raise SolverFailure, never a bare error
-    a0, v0, af, vf, off = 0.2756, 0.0757, 0.2486, 0.1461, 0.0317
+def _assert_contract(prof, init, final, lin):
+    """Within every limit, and both boundary states met to 1e-9."""
+    assert check_limits(prof, lin).ok
+    start = prof.start_state if prof.segments else init
+    end = prof.final_state if prof.segments else init
+    for want, got in ((init, start), (final, end)):
+        assert max(abs(got.a - want.a), abs(got.v - want.v),
+                   abs(got.x - want.x)) <= 1e-9
+
+
+# (a0, v0, af, vf, final.x - dc) and the least duration of a witness: 150
+# constant-jerk steps from a linear program that keep every limit and meet
+# both states, so the optimum is at or below it.  The planner used to break
+# amax on the first two (|a| = 0.48 in 2.2486 s, 0.314 in 1.2698 s) and
+# raise SolverFailure on the third, which lies above the critical length
+# but no type-1 shape reaches: its fastest motion goes down, up and down.
+WITNESSED = [((-0.0351, -0.1135, 0.0409, -0.1203, 0.0441), 2.4892),
+             ((0.0431, -0.0301, -0.1866, 0.0390, -0.0218), 1.2707),
+             ((0.2756, 0.0757, 0.2486, 0.1461, 0.0317), 2.268)]
+
+
+@pytest.mark.parametrize("case, witness", WITNESSED,
+                         ids=["amax-61pct", "amax-5pct", "down-up-down"])
+def test_template_corners_keep_limits_within_witness(lin, case, witness):
+    a0, v0, af, vf, off = case
     init = KinematicState(a0, v0, 0.0)
     dc = critical_length(init, KinematicState(af, vf), lin)
     final = KinematicState(af, vf, dc + off)
-    try:
-        prof = plan_min_time_1d(init, final, lin)
-    except SolverFailure:
-        return
-    assert check_limits(prof, lin).ok
-    start, end = prof.start_state, prof.final_state
-    assert max(abs(start.a - a0), abs(start.v - v0), abs(start.x)) <= 1e-9
-    assert max(abs(end.a - af), abs(end.v - vf), abs(end.x - final.x)) <= 1e-9
+    prof = plan_min_time_1d(init, final, lin)
+    _assert_contract(prof, init, final, lin)
+    assert prof.duration <= witness
+
+
+# ((a0, v0), (af, vf), D) within a few 1e-8 of the critical length or of
+# vmax, each once mis-planned: missed by 1e-7 (rest to rest), past vmax by
+# 2.6e-8 and 3.6e-8, a plain ValueError for a negative step (four cases),
+# an empty plan 4.6e-9 off, and a 1.1e-9 s pulse leaving a and x 1e-9 off
+NEAR_CRITICAL = [
+    ((0, 0), (0, 0), 1e-7),
+    ((0, 0), (0, -0.15), -0.0625513818974472),
+    ((0, -0.15), (0, -0.04066412609679641), -0.06660679694078848),
+    ((0, 0.15), (0, 0), 0.062499999976468545),
+    ((0, -0.11405211448296891), (0, 0), -0.040688493762725056),
+    ((0, 0.1), (0, 1e-12), 0.03333333332910972),
+    ((0, -0.1), (0, -1e-12), -0.03333333332968507),
+    ((0, -1e-12), (0, -1e-12), 4.593344976785028e-09),
+    ((0, 0), (0, 0), -1e-9),
+]
+
+
+@pytest.mark.parametrize("start, end, D", NEAR_CRITICAL)
+def test_near_critical_plans_meet_contract(lin, start, end, D):
+    init, final = KinematicState(*start, 0.0), KinematicState(*end, D)
+    _assert_contract(plan_min_time_1d(init, final, lin), init, final, lin)
+
+
+def test_tiny_leading_coefficient_keeps_every_root(lin):
+    # (0, 0) -> (0, 1e-12) over dc + 0.0625: a genuine tiny leading
+    # coefficient once blew the root bound up to ~1e11, so every root merged
+    init, final = KinematicState(0, 0, 0), KinematicState(0, 1e-12)
+    dc = critical_length(init, final, lin)
+    final = KinematicState(0, 1e-12, dc + 0.0625)
+    prof = plan_min_time_1d(init, final, lin)
+    _assert_contract(prof, init, final, lin)
+    assert prof.duration == pytest.approx(1.30495588, abs=1e-8)
+
+
+def test_stop_and_dwell_meets_displacement_near_critical(lin):
+    # the restart leg is rest to rest over -1e-9 m.  Planned as one 1.1e-9 s
+    # pulse it left a and x 1.0e-9 off, just inside the leg's own tolerance,
+    # so the joined stop-and-dwell profile could miss by more; a real
+    # three-step motion meets both
+    dc = critical_length(KinematicState(0, 0.125), KinematicState(0, 0), lin)
+    prob = transition_problem(0.125, 0.0, dc - 1e-9, lin)
+    assert len(prob.restart.segments) == 3
+    end = stop_time(prob).final_state
+    assert abs(end.x - prob.final.x) <= 1e-12
+    assert abs(end.a) <= 1e-12 and abs(end.v) <= 1e-12
+
+
+def test_empty_plan_is_checked_against_its_boundary(lin, monkeypatch):
+    # a plan whose every step is dropped still has to meet the final state
+    init = KinematicState(0, -1e-12, 0)
+    final = KinematicState(0, -1e-12, 4.593344976785028e-09)
+    monkeypatch.setattr(planner, "_min_time_steps", lambda *args: [])
+    with pytest.raises(SolverFailure):
+        plan_min_time_1d(init, final, lin)

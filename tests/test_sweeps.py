@@ -3,10 +3,10 @@
 Each sweep is derandomized, so a run draws the same examples every time,
 and states its time budget on one 2-CPU machine.
 """
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from softmotion import (KinematicLimits, KinematicState, SolverFailure,
-                        check_limits, critical_length, impose_common_time,
+from softmotion import (KinematicLimits, KinematicState, check_limits,
+                        critical_length, impose_common_time, plan_min_time_1d,
                         transition_problem)
 
 LIN = KinematicLimits(jmax=0.900, amax=0.300, vmax=0.150)
@@ -15,8 +15,11 @@ LIN = KinematicLimits(jmax=0.900, amax=0.300, vmax=0.150)
 # plateau breakpoint amax^2/jmax away from them), then any speed in bounds
 SPEEDS = st.one_of(st.sampled_from([0.0, 0.05, -0.05, 0.1, -0.1, 0.15, -0.15]),
                    st.floats(-LIN.vmax, LIN.vmax))
-# displacement past the critical length; 0 is the critical motion itself
-OFFSETS = st.one_of(st.just(0.0), st.floats(-0.3, 0.3))
+# displacement past the critical length; 0 is the critical motion itself,
+# and offsets log-uniform from 1e-12 to 1e-4 in size sit just off it
+NEAR = st.builds(lambda sign, e: sign * 10.0 ** e,
+                 st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -4.0))
+OFFSETS = st.one_of(st.just(0.0), st.floats(-0.3, 0.3), NEAR)
 CORNER_AXES = st.lists(st.tuples(SPEEDS, SPEEDS, OFFSETS), min_size=1, max_size=3)
 
 
@@ -27,18 +30,9 @@ def test_corner_transitions_meet_time_displacement_and_limits(axes):
     problems = []
     for v0, vf, off in axes:
         dc = critical_length(KinematicState(0.0, v0), KinematicState(0.0, vf), LIN)
-        # stretching builds on the 1-D plans of the problem.  The 1-D planner
-        # has two known faults of its own (FOUND lines in CHANGES.md, ROADMAP
-        # item 1): it misses displacements within about 1e-10 to 2e-7 of the
-        # critical length, and some legs near vmax overshoot it by ~3e-8.
-        # This sweep checks stretching, so it draws again on those.
-        try:
-            prob = transition_problem(v0, vf, dc + off, LIN)
-        except SolverFailure:
-            reject()
-        if not all(check_limits(leg, LIN).ok
-                   for leg in (prob.min_time, prob.halt, prob.restart)):
-            reject()
+        prob = transition_problem(v0, vf, dc + off, LIN)
+        assert all(check_limits(leg, LIN).ok
+                   for leg in (prob.min_time, prob.halt, prob.restart))
         problems.append(prob)
     t_imp, profiles = impose_common_time(problems)
     assert t_imp >= max(p.t_opt for p in problems) - 1e-9
@@ -51,3 +45,33 @@ def test_corner_transitions_meet_time_displacement_and_limits(axes):
         end = prof.final_state
         assert abs((end.x - prob.init.x) - prob.displacement) <= 1e-9
         assert abs(end.v - prob.final.v) <= 1e-9
+
+
+@st.composite
+def boundary_state(draw, outgoing: bool) -> KinematicState:
+    """A feasible (a, v) state: general, or at rest in a with a corner speed."""
+    if draw(st.booleans()):
+        speed = draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.05, 0.1, 0.15]))
+        return KinematicState(0.0, draw(st.sampled_from([speed, -speed])))
+    a = draw(st.floats(-LIN.amax, LIN.amax))
+    # the velocity the acceleration commits to must stay within vmax
+    shift = (-a if outgoing else a) * abs(a) / (2.0 * LIN.jmax)
+    lo, hi = max(-LIN.vmax, -LIN.vmax - shift), min(LIN.vmax, LIN.vmax - shift)
+    return KinematicState(a, lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+
+
+ONE_D_PROBLEMS = st.tuples(boundary_state(False), boundary_state(True), OFFSETS)
+
+
+# budget: 3 000 plans in about 7 s
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(ONE_D_PROBLEMS)
+def test_1d_plans_keep_limits_and_meet_boundaries(problem):
+    init, final, off = problem
+    dc = critical_length(init, final, LIN)
+    final = KinematicState(final.a, final.v, dc + off)
+    prof = plan_min_time_1d(init, final, LIN)
+    assert check_limits(prof, LIN).ok
+    end = prof.final_state if prof.segments else init
+    assert max(abs(end.a - final.a), abs(end.v - final.v),
+               abs(end.x - final.x)) <= 1e-9
