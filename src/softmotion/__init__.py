@@ -18,7 +18,7 @@ from .orientation import (Pose, Quaternion, Twist, omega_to_qdot,
                           plan_pose_axes, pose_at, qdot_to_omega, qr_matrix,
                           quaternion_norm_drift)
 from .planner import (MotionType, classify, critical_length, mirror_problem,
-                      plan_min_time_1d, solve_real_roots)
+                      plan_min_time_1d)
 from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
                        KinematicState, LimitReport, LimitViolation,
                        check_limits, concat_profiles, evaluate,
@@ -50,6 +50,6 @@ __all__ = [
     "plan_waypoint_path_detailed", "pose_at", "ptp_saturation_threshold",
     "ptp_times", "qdot_to_omega", "qr_matrix", "quaternion_norm_drift",
     "sample", "sample_times", "scale_limits_for_duration", "scale_profile",
-    "shift_profile", "slice_profile", "solve_real_roots", "stop_time",
+    "shift_profile", "slice_profile", "stop_time",
     "transition_problem",
 ]

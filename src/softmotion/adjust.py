@@ -161,9 +161,9 @@ def _cell_roots(problem: TransitionProblem, lo: float, hi: float) -> list[float]
             h = padd(pmul(h, h), pscale(pmul(pmul(mean, mean), p2), -1.0))
         ends = ((lo, hi) if len(vc) == 2
                 else sorted(math.sqrt(abs(w - vc[0])) for w in (lo, hi)))
-        if not any(h) or no_root_between(h, *ends):
+        if no_root_between(h, *ends):
             continue
-        roots = solve_real_roots(h, merge_tol=0.0)
+        roots = solve_real_roots(h)
         if len(vc) == 3:
             roots = [vc[0] + vc[2] * r * r for r in roots if r >= 0.0]
         found += roots

@@ -9,6 +9,7 @@ search budget or solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -47,10 +48,15 @@ def _sample_period(text: str) -> float:
     return dt
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """The stream an output option names: stdout for "-", else the file,
+    closed on leaving the block."""
     if path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        yield out
 
 
 def _cmd_plan_ptp(args) -> int:
@@ -64,19 +70,14 @@ def _cmd_plan_ptp(args) -> int:
     if len(start) == 3:
         profiles = plan_ptp_nd(start, goal, limits.linear)
         names = _POSITION_NAMES
-        rest = list(start)
     else:
         pose0 = Pose(tuple(start[:3]), Quaternion.from_array(start[3:]))
         posef = Pose(tuple(goal[:3]), Quaternion.from_array(goal[3:]))
         profiles = plan_pose_axes(pose0, posef, limits.linear, limits.angular)
         names = _POSE_NAMES
-        rest = list(start)
-    out = _open_out(args.out)
-    try:
-        write_trajectory_csv(out, profiles, names, args.dt, rest_positions=rest)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.out) as out:
+        write_trajectory_csv(out, profiles, names, args.dt,
+                             rest_positions=list(start))
     return 0
 
 
@@ -91,20 +92,12 @@ def _cmd_plan_path(args) -> int:
               "without orientation columns", file=sys.stderr)
         return 2
     profiles, summaries = plan_waypoint_path_detailed(points, limits.linear)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         write_trajectory_csv(out, profiles, _POSITION_NAMES, args.dt,
                              rest_positions=list(points[0]))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.report is not None:
-        rep = _open_out(args.report)
-        try:
+        with _output(args.report) as rep:
             write_transition_report(rep, summaries, _POSITION_NAMES)
-        finally:
-            if rep is not sys.stdout:
-                rep.close()
     return 0
 
 

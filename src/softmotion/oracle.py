@@ -188,7 +188,6 @@ def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
     m = np.zeros(2, dtype=np.int64)
     v = np.array([v0, v0])
     x = np.array([0.0, 0.0])
-    peak = 0
     for k in range(k_max):
         a = a0 + m * qa
         cand = (np.abs(a - af) <= tol_a) & (np.abs(v - vf) <= tol_v + 2 * wv)
@@ -197,20 +196,19 @@ def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
             i = np.flatnonzero(cpair)
             if _segment_meets_box(v[2 * i], x[2 * i], v[2 * i + 1], x[2 * i + 1],
                                   vf, D, tol_v, tol_x):
-                return k * dt, peak
+                return k * dt
         m2, v2, x2 = _successors(m, v, x, a, (k + 1) * dt, a0, qa, af, vf, D, dt,
                                  t_ub, limits, xlo_b, xhi_b, tol_x)
         if len(m2) == 0:
-            return None, peak
+            return None
         vb = np.floor(v2 / wv).astype(np.int64)
         key = (m2 + (1 << 20)) * (1 << 27) + (vb + (1 << 26))
         pick = _cell_extremes(key, x2)
         m, v, x = m2[pick], v2[pick], x2[pick]
-        peak = max(peak, len(m))
         if len(m) > node_cap:
             raise SearchBudgetExceeded(
                 f"oracle frontier {len(m)} exceeds the node cap {node_cap}")
-    return None, peak
+    return None
 
 
 def brute_force_min_time(init: KinematicState, final: KinematicState,
@@ -236,13 +234,13 @@ def brute_force_min_time(init: KinematicState, final: KinematicState,
     t_ub0 = ts0 + tsf + abs(D - s0 - sf) / vm + 2.0 * (vm / am + am / jm)
     dt_c = max(dt, t_ub0 / 120.0)
     if dt_c > dt * 1.5:
-        t_c, _ = _search(a0, v0, af, vf, D, dt_c, t_ub0 + 10 * dt_c, limits, node_cap)
+        t_c = _search(a0, v0, af, vf, D, dt_c, t_ub0 + 10 * dt_c, limits, node_cap)
         t_ub = (t_c + 10.0 * dt_c + 4.0 * dt) if t_c is not None else (t_ub0 + 10 * dt_c)
     else:
         t_ub = t_ub0 + 10 * dt
-    t, _ = _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap)
+    t = _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap)
     if t is None:
-        t, _ = _search(a0, v0, af, vf, D, dt, 2.0 * t_ub + 0.5, limits, node_cap)
+        t = _search(a0, v0, af, vf, D, dt, 2.0 * t_ub + 0.5, limits, node_cap)
     if t is None:
         raise SolverFailure("oracle found no trajectory within its horizon")
     return t

@@ -22,6 +22,8 @@ from .multiaxis import plan_ptp_nd_with_times
 from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
                        KinematicState, evaluate, sample, sample_times)
 
+_UNIT_TOL = 1e-3      # largest |norm - 1| accepted for an input orientation
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -94,10 +96,10 @@ class Twist:
     w: tuple[float, float, float]
 
 
-def _check_unit(orient: Quaternion, tol: float = 1e-3) -> None:
+def _check_unit(orient: Quaternion) -> None:
     nrm = math.hypot(orient.n, *orient.q)   # a tolerance check: no numpy needed
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"quaternion norm {nrm} deviates from 1 beyond {tol}")
+    if abs(nrm - 1.0) > _UNIT_TOL:
+        raise ValueError(f"quaternion norm {nrm} deviates from 1 beyond {_UNIT_TOL}")
 
 
 def omega_to_qdot(orient: Quaternion, w) -> np.ndarray:

@@ -24,9 +24,10 @@ The peak case is solved by enumerating which plateaus are present and
 reducing each template to a single-unknown polynomial: quadratic and
 quartic for the plateau cases, and for the plateau-free case a quartic
 arising from the intersection of three parabolas.  Real roots come from
-solve_real_roots; every candidate is polished, then checked once on its
-step durations, |a|, |v| and both boundary states, and the fastest valid
-one wins.
+solve_real_roots, ascending and distinct (none for an all-zero
+polynomial); every candidate is polished, then checked once on its step
+durations, |a|, |v| and both boundary states, and the fastest valid one
+wins.
 """
 from __future__ import annotations
 
@@ -40,8 +41,8 @@ from .roots import padd, pmul, pscale, solve_real_roots
 
 __all__ = [
     "CLAMP_TOL", "MotionType", "Steps", "connect_steps", "critical_length",
-    "classify", "mirror_problem", "plan_min_time_1d", "solve_real_roots",
-    "steps_duration", "sweep",
+    "classify", "mirror_problem", "plan_min_time_1d", "steps_duration",
+    "sweep",
 ]
 
 CLAMP_TOL = 1e-9         # durations above -CLAMP_TOL are clamped to zero
@@ -77,7 +78,7 @@ def steps_duration(steps: Steps) -> float:
 
 
 def check_boundary_state(state: KinematicState, limits: KinematicLimits,
-                         outgoing: bool, tol: float = 1e-9) -> None:
+                         outgoing: bool) -> None:
     """Reject states the planner cannot serve without breaking a bound.
 
     Besides |a| <= amax and |v| <= vmax, a state with nonzero acceleration
@@ -88,13 +89,13 @@ def check_boundary_state(state: KinematicState, limits: KinematicLimits,
     """
     a, v = state.a, state.v
     j, am, vm = limits.jmax, limits.amax, limits.vmax
-    if abs(a) > am + tol:
+    if abs(a) > am + _BC_TOL:
         raise InfeasibleBoundary(f"|a|={abs(a)} exceeds amax={am}")
-    if abs(v) > vm + tol:
+    if abs(v) > vm + _BC_TOL:
         raise InfeasibleBoundary(f"|v|={abs(v)} exceeds vmax={vm}")
     a_eff = -a if outgoing else a
     excursion = v + a_eff * abs(a_eff) / (2.0 * j)
-    if excursion > vm + tol or excursion < -vm - tol:
+    if excursion > vm + _BC_TOL or excursion < -vm - _BC_TOL:
         raise InfeasibleBoundary(
             f"state (a={a}, v={v}) forces velocity to {excursion}, beyond vmax={vm}")
 
@@ -109,24 +110,22 @@ def connect_steps(a0: float, v0: float, af: float, vf: float,
     """
     j, am = limits.jmax, limits.amax
     cands: list[Steps] = []
-    s_up = j * (vf - v0) + 0.5 * (a0 * a0 + af * af)
-    if s_up >= -1e-15:
-        apk = math.sqrt(max(s_up, 0.0))
-        if apk >= a0 - 1e-12 and apk >= af - 1e-12:
-            if apk <= am:
-                cands.append([(j, (apk - a0) / j), (-j, (apk - af) / j)])
-            else:
-                hold = ((vf - v0) - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
-                cands.append([(j, (am - a0) / j), (0.0, hold), (-j, (am - af) / j)])
-    s_dn = -j * (vf - v0) + 0.5 * (a0 * a0 + af * af)
-    if s_dn >= -1e-15:
-        avl = -math.sqrt(max(s_dn, 0.0))
-        if avl <= a0 + 1e-12 and avl <= af + 1e-12:
-            if avl >= -am:
-                cands.append([(-j, (a0 - avl) / j), (j, (af - avl) / j)])
-            else:
-                hold = ((v0 - vf) - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
-                cands.append([(-j, (a0 + am) / j), (0.0, hold), (j, (af + am) / j)])
+    half_sq = 0.5 * (a0 * a0 + af * af)
+    for s in (1.0, -1.0):
+        # jerk s*J out to the extreme acceleration s*r, then -s*J back to af;
+        # written with s*x - s*y, which is y - x bit for bit (signed zeros too)
+        sq = s * j * (vf - v0) + half_sq
+        if sq >= -1e-15:
+            r = math.sqrt(max(sq, 0.0))
+            sa0, saf = s * a0, s * af
+            if r >= sa0 - 1e-12 and r >= saf - 1e-12:
+                if r <= am:
+                    cands.append([(s * j, (r - sa0) / j), (-s * j, (r - saf) / j)])
+                else:      # clamped at s*amax with a plateau
+                    hold = ((s * vf - s * v0)
+                            - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
+                    cands.append([(s * j, (am - sa0) / j), (0.0, hold),
+                                  (-s * j, (am - saf) / j)])
     best: Steps | None = None
     for steps in cands:
         if any(t < -CLAMP_TOL for _, t in steps):
@@ -239,7 +238,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
         return [(j, (am - a0) / j), (0.0, max(t2, 0.0)), (-j, 2.0 * am / j),
                 (0.0, max(t2 + delta, 0.0)), (j, (af + am) / j)]
 
-    for r in _real_roots_safe(padd(x5, [-D])):
+    for r in solve_real_roots(padd(x5, [-D])):
         if r < -CLAMP_TOL or r + delta < -CLAMP_TOL:
             continue
         out.append(_Candidate(rebuild_b1, r))
@@ -256,7 +255,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
         return [(j, (am - a0) / j), (0.0, max(c20 + a2 * a2 / (j * am), 0.0)),
                 (-j, (am - a2) / j), (j, (af - a2) / j)]
 
-    for r in _real_roots_safe(padd(x4, [-D])):
+    for r in solve_real_roots(padd(x4, [-D])):
         t2 = c20 + r * r / (j * am)
         if t2 < -CLAMP_TOL or r < -am - 1e-12 or r > min(af, am) + 1e-12:
             continue
@@ -274,7 +273,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
         return [(j, (a1 - a0) / j), (-j, (a1 + am) / j),
                 (0.0, max(c60 + a1 * a1 / (j * am), 0.0)), (j, (af + am) / j)]
 
-    for r in _real_roots_safe(padd(x4, [-D])):
+    for r in solve_real_roots(padd(x4, [-D])):
         t6 = c60 + r * r / (j * am)
         if t6 < -CLAMP_TOL or r > am + 1e-12 or r < max(a0, -am) - 1e-12:
             continue
@@ -327,7 +326,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
                     (j, max((af - a2) / j, 0.0))]
         return rebuild
 
-    for r in _real_roots_safe(H[:5]):
+    for r in solve_real_roots(H[:5]):
         s2v = r * r + K
         if s2v < -1e-12:
             continue
@@ -342,13 +341,6 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
                 continue
             out.append(_Candidate(make_rebuild_b4(1.0 if a2 >= 0.0 else -1.0), r))
     return out
-
-
-def _real_roots_safe(coeffs: list[float]) -> list[float]:
-    try:
-        return solve_real_roots(coeffs, merge_tol=0.0)
-    except ValueError:
-        return []
 
 
 class _Candidate:

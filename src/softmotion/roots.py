@@ -4,7 +4,9 @@ Roots are isolated by recursing on the derivative: between consecutive
 critical points a polynomial is monotone, so a sign change brackets exactly
 one root, which bisection then pins down and Newton polishing sharpens.
 Critical points where the polynomial itself (nearly) vanishes are multiple
-roots and are reported once.
+roots.  ``solve_real_roots`` returns the distinct real roots in ascending
+order; a multiple root may come back as a few neighbouring values, and the
+all-zero polynomial returns [].
 """
 from __future__ import annotations
 
@@ -45,11 +47,6 @@ def _poly_eval(coeffs: list[float], x: float) -> float:
 
 def _derivative(coeffs: list[float]) -> list[float]:
     return [k * c for k, c in enumerate(coeffs)][1:]
-
-
-def _cauchy_bound(coeffs: list[float]) -> float:
-    lead = coeffs[-1]
-    return 1.0 + max(abs(c / lead) for c in coeffs[:-1]) if len(coeffs) > 1 else 1.0
 
 
 def _bisect_root(coeffs: list[float], lo: float, hi: float) -> float:
@@ -107,18 +104,15 @@ def no_root_between(coeffs, lo: float, hi: float) -> bool:
     return all(sg == signs[0] for sg in signs)
 
 
-def solve_real_roots(coeffs, merge_tol: float = 1e-5) -> list[float]:
-    """All distinct real roots, ascending; coefficients ascending in degree.
+def solve_real_roots(coeffs) -> list[float]:
+    """Distinct real roots as ascending floats; coefficients ascending in degree.
 
-    ``coeffs[k]`` multiplies x**k.  Multiple roots are returned once
-    (clusters within merge_tol of the Cauchy span collapse to the member
-    with the smallest residual); simple roots are polished to ~1e-10
-    relative.  Raises ValueError for the all-zero polynomial.
+    ``coeffs[k]`` multiplies x**k.  Simple roots are polished to ~1e-10
+    relative; a multiple root may come back as a few neighbouring values.
+    The all-zero polynomial has no roots to report and returns [].
     """
     coeffs = [float(c) for c in coeffs]
     scale = max((abs(c) for c in coeffs), default=0.0)
-    if scale == 0.0:
-        raise ValueError("degenerate (all-zero) polynomial")
     # leading coefficients below rounding noise are structural zeros; keeping
     # them would blow the root bound up by their reciprocal
     while coeffs and abs(coeffs[-1]) <= 1e-12 * scale:
@@ -128,48 +122,23 @@ def solve_real_roots(coeffs, merge_tol: float = 1e-5) -> list[float]:
     if len(coeffs) == 2:
         return [-coeffs[0] / coeffs[1]]
 
-    bound = _cauchy_bound(coeffs)
-    crit = solve_real_roots(_derivative(coeffs), merge_tol)
+    bound = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])   # Cauchy
+    crit = solve_real_roots(_derivative(coeffs))
     knots = [-bound] + [c for c in crit if -bound < c < bound] + [bound]
 
-    roots: list[tuple[float, bool]] = []   # (value, came from the derivative)
     # a critical point sitting (numerically) on the axis is a multiple root;
     # its value was already polished at a deeper derivative level where the
-    # root is simple, so it is the accurate representative of its cluster
+    # root is simple
     local = max(abs(_poly_eval(coeffs, k)) for k in knots)
-    for c in crit:
-        if abs(_poly_eval(coeffs, c)) <= 1e-11 * max(local, 1e-30):
-            roots.append((c, True))
+    roots = [c for c in crit
+             if abs(_poly_eval(coeffs, c)) <= 1e-11 * max(local, 1e-30)]
     for lo, hi in zip(knots[:-1], knots[1:]):
         flo, fhi = _poly_eval(coeffs, lo), _poly_eval(coeffs, hi)
         if flo == 0.0:
-            roots.append((lo, False))
-            continue
-        if (flo < 0.0) != (fhi < 0.0):
+            roots.append(lo)
+        elif (flo < 0.0) != (fhi < 0.0):
             r = _bisect_root(coeffs, lo, hi)
-            roots.append((_newton_polish(coeffs, r, lo, hi), False))
+            roots.append(_newton_polish(coeffs, r, lo, hi))
     if _poly_eval(coeffs, knots[-1]) == 0.0:
-        roots.append((knots[-1], False))
-
-    roots.sort()
-    span = max(1.0, bound)
-    out: list[float] = []
-    cluster: list[tuple[float, bool]] = []
-
-    def flush() -> None:
-        if not cluster:
-            return
-        from_crit = [r for r, tag in cluster if tag]
-        if from_crit:
-            out.append(min(from_crit, key=lambda c: abs(_poly_eval(coeffs, c))))
-        else:
-            out.append(min((r for r, _ in cluster),
-                           key=lambda c: abs(_poly_eval(coeffs, c))))
-
-    for r, tag in roots:
-        if cluster and (r - cluster[-1][0]) > merge_tol * span:
-            flush()
-            cluster = []
-        cluster.append((r, tag))
-    flush()
-    return out
+        roots.append(knots[-1])
+    return sorted(set(roots))

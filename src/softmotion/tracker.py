@@ -129,16 +129,21 @@ class PoseTracker:
         return Twist((vals[0], vals[1], vals[2]), tuple(float(c) for c in w))
 
     def settled(self, twist: Twist) -> bool:
-        """True when every axis sits at zero acceleration and at the clamped
-        velocity a tick would track for this twist, both within 1e-9."""
-        qdot = omega_to_qdot(self.pose().orient, twist.w)
-        targets = list(twist.v) + list(qdot)
+        """True when the tracker holds this twist.
+
+        Each position axis sits at zero acceleration and at the clamped
+        velocity a tick would track, both within 1e-9.  The quaternion rate
+        turns with the orientation, so instead the angular velocity read
+        back from it must be within one tick's change of the rate target,
+        |w|^2 dt / 2 (at least 1e-9), of twist.w.
+        """
         for state, lim, target in zip(self._inner.states, self._inner.limits,
-                                      targets):
+                                      twist.v):
             target = max(-lim.vmax, min(lim.vmax, target))
             if abs(state.a) > 1e-9 or abs(state.v - target) > 1e-9:
                 return False
-        return True
+        tol = max(0.5 * sum(c * c for c in twist.w) * self._inner.dt, 1e-9)
+        return all(abs(a - b) <= tol for a, b in zip(self.twist().w, twist.w))
 
     def tick(self, twist: Twist) -> Pose:
         states = self._inner.states

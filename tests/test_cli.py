@@ -215,11 +215,13 @@ def collect_then_track(text, tick=0.01):
     "0 0 0 0 0 0 0.1\n0.5 0.05 0 0 0.05 -0.02 0.1\n1.0 0 0 0 0 0 0\n",
     "0 0.1 0 0 0 0 0\n0.5 -0.1 0 0 0 0 0.05\n0.2 0.05 0 0 0 0 0\n"
     "0.3 0 0 0 0 0 0\n",
-    "0 0 0 0 0.1 0 0\n",                         # never settles: safety end
+    "0 0 0 0 0 0 -0.2\n",                        # never settles: safety end
     "bad line\n",
     "0 0.05 0 0 0 0 0\n0.1 nan 0 0 0 0 0\n0.2 0 0 inf 0 0 0\n0.3 0 0 0 0 0 0\n",
+    "0 0 0 0 0 0 0.1\n",
 ], ids=["empty", "step", "clamped", "malformed", "mixed", "rotating",
-        "out-of-order", "unsettled", "only-malformed", "non-finite"])
+        "out-of-order", "unsettled", "only-malformed", "non-finite",
+        "rotating-settles"])
 def test_track_streams_like_the_collected_loop(monkeypatch, capsys, text):
     expected_code = collect_then_track(text)
     expected = capsys.readouterr()
@@ -228,6 +230,21 @@ def test_track_streams_like_the_collected_loop(monkeypatch, capsys, text):
     got = capsys.readouterr()
     assert got.out == expected.out
     assert got.err == expected.err
+
+
+@pytest.mark.parametrize("text, settles", [
+    ("0 0 0 0 0 0 0.1\n", True),      # a held rotation settles
+    ("0 0 0 0 0 0 -0.2\n", False),    # beyond the component limits: safety end
+])
+def test_track_ends_when_a_rotation_settles(monkeypatch, capsys, text, settles):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["track"]) == 0
+    got = capsys.readouterr()
+    rows = got.out.splitlines()
+    if settles:
+        assert got.err == "" and len(rows) <= 200
+    else:
+        assert "did not settle" in got.err and len(rows) >= 12000
 
 
 def test_main_parses_each_call_on_its_own(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,71 @@ def test_empty_plan_is_checked_against_its_boundary(lin, monkeypatch):
     monkeypatch.setattr(planner, "_min_time_steps", lambda *args: [])
     with pytest.raises(SolverFailure):
         plan_min_time_1d(init, final, lin)
+
+
+def _connect_steps_two_branch(a0, v0, af, vf, limits):
+    """The up and down shapes of ``connect_steps`` written out one by one."""
+    j, am = limits.jmax, limits.amax
+    cands = []
+    s_up = j * (vf - v0) + 0.5 * (a0 * a0 + af * af)
+    if s_up >= -1e-15:
+        apk = math.sqrt(max(s_up, 0.0))
+        if apk >= a0 - 1e-12 and apk >= af - 1e-12:
+            if apk <= am:
+                cands.append([(j, (apk - a0) / j), (-j, (apk - af) / j)])
+            else:
+                hold = ((vf - v0) - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
+                cands.append([(j, (am - a0) / j), (0.0, hold), (-j, (am - af) / j)])
+    s_dn = -j * (vf - v0) + 0.5 * (a0 * a0 + af * af)
+    if s_dn >= -1e-15:
+        avl = -math.sqrt(max(s_dn, 0.0))
+        if avl <= a0 + 1e-12 and avl <= af + 1e-12:
+            if avl >= -am:
+                cands.append([(-j, (a0 - avl) / j), (j, (af - avl) / j)])
+            else:
+                hold = ((v0 - vf) - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
+                cands.append([(-j, (a0 + am) / j), (0.0, hold), (j, (af + am) / j)])
+    best = None
+    for steps in cands:
+        if any(t < -planner.CLAMP_TOL for _, t in steps):
+            continue
+        steps = [(jj, max(t, 0.0)) for jj, t in steps]
+        if best is None or (planner.steps_duration(steps)
+                            < planner.steps_duration(best)):
+            best = steps
+    if best is None:
+        raise InfeasibleBoundary("no phase-plane connection")
+    return best
+
+
+def test_connect_steps_matches_two_branch_form_bit_for_bit(lin):
+    # one signed loop against the up and down shapes written out: every step
+    # is the same float, and both raise on the same inputs.  Edge values
+    # (0, the limits, the excursion bound v = -+vmax -+ a|a|/(2 jmax)) are
+    # drawn as often as uniform ones, a little beyond the limits included
+    rng = np.random.default_rng(13)
+    j, am, vm = lin.jmax, lin.amax, lin.vmax
+
+    def draw_a():
+        return rng.choice([0.0, am, -am, rng.uniform(-1.1 * am, 1.1 * am)])
+
+    def draw_v(a):
+        edge = a * abs(a) / (2.0 * j)
+        return rng.choice([0.0, vm, -vm, vm - edge, -vm - edge, vm + edge,
+                           -vm + edge, rng.uniform(-1.1 * vm, 1.1 * vm)])
+
+    raised = 0
+    for _ in range(20000):
+        a0, af = float(draw_a()), float(draw_a())
+        v0, vf = float(draw_v(a0)), float(draw_v(af))
+        try:
+            want = _connect_steps_two_branch(a0, v0, af, vf, lin)
+        except InfeasibleBoundary:
+            with pytest.raises(InfeasibleBoundary):
+                planner.connect_steps(a0, v0, af, vf, lin)
+            raised += 1
+            continue
+        got = planner.connect_steps(a0, v0, af, vf, lin)
+        assert [(float(jj).hex(), float(t).hex()) for jj, t in got] == \
+            [(float(jj).hex(), float(t).hex()) for jj, t in want], (a0, v0, af, vf)
+    assert 0 < raised < 20000

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from softmotion import (KinematicLimits, KinematicState, check_limits,
                         critical_length, impose_common_time, plan_min_time_1d,
-                        transition_problem)
+                        plan_waypoint_path, transition_problem)
+from test_waypoints import seam_discontinuity
 
 LIN = KinematicLimits(jmax=0.900, amax=0.300, vmax=0.150)
 
@@ -75,3 +76,31 @@ def test_1d_plans_keep_limits_and_meet_boundaries(problem):
     end = prof.final_state if prof.segments else init
     assert max(abs(end.a - final.a), abs(end.v - final.v),
                abs(end.x - final.x)) <= 1e-9
+
+
+# a polyline of 3 to 5 points at one scale from 1 mm to 1 m; about a third
+# of the axis steps are zero, so axes dwell while others move
+STEPS = st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+PATHS = st.builds(
+    lambda scale, start, steps: [start] + [
+        [start[ax] + scale * sum(s[ax] for s in steps[:k + 1]) for ax in range(3)]
+        for k in range(len(steps))],
+    st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    st.lists(st.lists(STEPS, min_size=3, max_size=3), min_size=2, max_size=4))
+
+
+# budget: 200 paths in about 5 s
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PATHS)
+def test_waypoint_paths_are_continuous_and_rest_at_both_ends(points):
+    for ax, prof in enumerate(plan_waypoint_path(points, LIN)):
+        if not prof.segments:   # every step of the axis below DROP_DURATION
+            assert all(abs(p[ax] - points[0][ax]) <= 1e-9 for p in points)
+            continue
+        assert check_limits(prof, LIN).ok
+        assert seam_discontinuity(prof) <= 1e-9
+        start, end = prof.start_state, prof.final_state
+        assert abs(start.x - points[0][ax]) <= 1e-9
+        assert max(abs(start.a), abs(start.v), abs(end.a), abs(end.v)) <= 1e-9
+        assert abs(end.x - points[-1][ax]) <= 1e-9

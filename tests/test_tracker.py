@@ -157,6 +157,18 @@ def test_pose_tracker_settles_on_a_held_twist(lin, ang):
     assert tracker.twist().v[0] == pytest.approx(lin.vmax, abs=1e-9)
     assert not tracker.settled(Twist((0.0, -0.05, 0.0), (0.0, 0.0, 0.0)))
     assert not tracker.settled(Twist((0.4, -0.05, 0.0), (0.0, 0.0, 0.1)))
+    # under rotation the quaternion rate turns with the orientation; the
+    # angular velocity read back from it settles within |w|^2 dt / 2
+    spin = Twist((0.0, 0.0, 0.0), (0.1, 0.0, 0.0))
+    tracker = PoseTracker(lin, ang, dt=0.01)
+    for _ in range(20):
+        tracker.tick(spin)
+    assert not tracker.settled(spin)
+    for _ in range(180):
+        tracker.tick(spin)
+    assert tracker.settled(spin)
+    assert not tracker.settled(Twist((0.0, 0.0, 0.0), (0.1, 0.0, 1e-4)))
+    assert not tracker.settled(Twist((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
 
 
 EXACT = KinematicLimits(jmax=2.0, amax=1.0, vmax=1.0)   # powers of two: exact steps
