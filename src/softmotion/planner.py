@@ -20,14 +20,17 @@ and a cruise is a point on the a = 0 axis.  Two facts organize everything:
 
 A type-1 solution either cruises at +vmax (both ramps are direct
 connections, cruise time from the leftover distance) or peaks below vmax.
-The peak case is solved by enumerating which plateaus are present and
-reducing each template to a single-unknown polynomial: quadratic and
-quartic for the plateau cases, and for the plateau-free case a quartic
-arising from the intersection of three parabolas.  Real roots come from
-solve_real_roots, ascending and distinct (none for an all-zero
-polynomial); every candidate is polished, then checked once on its step
-durations, |a|, |v| and both boundary states, and the fastest valid one
-wins.
+Each peak template (B1-B4: which acceleration plateaus are present) is
+written once, as (jerk, duration) steps whose durations are polynomials in
+one unknown u.  One symbolic sweep, the Horner form of the cubic segment,
+turns the steps into the template's displacement polynomial; the same
+steps evaluated at a root rebuild the candidate.  The plateau-free B4 also
+carries its valley acceleration e = +-sqrt(u^2 + K), squared out once into
+a quartic.  Real roots come from solve_real_roots, ascending and distinct
+(none for an all-zero polynomial).  A root is dropped only when one of its
+steps is shorter than -CLAMP_TOL; every other candidate is polished, then
+checked once on its step durations, |a|, |v| and both boundary states, and
+the fastest valid one wins.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ import math
 from .errors import InfeasibleBoundary, SolverFailure
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        integrate_segment, make_profile)
-from .roots import padd, pmul, pscale, solve_real_roots
+from .roots import padd, peval, pmul, pscale, solve_real_roots
 
 __all__ = [
     "CLAMP_TOL", "MotionType", "Steps", "connect_steps", "critical_length",
@@ -48,6 +51,13 @@ __all__ = [
 CLAMP_TOL = 1e-9         # durations above -CLAMP_TOL are clamped to zero
 _BC_TOL = 1e-9           # boundary reproduction tolerance in a, v, x
 _CRITICAL_TOL = 1e-12    # |D - dc| up to which the direct connection is the plan
+_SQUARE_TOL = 1e-15      # a squared peak acceleration down to -_SQUARE_TOL is zero
+_PEAK_TOL = 1e-12        # a peak acceleration this far short of a0 or af still reaches it
+_POLISHED = 1e-15        # |x - D| / max(1, |D|) of a root that needs no polish
+_POLISH_STOP = 1e-16     # |x - D| / max(1, |D|) that ends the secant polish
+_POLISH_ITER = 60        # secant steps at most
+_SECANT_ABS, _SECANT_REL = 1e-9, 1e-7    # offset of the second secant point
+_TIE_TOL = 1e-12         # a later candidate wins only if faster by more than this
 
 
 class MotionType(enum.Enum):
@@ -115,10 +125,10 @@ def connect_steps(a0: float, v0: float, af: float, vf: float,
         # jerk s*J out to the extreme acceleration s*r, then -s*J back to af;
         # written with s*x - s*y, which is y - x bit for bit (signed zeros too)
         sq = s * j * (vf - v0) + half_sq
-        if sq >= -1e-15:
+        if sq >= -_SQUARE_TOL:
             r = math.sqrt(max(sq, 0.0))
             sa0, saf = s * a0, s * af
-            if r >= sa0 - 1e-12 and r >= saf - 1e-12:
+            if r >= sa0 - _PEAK_TOL and r >= saf - _PEAK_TOL:
                 if r <= am:
                     cands.append([(s * j, (r - sa0) / j), (-s * j, (r - saf) / j)])
                 else:      # clamped at s*amax with a plateau
@@ -181,35 +191,82 @@ def mirror_problem(init: KinematicState, final: KinematicState,
 # type-1 template solving
 # ---------------------------------------------------------------------------
 
-def _arc_poly(a_in: list[float], a_out: list[float], v_in: list[float],
-              x_in: list[float], jerk: float) -> tuple[list[float], list[float]]:
-    """Velocity/position polynomials after a jerk arc from a_in to a_out."""
-    t = pscale(padd(a_out, pscale(a_in, -1.0)), 1.0 / jerk)
-    dv = pscale(padd(pmul(a_out, a_out), pscale(pmul(a_in, a_in), -1.0)),
-                1.0 / (2.0 * jerk))
-    dx = padd(pmul(v_in, t),
-              pmul(pmul(t, t), pscale(padd(pscale(a_in, 2.0), a_out), 1.0 / 6.0)))
-    return padd(v_in, dv), padd(x_in, dx)
+# A template is a list of (jerk, duration) steps whose durations are
+# polynomials in its unknown u.  B4's durations also hold its valley
+# acceleration e, carried in the lists as u**_E: no template polynomial
+# reaches that power of u, so coefficient _E*k + i multiplies e**k * u**i
+# and the plain list arithmetic of roots.py serves both.
+_E = 5
 
 
-def _hold_poly(a: list[float], t: list[float], v_in: list[float],
-               x_in: list[float]) -> tuple[list[float], list[float]]:
-    dv = pmul(a, t)
-    dx = padd(pmul(v_in, t), pscale(pmul(a, pmul(t, t)), 0.5))
-    return padd(v_in, dv), padd(x_in, dx)
+def _with_e(p: list[float], q: list[float]) -> list[float]:
+    """p(u) + e * q(u) as one template polynomial."""
+    return p + [0.0] * (_E - len(p)) + q
+
+
+def _templates(a0: float, v0: float, af: float, vf: float,
+               limits: KinematicLimits) -> list[tuple[list, float | None]]:
+    """The peak templates B1-B4 as (steps, K).
+
+    Velocity balance holds for every u by construction.  K is None except
+    for B4, whose valley is e = +-sqrt(u^2 + K).
+    """
+    j, am = limits.jmax, limits.amax
+    up = (j, [(am - a0) / j])              # a0 -> +amax
+    peak = (j, [-a0 / j, 1.0 / j])         # a0 -> u
+    last = (j, [(af + am) / j])            # -amax -> af
+    hold = 1.0 / (j * am)
+    # B1: plateaus at +amax and -amax; u = the first plateau's time, the
+    # second lasts u + delta
+    delta = ((af * af - a0 * a0) / (2.0 * j) - (vf - v0)) / am
+    b1 = [up, (0.0, [0.0, 1.0]), (-j, [2.0 * am / j]), (0.0, [delta, 1.0]), last]
+    # B2: plateau at +amax only; u = the valley acceleration
+    c20 = (vf - v0 - (2.0 * am * am - a0 * a0 + af * af) / (2.0 * j)) / am
+    b2 = [up, (0.0, [c20, 0.0, hold]), (-j, [am / j, -1.0 / j]), (j, [af / j, -1.0 / j])]
+    # B3: plateau at -amax only; u = the peak acceleration
+    c60 = ((af * af - a0 * a0 - 2.0 * am * am) / (2.0 * j) - (vf - v0)) / am
+    b3 = [peak, (-j, [am / j, 1.0 / j]), (0.0, [c60, 0.0, hold]), last]
+    # B4: no plateau; u = the peak, e = the valley, e^2 = u^2 + K
+    K = j * (v0 - vf) + 0.5 * (af * af - a0 * a0)
+    b4 = [peak, (-j, _with_e([0.0, 1.0 / j], [-1.0 / j])),
+          (j, _with_e([af / j], [-1.0 / j]))]
+    return [(b1, None), (b2, None), (b3, None), (b4, K)]
+
+
+def _sweep_poly(steps: list, a0: float, v0: float) -> list[float]:
+    """Displacement of template steps run from (a0, v0), a polynomial in u (and e).
+
+    The Horner form of profiles._cubic, on polynomials.
+    """
+    a, v, x = [a0], [v0], [0.0]
+    for jerk, d in steps:
+        jd = pscale(d, jerk)
+        x = padd(x, pmul(padd(v, pmul(padd(pscale(a, 0.5), pscale(jd, 1.0 / 6.0)), d)), d))
+        v = padd(v, pmul(padd(a, pscale(jd, 0.5)), d))
+        a = padd(a, jd)
+    return x
+
+
+def _rebuild(steps: list, K: float | None, sign: float):
+    """The template's steps at u, with e = sign * sqrt(u^2 + K) for B4."""
+    split = [(jerk, d[:_E], d[_E:]) for jerk, d in steps]
+
+    def rebuild(u: float) -> Steps:
+        e = 0.0 if K is None else sign * math.sqrt(max(u * u + K, 0.0))
+        return [(jerk, peval(p, u) + e * peval(q, u)) for jerk, p, q in split]
+    return rebuild
 
 
 def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
-                      limits: KinematicLimits) -> list["_Candidate"]:
+                      limits: KinematicLimits) -> list[tuple]:
     """Every type-1 template solution for displacement D > critical length.
 
-    Each candidate carries its defining scalar so it can be re-built
-    exactly; the velocity balance is enforced by construction for every
-    value of that scalar, which is what makes later polishing safe.
+    Each candidate is (rebuild, u): rebuild(u) gives its steps for any value
+    of its unknown, always with the velocity balance, which is what makes
+    later polishing safe.  A root is dropped only for a step below -CLAMP_TOL.
     """
-    j, am, vm = limits.jmax, limits.amax, limits.vmax
-    out: list[_Candidate] = []
-    u = [0.0, 1.0]
+    vm = limits.vmax
+    out = []
 
     # cruise at +vmax: two direct connections joined by a constant-velocity run
     try:
@@ -220,144 +277,35 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
         t_cruise = (D - s1 - s2) / vm
         if t_cruise >= -CLAMP_TOL:
             rebuild = lambda tc, r1=r1, r2=r2: r1 + [(0.0, max(tc, 0.0))] + r2
-            out.append(_Candidate(rebuild, t_cruise))
+            out.append((rebuild, t_cruise))
     except InfeasibleBoundary:
         pass
 
-    # B1: plateaus at +amax and -amax; unknown u = first plateau time,
-    # second plateau time is u + delta by velocity balance.
-    delta = ((af * af - a0 * a0) / (2.0 * j) - (vf - v0)) / am
-    v1 = [v0 + (am * am - a0 * a0) / (2.0 * j)]
-    x1 = [sweep([(j, (am - a0) / j)], a0, v0)[2]]
-    v2, x2 = _hold_poly([am], u, v1, x1)
-    v3, x3 = _arc_poly([am], [-am], v2, x2, -j)
-    v4, x4 = _hold_poly([-am], padd(u, [delta]), v3, x3)
-    _, x5 = _arc_poly([-am], [af], v4, x4, j)
-
-    def rebuild_b1(t2: float) -> Steps:
-        return [(j, (am - a0) / j), (0.0, max(t2, 0.0)), (-j, 2.0 * am / j),
-                (0.0, max(t2 + delta, 0.0)), (j, (af + am) / j)]
-
-    for r in solve_real_roots(padd(x5, [-D])):
-        if r < -CLAMP_TOL or r + delta < -CLAMP_TOL:
-            continue
-        out.append(_Candidate(rebuild_b1, r))
-
-    # B2: plateau at +amax only; unknown u = valley acceleration a2,
-    # plateau time follows from velocity balance (quadratic in u).
-    c20 = (vf - v0 - (2.0 * am * am - a0 * a0 + af * af) / (2.0 * j)) / am
-    t2p = padd([c20], pscale(pmul(u, u), 1.0 / (j * am)))
-    v2, x2 = _hold_poly([am], t2p, v1, x1)
-    v3, x3 = _arc_poly([am], u, v2, x2, -j)
-    _, x4 = _arc_poly(u, [af], v3, x3, j)
-
-    def rebuild_b2(a2: float) -> Steps:
-        return [(j, (am - a0) / j), (0.0, max(c20 + a2 * a2 / (j * am), 0.0)),
-                (-j, (am - a2) / j), (j, (af - a2) / j)]
-
-    for r in solve_real_roots(padd(x4, [-D])):
-        t2 = c20 + r * r / (j * am)
-        if t2 < -CLAMP_TOL or r < -am - 1e-12 or r > min(af, am) + 1e-12:
-            continue
-        out.append(_Candidate(rebuild_b2, r))
-
-    # B3: plateau at -amax only; unknown u = peak acceleration a1.
-    c60 = ((af * af - a0 * a0 - 2.0 * am * am) / (2.0 * j) - (vf - v0)) / am
-    t6p = padd([c60], pscale(pmul(u, u), 1.0 / (j * am)))
-    v1p, x1p = _arc_poly([a0], u, [v0], [0.0], j)
-    v2, x2 = _arc_poly(u, [-am], v1p, x1p, -j)
-    v3, x3 = _hold_poly([-am], t6p, v2, x2)
-    _, x4 = _arc_poly([-am], [af], v3, x3, j)
-
-    def rebuild_b3(a1: float) -> Steps:
-        return [(j, (a1 - a0) / j), (-j, (a1 + am) / j),
-                (0.0, max(c60 + a1 * a1 / (j * am), 0.0)), (j, (af + am) / j)]
-
-    for r in solve_real_roots(padd(x4, [-D])):
-        t6 = c60 + r * r / (j * am)
-        if t6 < -CLAMP_TOL or r > am + 1e-12 or r < max(a0, -am) - 1e-12:
-            continue
-        out.append(_Candidate(rebuild_b3, r))
-
-    # B4: no plateaus; three parabolic arcs.  With u the peak acceleration,
-    # velocity balance ties the valley to a2^2 = u^2 + K, and eliminating
-    # the square root turns the displacement equation into a degree-six
-    # polynomial (E - D)^2 = (u^2 + K) F^2.  Its two leading coefficients
-    # cancel structurally (E and F share 1/J^2-scaled tops), so only the
-    # quartic H[:5] is solved; their rounding residue would skew the roots.
-    K = j * (v0 - vf) + 0.5 * (af * af - a0 * a0)
-    v1p, x1p = _arc_poly([a0], u, [v0], [0.0], j)
-    c = [x1p, [0.0], [0.0], [0.0]]     # position as sum c[k](u) * a2^k
-
-    def acc(k: int, p: list[float]) -> None:
-        c[k] = padd(c[k], p)
-
-    u2 = pmul(u, u)
-    u3 = pmul(u2, u)
-    # middle arc u -> a2 at -J: dx = v1*(u - a2)/J + (u - a2)^2 (2u + a2)/(6 J^2)
-    # and (u - a2)^2 (2u + a2) expands to 2u^3 - 3u^2 a2 + a2^3
-    acc(0, pscale(pmul(v1p, u), 1.0 / j))
-    acc(1, pscale(v1p, -1.0 / j))
-    acc(0, pscale(u3, 2.0 / (6.0 * j * j)))
-    acc(1, pscale(u2, -3.0 / (6.0 * j * j)))
-    acc(3, [1.0 / (6.0 * j * j)])
-    # velocity entering the last arc: v2 = v1 + u^2/(2J) - a2^2/(2J)
-    v2_0 = padd(v1p, pscale(u2, 1.0 / (2.0 * j)))
-    v2_2 = [-1.0 / (2.0 * j)]
-    # last arc a2 -> af at +J: dx = v2*(af - a2)/J + (af - a2)^2 (2 a2 + af)/(6 J^2)
-    # and (af - a2)^2 (2 a2 + af) expands to af^3 - 3 af a2^2 + 2 a2^3
-    acc(0, pscale(v2_0, af / j))
-    acc(1, pscale(v2_0, -1.0 / j))
-    acc(2, pscale(v2_2, af / j))
-    acc(3, pscale(v2_2, -1.0 / j))
-    acc(0, [af ** 3 / (6.0 * j * j)])
-    acc(2, [-3.0 * af / (6.0 * j * j)])
-    acc(3, [2.0 / (6.0 * j * j)])
-    w = padd(u2, [K])                 # a2^2 reduced
-    E = padd(c[0], pmul(c[2], w))
-    F = padd(c[1], pmul(c[3], w))
-    EmD = padd(E, [-D])
-    H = padd(pmul(EmD, EmD), pscale(pmul(w, pmul(F, F)), -1.0))
-
-    def make_rebuild_b4(sign: float):
-        def rebuild(a1: float) -> Steps:
-            a2 = sign * math.sqrt(max(a1 * a1 + K, 0.0))
-            return [(j, max((a1 - a0) / j, 0.0)), (-j, max((a1 - a2) / j, 0.0)),
-                    (j, max((af - a2) / j, 0.0))]
-        return rebuild
-
-    for r in solve_real_roots(H[:5]):
-        s2v = r * r + K
-        if s2v < -1e-12:
-            continue
-        s = math.sqrt(max(s2v, 0.0))
-        for a2 in (-s, s):
-            t1 = (r - a0) / j
-            t3 = (r - a2) / j
-            t5 = (af - a2) / j
-            if min(t1, t3, t5) < -CLAMP_TOL:
-                continue
-            if r > am + 1e-12 or a2 < -am - 1e-12:
-                continue
-            out.append(_Candidate(make_rebuild_b4(1.0 if a2 >= 0.0 else -1.0), r))
+    for steps, K in _templates(a0, v0, af, vf, limits):
+        x = _sweep_poly(steps, a0, v0)
+        if K is None:
+            poly, signs = padd(x, [-D]), (1.0,)
+        else:
+            # x = E + e F; squaring out e gives (E - D)^2 = (u^2 + K) F^2 of
+            # degree six.  Its two leading coefficients cancel structurally
+            # (E and F share 1/J^2-scaled tops), so only the quartic is
+            # solved; their rounding residue would skew the roots.
+            w = [K, 0.0, 1.0]
+            c = [x[k:k + _E] for k in range(0, len(x), _E)]
+            E = padd(padd(c[0], pmul(c[2], w)), [-D])
+            F = padd(c[1], pmul(c[3], w))
+            poly = padd(pmul(E, E), pscale(pmul(w, pmul(F, F)), -1.0))[:5]
+            signs = (-1.0, 1.0)
+        for r in solve_real_roots(poly):
+            for sign in signs:
+                rebuild = _rebuild(steps, K, sign)
+                if all(t >= -CLAMP_TOL for _, t in rebuild(r)):
+                    out.append((rebuild, r))
     return out
 
 
-class _Candidate:
-    """A template solution: rebuild(u) regenerates the steps for any u."""
-
-    __slots__ = ("rebuild", "u")
-
-    def __init__(self, rebuild, u: float) -> None:
-        self.rebuild = rebuild
-        self.u = u
-
-    def steps(self) -> Steps:
-        return self.rebuild(self.u)
-
-
-def _refine_candidate(cand: _Candidate, a0: float, v0: float, D: float) -> Steps:
-    """Polish the candidate's defining scalar against the exact sweep.
+def _refine_candidate(rebuild, u0: float, a0: float, v0: float, D: float) -> Steps:
+    """Polish a candidate's unknown, from u0, against the exact sweep.
 
     The template polynomials locate u to ~1e-10 relative; a few secant
     iterations on the closed-form displacement map push the residual to
@@ -367,16 +315,15 @@ def _refine_candidate(cand: _Candidate, a0: float, v0: float, D: float) -> Steps
     scale = max(1.0, abs(D))
 
     def resid(uu: float) -> float:
-        return sweep(cand.rebuild(uu), a0, v0)[2] - D
+        return sweep(rebuild(uu), a0, v0)[2] - D
 
-    u0, u1 = cand.u, cand.u
     f0 = resid(u0)
-    if abs(f0) < 1e-15 * scale:
-        return cand.rebuild(u0)
-    u1 = u0 + max(1e-9, 1e-7 * abs(u0))
+    if abs(f0) < _POLISHED * scale:
+        return rebuild(u0)
+    u1 = u0 + max(_SECANT_ABS, _SECANT_REL * abs(u0))
     f1 = resid(u1)
     best_u, best_f = (u0, abs(f0)) if abs(f0) < abs(f1) else (u1, abs(f1))
-    for _ in range(60):
+    for _ in range(_POLISH_ITER):
         if f1 == f0:
             break
         u2 = u1 - f1 * (u1 - u0) / (f1 - f0)
@@ -387,9 +334,9 @@ def _refine_candidate(cand: _Candidate, a0: float, v0: float, D: float) -> Steps
         f1 = resid(u1)
         if abs(f1) < best_f:
             best_u, best_f = u1, abs(f1)
-        if abs(f1) < 1e-16 * scale:
+        if abs(f1) < _POLISH_STOP * scale:
             break
-    return cand.rebuild(best_u)
+    return rebuild(best_u)
 
 
 def _admissible(steps: Steps, a0: float, v0: float, af: float, vf: float,
@@ -421,10 +368,10 @@ def _fastest_type1(a0: float, v0: float, af: float, vf: float, D: float,
     """The fastest polished type-1 candidate that passes _admissible."""
     best: Steps | None = None
     best_t = math.inf
-    for cand in _type1_candidates(a0, v0, af, vf, D, limits):
-        steps = _refine_candidate(cand, a0, v0, D)
+    for rebuild, u in _type1_candidates(a0, v0, af, vf, D, limits):
+        steps = _refine_candidate(rebuild, u, a0, v0, D)
         t = steps_duration(steps)
-        if t < best_t - 1e-12 and _admissible(steps, a0, v0, af, vf, D, limits):
+        if t < best_t - _TIE_TOL and _admissible(steps, a0, v0, af, vf, D, limits):
             best, best_t = steps, t
     return best
 

@@ -2,7 +2,8 @@
 
 Roots are isolated by recursing on the derivative: between consecutive
 critical points a polynomial is monotone, so a sign change brackets exactly
-one root, which bisection then pins down and Newton polishing sharpens.
+one root, which a bracketed Newton iteration then pins down (a Newton step
+kept inside the shrinking bracket, bisection where it would leave it).
 Critical points where the polynomial itself (nearly) vanishes are multiple
 roots.  ``solve_real_roots`` returns the distinct real roots in ascending
 order; a multiple root may come back as a few neighbouring values, and the
@@ -12,14 +13,22 @@ from __future__ import annotations
 
 import math
 
+_TRIM_TOL = 1e-12        # leading coefficients below this share of the largest are zero
+_MULTIPLE_TOL = 1e-11    # |p| at a critical point, relative to the knots, of a multiple root
+_NEWTON_ITER = 100       # evaluations per bracketed root, at most
+_NEWTON_ULPS = 2.0       # a Newton step this many ulps long ends the search
+
 
 # Polynomials as plain coefficient lists, ascending degree.
 
 def padd(p: list[float], q: list[float]) -> list[float]:
     """Sum of two polynomials."""
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0.0) + (q[i] if i < len(q) else 0.0)
-            for i in range(n)]
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return out
 
 
 def pmul(p: list[float], q: list[float]) -> list[float]:
@@ -38,9 +47,10 @@ def pscale(p: list[float], c: float) -> list[float]:
     return [c * x for x in p]
 
 
-def _poly_eval(coeffs: list[float], x: float) -> float:
+def peval(p: list[float], x: float) -> float:
+    """Value of the polynomial at x (Horner)."""
     acc = 0.0
-    for c in reversed(coeffs):
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
@@ -49,36 +59,34 @@ def _derivative(coeffs: list[float]) -> list[float]:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def _bisect_root(coeffs: list[float], lo: float, hi: float) -> float:
-    flo = _poly_eval(coeffs, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = _poly_eval(coeffs, mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
+def _bracketed_newton(coeffs: list[float], deriv: list[float], lo: float,
+                      hi: float, flo: float) -> float:
+    """The one root between lo and hi, where coeffs changes sign.
+
+    Newton steps start from the middle.  Every evaluation shrinks the
+    bracket to the side of the sign change; a step that would leave the
+    bracket, or is not at most half the step before it, bisects instead.
+    """
+    x, last = 0.5 * (lo + hi), hi - lo
+    for _ in range(_NEWTON_ITER):
+        f = peval(coeffs, x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == (flo < 0.0):
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(coeffs: list[float], x: float, lo: float, hi: float) -> float:
-    deriv = _derivative(coeffs)
-    for _ in range(8):
-        f = _poly_eval(coeffs, x)
-        df = _poly_eval(deriv, x)
-        if df == 0.0:
-            break
-        step = f / df
-        x_new = x - step
-        if not (lo <= x_new <= hi) or not math.isfinite(x_new):
-            break
-        if x_new == x:
-            break
-        x = x_new
+            hi = x
+        df = peval(deriv, x)
+        step = f / df if df != 0.0 else math.inf
+        if abs(step) <= _NEWTON_ULPS * math.ulp(x):
+            return x - step
+        nxt = x - step
+        if not (lo < nxt < hi and 2.0 * abs(step) <= last):
+            nxt = 0.5 * (lo + hi)
+            if nxt == lo or nxt == hi:
+                return x
+        last = abs(nxt - x)
+        x = nxt
     return x
 
 
@@ -107,15 +115,16 @@ def no_root_between(coeffs, lo: float, hi: float) -> bool:
 def solve_real_roots(coeffs) -> list[float]:
     """Distinct real roots as ascending floats; coefficients ascending in degree.
 
-    ``coeffs[k]`` multiplies x**k.  Simple roots are polished to ~1e-10
-    relative; a multiple root may come back as a few neighbouring values.
-    The all-zero polynomial has no roots to report and returns [].
+    ``coeffs[k]`` multiplies x**k.  A simple root is refined until its
+    Newton step is at most _NEWTON_ULPS ulps; a multiple root may come back
+    as a few neighbouring values.  The all-zero polynomial has no roots to
+    report and returns [].
     """
     coeffs = [float(c) for c in coeffs]
     scale = max((abs(c) for c in coeffs), default=0.0)
     # leading coefficients below rounding noise are structural zeros; keeping
     # them would blow the root bound up by their reciprocal
-    while coeffs and abs(coeffs[-1]) <= 1e-12 * scale:
+    while coeffs and abs(coeffs[-1]) <= _TRIM_TOL * scale:
         coeffs.pop()
     if len(coeffs) <= 1:
         return []
@@ -123,22 +132,22 @@ def solve_real_roots(coeffs) -> list[float]:
         return [-coeffs[0] / coeffs[1]]
 
     bound = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])   # Cauchy
-    crit = solve_real_roots(_derivative(coeffs))
+    deriv = _derivative(coeffs)
+    crit = solve_real_roots(deriv)
     knots = [-bound] + [c for c in crit if -bound < c < bound] + [bound]
 
     # a critical point sitting (numerically) on the axis is a multiple root;
     # its value was already polished at a deeper derivative level where the
     # root is simple
-    local = max(abs(_poly_eval(coeffs, k)) for k in knots)
+    values = [peval(coeffs, k) for k in knots]
+    local = max(abs(f) for f in values)
     roots = [c for c in crit
-             if abs(_poly_eval(coeffs, c)) <= 1e-11 * max(local, 1e-30)]
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        flo, fhi = _poly_eval(coeffs, lo), _poly_eval(coeffs, hi)
+             if abs(peval(coeffs, c)) <= _MULTIPLE_TOL * local]
+    for lo, hi, flo, fhi in zip(knots, knots[1:], values, values[1:]):
         if flo == 0.0:
             roots.append(lo)
         elif (flo < 0.0) != (fhi < 0.0):
-            r = _bisect_root(coeffs, lo, hi)
-            roots.append(_newton_polish(coeffs, r, lo, hi))
-    if _poly_eval(coeffs, knots[-1]) == 0.0:
+            roots.append(_bracketed_newton(coeffs, deriv, lo, hi, flo))
+    if values[-1] == 0.0:
         roots.append(knots[-1])
     return sorted(set(roots))

@@ -96,7 +96,8 @@ class PoseTracker:
 
     Position axes track the linear velocity reference directly; the
     quaternion axes track the quaternion rate derived from the angular
-    reference and the current orientation.  Each tick first puts the
+    reference, scaled down to the angular vmax along its own axis, and the
+    current orientation.  Each tick first puts the
     quaternion positions back on the unit sphere (their rates and
     accelerations are left alone), so ``norm_drift``, the largest
     |norm - 1| seen at the start of a tick, measures the drift of a single
@@ -113,6 +114,7 @@ class PoseTracker:
         self._inner = OnlineTracker([limits_linear] * 3 + [quat_limits] * 4,
                                     states=states, dt=dt)
         self.norm_drift = 0.0
+        self._w_max = limits_angular.vmax
 
     @property
     def time(self) -> float:
@@ -128,6 +130,13 @@ class PoseTracker:
         w, _ = qdot_to_omega(self.pose().orient, np.array(vals[3:]))
         return Twist((vals[0], vals[1], vals[2]), tuple(float(c) for c in w))
 
+    def _held_w(self, w):
+        """The angular reference a tick tracks: w scaled to |w| <= vmax."""
+        norm = math.hypot(*w)
+        if norm <= self._w_max:
+            return w
+        return tuple(c * (self._w_max / norm) for c in w)
+
     def settled(self, twist: Twist) -> bool:
         """True when the tracker holds this twist.
 
@@ -135,15 +144,16 @@ class PoseTracker:
         velocity a tick would track, both within 1e-9.  The quaternion rate
         turns with the orientation, so instead the angular velocity read
         back from it must be within one tick's change of the rate target,
-        |w|^2 dt / 2 (at least 1e-9), of twist.w.
+        |w|^2 dt / 2 (at least 1e-9), of the scaled reference a tick tracks.
         """
         for state, lim, target in zip(self._inner.states, self._inner.limits,
                                       twist.v):
             target = max(-lim.vmax, min(lim.vmax, target))
             if abs(state.a) > 1e-9 or abs(state.v - target) > 1e-9:
                 return False
-        tol = max(0.5 * sum(c * c for c in twist.w) * self._inner.dt, 1e-9)
-        return all(abs(a - b) <= tol for a, b in zip(self.twist().w, twist.w))
+        w = self._held_w(twist.w)
+        tol = max(0.5 * sum(c * c for c in w) * self._inner.dt, 1e-9)
+        return all(abs(a - b) <= tol for a, b in zip(self.twist().w, w))
 
     def tick(self, twist: Twist) -> Pose:
         states = self._inner.states
@@ -155,6 +165,6 @@ class PoseTracker:
         unit = [c / nrm for c in raw]      # the bits of Quaternion.normalized()
         self._inner.states = states[:3] + [
             KinematicState(s.a, s.v, c) for s, c in zip(states[3:], unit)]
-        qdot = omega_to_qdot(Quaternion.from_array(unit), twist.w)
+        qdot = omega_to_qdot(Quaternion.from_array(unit), self._held_w(twist.w))
         self._inner.tick(list(twist.v) + qdot.tolist())
         return self.pose()

@@ -215,7 +215,7 @@ def collect_then_track(text, tick=0.01):
     "0 0 0 0 0 0 0.1\n0.5 0.05 0 0 0.05 -0.02 0.1\n1.0 0 0 0 0 0 0\n",
     "0 0.1 0 0 0 0 0\n0.5 -0.1 0 0 0 0 0.05\n0.2 0.05 0 0 0 0 0\n"
     "0.3 0 0 0 0 0 0\n",
-    "0 0 0 0 0 0 -0.2\n",                        # never settles: safety end
+    "0 0 0 0 0 0 -0.2\n",                        # beyond vmax: held scaled to it
     "bad line\n",
     "0 0.05 0 0 0 0 0\n0.1 nan 0 0 0 0 0\n0.2 0 0 inf 0 0 0\n0.3 0 0 0 0 0 0\n",
     "0 0 0 0 0 0 0.1\n",
@@ -233,12 +233,19 @@ def test_track_streams_like_the_collected_loop(monkeypatch, capsys, text):
 
 
 @pytest.mark.parametrize("text, settles", [
-    ("0 0 0 0 0 0 0.1\n", True),      # a held rotation settles
-    ("0 0 0 0 0 0 -0.2\n", False),    # beyond the component limits: safety end
+    ("0 0 0 0 0 0 0.1\n", True),          # a held rotation settles
+    ("0 0 0 0 0.05 -0.02 0.1\n", True),   # |w| beyond vmax: held scaled to vmax
+    ("0 0 0 0 0 0 -0.2\n", False),        # angular amax too low: safety end
 ])
-def test_track_ends_when_a_rotation_settles(monkeypatch, capsys, text, settles):
+def test_track_ends_when_a_rotation_settles(monkeypatch, capsys, tmp_path, text,
+                                            settles):
+    # below |w|^2 / 4 the quaternion acceleration cannot turn the rate with
+    # the orientation, so the rotation never settles
+    limits = tmp_path / "limits.txt"
+    limits.write_text("angular.amax 0.001\n")
+    argv = ["track"] if settles else ["track", "--limits", str(limits)]
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    assert cli.main(["track"]) == 0
+    assert cli.main(argv) == 0
     got = capsys.readouterr()
     rows = got.out.splitlines()
     if settles:

@@ -9,6 +9,7 @@ from softmotion import (InfeasibleBoundary, KinematicState, MotionType,
                         classify, critical_length, mirror_problem,
                         plan_min_time_1d, stop_time, transition_problem)
 from softmotion import planner
+from softmotion.roots import peval
 
 
 def test_critical_length_examples(lin):
@@ -242,6 +243,60 @@ def test_tiny_leading_coefficient_keeps_every_root(lin):
     prof = plan_min_time_1d(init, final, lin)
     _assert_contract(prof, init, final, lin)
     assert prof.duration == pytest.approx(1.30495588, abs=1e-8)
+
+
+# (a0, v0, af, vf, D) within 1.5e-11 of the critical length.  Per-template
+# acceleration screens once dropped the roots a polish would repair, and
+# the plans took 1.016, 2.249 and 1.312 s where the direct connection
+# takes 0.440, 0.589 and 0.570 s.
+NEAR_CRITICAL_SLOW = [
+    (-0.28270584264262416, 0.11565779074234031, -0.12892771865132574,
+     0.0001909533634131544, 0.022957447428433742),
+    (0.25703162628669235, 0.03850010015861888, -0.04794559110820612,
+     0.14688470774582893, 0.0654373826141995),
+    (0.07253618121570304, -0.13863392819470727, 0.04426387939298437,
+     -0.03283547926993462, -0.047691916842588604),
+]
+
+
+@pytest.mark.parametrize("case", NEAR_CRITICAL_SLOW)
+def test_near_critical_plans_are_no_slower_than_the_connection(lin, case):
+    a0, v0, af, vf, D = case
+    init, final = KinematicState(a0, v0, 0.0), KinematicState(af, vf, D)
+    prof = plan_min_time_1d(init, final, lin)
+    _assert_contract(prof, init, final, lin)
+    dc = critical_length(init, final, lin)
+    at_dc = plan_min_time_1d(init, KinematicState(af, vf, dc), lin)
+    assert prof.duration <= at_dc.duration + 1e-9
+
+
+def test_each_template_polynomial_sweeps_its_own_rebuild(lin):
+    # one step list per template gives both its displacement polynomial and
+    # its rebuild, so the two agree wherever the steps are non-negative
+    rng = np.random.default_rng(31)
+    checked = {}
+    for _ in range(200):
+        a0, v0 = random_boundary(rng, lin)
+        af, vf = random_boundary(rng, lin, outgoing=True)
+        for name, (steps, K) in zip(("B1", "B2", "B3", "B4"),
+                                    planner._templates(a0, v0, af, vf, lin)):
+            x = planner._sweep_poly(steps, a0, v0)
+            by_e = [x[k:k + planner._E] for k in range(0, len(x), planner._E)]
+            for u in rng.uniform(-1.0, 1.0, 8):
+                for sign in ((1.0,) if K is None else (-1.0, 1.0)):
+                    if K is not None and u * u + K < 0.0:
+                        continue
+                    e = 0.0 if K is None else sign * math.sqrt(u * u + K)
+                    steps_at_u = planner._rebuild(steps, K, sign)(u)
+                    if min(t for _, t in steps_at_u) < 0.0:
+                        continue
+                    swept = sum(peval(c, u) * e ** k for k, c in enumerate(by_e))
+                    exact = planner.sweep(steps_at_u, a0, v0)[2]
+                    assert abs(swept - exact) <= 1e-12 * max(1.0, abs(exact))
+                    checked[name, sign] = checked.get((name, sign), 0) + 1
+    assert sorted(checked) == [("B1", 1.0), ("B2", 1.0), ("B3", 1.0),
+                               ("B4", -1.0), ("B4", 1.0)]
+    assert min(checked.values()) >= 10
 
 
 def test_stop_and_dwell_meets_displacement_near_critical(lin):

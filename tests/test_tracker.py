@@ -171,6 +171,23 @@ def test_pose_tracker_settles_on_a_held_twist(lin, ang):
     assert not tracker.settled(Twist((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
 
 
+def test_pose_tracker_scales_a_twist_beyond_vmax(lin, ang):
+    # |w| = 0.114 rad/s against vmax 0.1: the tick tracks w scaled to vmax
+    # along its axis, so no quaternion component reaches its rate limit and
+    # the read-back angular velocity stays on the scaled reference
+    twist = Twist((0.0, 0.0, 0.0), (0.05, -0.02, 0.1))
+    norm = float(np.linalg.norm(twist.w))
+    held = [c * ang.vmax / norm for c in twist.w]
+    tol = 0.5 * ang.vmax ** 2 * 0.01
+    tracker = PoseTracker(lin, ang, dt=0.01)
+    for k in range(1, 3001):
+        tracker.tick(twist)
+        if k >= 100:
+            assert max(abs(a - b) for a, b in zip(tracker.twist().w, held)) <= tol
+            assert tracker.settled(twist)
+    assert not tracker.settled(Twist((0.0, 0.0, 0.0), tuple(held[:2]) + (0.0,)))
+
+
 EXACT = KinematicLimits(jmax=2.0, amax=1.0, vmax=1.0)   # powers of two: exact steps
 
 
