@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import InfeasibleDuration
-from .planner import (connect_steps, critical_length, plan_min_time_1d,
-                      steps_duration, sweep)
+from .planner import (critical_length, cruise_steps, plan_min_time_1d,
+                      steps_duration)
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        make_profile)
 from .roots import no_root_between, padd, pmul, pscale, solve_real_roots
@@ -111,15 +111,10 @@ def stop_time(problem: TransitionProblem, t_imp: float | None = None) -> AxisPro
 
 def slowing_pieces(problem: TransitionProblem, vc: float):
     """Duration and steps of the vc-cruise profile, or None when t_c < 0."""
-    v0, vf = problem.init.v, problem.final.v
-    ramp1 = connect_steps(0.0, v0, 0.0, vc, problem.limits)
-    ramp2 = connect_steps(0.0, vc, 0.0, vf, problem.limits)
-    s1 = sweep(ramp1, 0.0, v0)[2]
-    s2 = sweep(ramp2, 0.0, vc)[2]
-    t_c = (problem.displacement - s1 - s2) / vc
+    steps, t_c = cruise_steps(0.0, problem.init.v, 0.0, problem.final.v,
+                              problem.displacement, vc, problem.limits)
     if t_c < 0.0:
         return None
-    steps = ramp1 + [(0.0, t_c)] + ramp2
     return steps_duration(steps), steps
 
 

@@ -16,7 +16,8 @@ and a cruise is a point on the a = 0 axis.  Two facts organize everything:
   length only picks which is tried first: type 1 above dc, the mirrored
   (type-2) templates below.  The other side is tried when none of the
   first side's candidates is valid, since some problems above dc are
-  solved fastest by a down-up-down motion.
+  solved fastest by a down-up-down motion; within 1e-9 of dc both sides
+  compete.
 
 A type-1 solution either cruises at +vmax (both ramps are direct
 connections, cruise time from the leftover distance) or peaks below vmax.
@@ -24,13 +25,14 @@ Each peak template (B1-B4: which acceleration plateaus are present) is
 written once, as (jerk, duration) steps whose durations are polynomials in
 one unknown u.  One symbolic sweep, the Horner form of the cubic segment,
 turns the steps into the template's displacement polynomial; the same
-steps evaluated at a root rebuild the candidate.  The plateau-free B4 also
-carries its valley acceleration e = +-sqrt(u^2 + K), squared out once into
-a quartic.  Real roots come from solve_real_roots, ascending and distinct
-(none for an all-zero polynomial).  A root is dropped only when one of its
-steps is shorter than -CLAMP_TOL; every other candidate is polished, then
-checked once on its step durations, |a|, |v| and both boundary states, and
-the fastest valid one wins.
+steps evaluated at a root are the candidate.  The plateau-free B4 takes
+for u the drop from its peak to its valley acceleration: on the valley
+hyperbola both are rational in u, its durations are quadratics over u,
+and u^3 times its displacement is a polynomial again, with no square root
+to square out.  Real roots come from solve_real_roots, ascending, distinct
+and good to a few ulps, so no candidate is polished.  Every candidate is
+checked once on its step durations, |a|, |v| and both boundary states,
+and the fastest valid one wins.
 """
 from __future__ import annotations
 
@@ -38,25 +40,20 @@ import enum
 import math
 
 from .errors import InfeasibleBoundary, SolverFailure
-from .profiles import (AxisProfile, KinematicLimits, KinematicState,
-                       integrate_segment, make_profile)
+from .profiles import (CLAMP_TOL, AxisProfile, KinematicLimits,
+                       KinematicState, integrate_segment, make_profile)
 from .roots import padd, peval, pmul, pscale, solve_real_roots
 
 __all__ = [
     "CLAMP_TOL", "MotionType", "Steps", "connect_steps", "critical_length",
-    "classify", "mirror_problem", "plan_min_time_1d", "steps_duration",
-    "sweep",
+    "classify", "cruise_steps", "mirror_problem", "plan_min_time_1d",
+    "steps_duration", "sweep",
 ]
 
-CLAMP_TOL = 1e-9         # durations above -CLAMP_TOL are clamped to zero
 _BC_TOL = 1e-9           # boundary reproduction tolerance in a, v, x
 _CRITICAL_TOL = 1e-12    # |D - dc| up to which the direct connection is the plan
 _SQUARE_TOL = 1e-15      # a squared peak acceleration down to -_SQUARE_TOL is zero
 _PEAK_TOL = 1e-12        # a peak acceleration this far short of a0 or af still reaches it
-_POLISHED = 1e-15        # |x - D| / max(1, |D|) of a root that needs no polish
-_POLISH_STOP = 1e-16     # |x - D| / max(1, |D|) that ends the secant polish
-_POLISH_ITER = 60        # secant steps at most
-_SECANT_ABS, _SECANT_REL = 1e-9, 1e-7    # offset of the second secant point
 _TIE_TOL = 1e-12         # a later candidate wins only if faster by more than this
 
 
@@ -187,29 +184,32 @@ def mirror_problem(init: KinematicState, final: KinematicState,
     return neg(init), neg(final), -displacement
 
 
+def cruise_steps(a0: float, v0: float, af: float, vf: float, D: float,
+                 vc: float, limits: KinematicLimits) -> tuple[Steps, float]:
+    """Direct connections to and from a cruise at vc, over D: (steps, t_c).
+
+    The cruise lasts t_c = (D - s1 - s2) / vc, s1 and s2 the ramps'
+    displacements, unclamped: each caller has its own rule for t_c < 0.
+    """
+    ramp1 = connect_steps(a0, v0, 0.0, vc, limits)
+    ramp2 = connect_steps(0.0, vc, af, vf, limits)
+    s1 = sweep(ramp1, a0, v0)[2]
+    s2 = sweep(ramp2, 0.0, vc)[2]
+    t_c = (D - s1 - s2) / vc
+    return ramp1 + [(0.0, t_c)] + ramp2, t_c
+
+
 # ---------------------------------------------------------------------------
 # type-1 template solving
 # ---------------------------------------------------------------------------
 
-# A template is a list of (jerk, duration) steps whose durations are
-# polynomials in its unknown u.  B4's durations also hold its valley
-# acceleration e, carried in the lists as u**_E: no template polynomial
-# reaches that power of u, so coefficient _E*k + i multiplies e**k * u**i
-# and the plain list arithmetic of roots.py serves both.
-_E = 5
-
-
-def _with_e(p: list[float], q: list[float]) -> list[float]:
-    """p(u) + e * q(u) as one template polynomial."""
-    return p + [0.0] * (_E - len(p)) + q
-
-
 def _templates(a0: float, v0: float, af: float, vf: float,
-               limits: KinematicLimits) -> list[tuple[list, float | None]]:
-    """The peak templates B1-B4 as (steps, K).
+               limits: KinematicLimits) -> list[tuple[list, int]]:
+    """The peak templates B1-B4 as (steps, k).
 
-    Velocity balance holds for every u by construction.  K is None except
-    for B4, whose valley is e = +-sqrt(u^2 + K).
+    Each step duration is a polynomial in the template's unknown u divided
+    by u**k (k = 1 for B4, else 0).  Velocity balance holds for every u by
+    construction.
     """
     j, am = limits.jmax, limits.amax
     up = (j, [(am - a0) / j])              # a0 -> +amax
@@ -226,19 +226,23 @@ def _templates(a0: float, v0: float, af: float, vf: float,
     # B3: plateau at -amax only; u = the peak acceleration
     c60 = ((af * af - a0 * a0 - 2.0 * am * am) / (2.0 * j) - (vf - v0)) / am
     b3 = [peak, (-j, [am / j, 1.0 / j]), (0.0, [c60, 0.0, hold]), last]
-    # B4: no plateau; u = the peak, e = the valley, e^2 = u^2 + K
+    # B4: no plateau; u = e - p < 0 for the peak p and the valley e.  On the
+    # valley hyperbola e^2 = p^2 + K, p = (K/u - u)/2 and e = (K/u + u)/2,
+    # so the durations (p - a0)/J, (p - e)/J and (af - e)/J are quadratics over u
     K = j * (v0 - vf) + 0.5 * (af * af - a0 * a0)
-    b4 = [peak, (-j, _with_e([0.0, 1.0 / j], [-1.0 / j])),
-          (j, _with_e([af / j], [-1.0 / j]))]
-    return [(b1, None), (b2, None), (b3, None), (b4, K)]
+    b4 = [(j, [0.5 * K / j, -a0 / j, -0.5 / j]), (-j, [0.0, 0.0, -1.0 / j]),
+          (j, [-0.5 * K / j, af / j, -0.5 / j])]
+    return [(b1, 0), (b2, 0), (b3, 0), (b4, 1)]
 
 
-def _sweep_poly(steps: list, a0: float, v0: float) -> list[float]:
-    """Displacement of template steps run from (a0, v0), a polynomial in u (and e).
+def _sweep_poly(steps: list, a0: list[float], v0: list[float]) -> list[float]:
+    """Displacement of template steps run from (a0, v0), a polynomial in u.
 
-    The Horner form of profiles._cubic, on polynomials.
+    The Horner form of profiles._cubic, on polynomials.  For steps whose
+    durations are d/u, start from (u a0, u^2 v0): the recurrence keeps its
+    form in (u a, u^2 v, u^3 x) with durations d, so the result is u^3 x.
     """
-    a, v, x = [a0], [v0], [0.0]
+    a, v, x = a0, v0, [0.0]
     for jerk, d in steps:
         jd = pscale(d, jerk)
         x = padd(x, pmul(padd(v, pmul(padd(pscale(a, 0.5), pscale(jd, 1.0 / 6.0)), d)), d))
@@ -247,96 +251,31 @@ def _sweep_poly(steps: list, a0: float, v0: float) -> list[float]:
     return x
 
 
-def _rebuild(steps: list, K: float | None, sign: float):
-    """The template's steps at u, with e = sign * sqrt(u^2 + K) for B4."""
-    split = [(jerk, d[:_E], d[_E:]) for jerk, d in steps]
-
-    def rebuild(u: float) -> Steps:
-        e = 0.0 if K is None else sign * math.sqrt(max(u * u + K, 0.0))
-        return [(jerk, peval(p, u) + e * peval(q, u)) for jerk, p, q in split]
-    return rebuild
-
-
 def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
-                      limits: KinematicLimits) -> list[tuple]:
+                      limits: KinematicLimits) -> list[Steps]:
     """Every type-1 template solution for displacement D > critical length.
 
-    Each candidate is (rebuild, u): rebuild(u) gives its steps for any value
-    of its unknown, always with the velocity balance, which is what makes
-    later polishing safe.  A root is dropped only for a step below -CLAMP_TOL.
+    The cruise at +vmax, then the steps of each peak template at each real
+    root of its displacement polynomial.  Roots are good to a few ulps, so
+    no candidate needs a polish, and nothing is screened here: _admissible
+    checks every step, the cruise included, and make_profile clamps.
     """
-    vm = limits.vmax
     out = []
-
-    # cruise at +vmax: two direct connections joined by a constant-velocity run
     try:
-        r1 = connect_steps(a0, v0, 0.0, vm, limits)
-        r2 = connect_steps(0.0, vm, af, vf, limits)
-        s1 = sweep(r1, a0, v0)[2]
-        s2 = sweep(r2, 0.0, vm)[2]
-        t_cruise = (D - s1 - s2) / vm
-        if t_cruise >= -CLAMP_TOL:
-            rebuild = lambda tc, r1=r1, r2=r2: r1 + [(0.0, max(tc, 0.0))] + r2
-            out.append((rebuild, t_cruise))
+        out.append(cruise_steps(a0, v0, af, vf, D, limits.vmax, limits)[0])
     except InfeasibleBoundary:
         pass
-
-    for steps, K in _templates(a0, v0, af, vf, limits):
-        x = _sweep_poly(steps, a0, v0)
-        if K is None:
-            poly, signs = padd(x, [-D]), (1.0,)
-        else:
-            # x = E + e F; squaring out e gives (E - D)^2 = (u^2 + K) F^2 of
-            # degree six.  Its two leading coefficients cancel structurally
-            # (E and F share 1/J^2-scaled tops), so only the quartic is
-            # solved; their rounding residue would skew the roots.
-            w = [K, 0.0, 1.0]
-            c = [x[k:k + _E] for k in range(0, len(x), _E)]
-            E = padd(padd(c[0], pmul(c[2], w)), [-D])
-            F = padd(c[1], pmul(c[3], w))
-            poly = padd(pmul(E, E), pscale(pmul(w, pmul(F, F)), -1.0))[:5]
-            signs = (-1.0, 1.0)
-        for r in solve_real_roots(poly):
-            for sign in signs:
-                rebuild = _rebuild(steps, K, sign)
-                if all(t >= -CLAMP_TOL for _, t in rebuild(r)):
-                    out.append((rebuild, r))
+    for steps, k in _templates(a0, v0, af, vf, limits):
+        # u^3k (x - D); at K = 0 B4's low coefficients are exact zeros and
+        # u^3 divides out exactly, leaving no root at u = 0
+        poly = padd(_sweep_poly(steps, [0.0] * k + [a0], [0.0] * 2 * k + [v0]),
+                    [0.0] * 3 * k + [-D])
+        while k and poly and poly[0] == 0.0:
+            del poly[0]
+        for u in solve_real_roots(poly):
+            if u != 0.0 or not k:     # a multiple root may still come back as 0
+                out.append([(jerk, peval(d, u) / u ** k) for jerk, d in steps])
     return out
-
-
-def _refine_candidate(rebuild, u0: float, a0: float, v0: float, D: float) -> Steps:
-    """Polish a candidate's unknown, from u0, against the exact sweep.
-
-    The template polynomials locate u to ~1e-10 relative; a few secant
-    iterations on the closed-form displacement map push the residual to
-    double-precision rounding.  Every rebuild keeps the velocity balance,
-    so only the displacement needs polishing.
-    """
-    scale = max(1.0, abs(D))
-
-    def resid(uu: float) -> float:
-        return sweep(rebuild(uu), a0, v0)[2] - D
-
-    f0 = resid(u0)
-    if abs(f0) < _POLISHED * scale:
-        return rebuild(u0)
-    u1 = u0 + max(_SECANT_ABS, _SECANT_REL * abs(u0))
-    f1 = resid(u1)
-    best_u, best_f = (u0, abs(f0)) if abs(f0) < abs(f1) else (u1, abs(f1))
-    for _ in range(_POLISH_ITER):
-        if f1 == f0:
-            break
-        u2 = u1 - f1 * (u1 - u0) / (f1 - f0)
-        if not math.isfinite(u2):
-            break
-        u0, f0 = u1, f1
-        u1 = u2
-        f1 = resid(u1)
-        if abs(f1) < best_f:
-            best_u, best_f = u1, abs(f1)
-        if abs(f1) < _POLISH_STOP * scale:
-            break
-    return rebuild(best_u)
 
 
 def _admissible(steps: Steps, a0: float, v0: float, af: float, vf: float,
@@ -361,19 +300,6 @@ def _admissible(steps: Steps, a0: float, v0: float, af: float, vf: float,
         if abs(st.a) > am or abs(st.v) > vm:
             return False
     return max(abs(st.a - af), abs(st.v - vf), abs(st.x - D)) <= _BC_TOL
-
-
-def _fastest_type1(a0: float, v0: float, af: float, vf: float, D: float,
-                   limits: KinematicLimits) -> Steps | None:
-    """The fastest polished type-1 candidate that passes _admissible."""
-    best: Steps | None = None
-    best_t = math.inf
-    for rebuild, u in _type1_candidates(a0, v0, af, vf, D, limits):
-        steps = _refine_candidate(rebuild, u, a0, v0, D)
-        t = steps_duration(steps)
-        if t < best_t - _TIE_TOL and _admissible(steps, a0, v0, af, vf, D, limits):
-            best, best_t = steps, t
-    return best
 
 
 def plan_min_time_1d(init: KinematicState, final: KinematicState,
@@ -404,11 +330,21 @@ def _min_time_steps(a0: float, v0: float, af: float, vf: float, D: float,
     dc = sweep(connect, a0, v0)[2]
     if abs(D - dc) <= _CRITICAL_TOL:
         return connect
-    # the critical length picks the direction tried first; a problem above
-    # it can still need the mirrored (down-up-down) shapes, and vice versa
-    for sign in ((1.0, -1.0) if D > dc else (-1.0, 1.0)):
-        steps = _fastest_type1(sign * a0, sign * v0, sign * af, sign * vf,
-                               sign * D, limits)
-        if steps is not None:
-            return [(sign * jerk, dur) for jerk, dur in steps]
-    raise SolverFailure(f"no candidate meets (a={af}, v={vf}) over D={D}")
+    # the critical length picks the side tried first (1: type-1 templates,
+    # -1: the mirrored ones); a problem above it can still need the
+    # down-up-down shapes, and vice versa.  Within _BC_TOL of it the fast
+    # plans on either side are the connection with one step a little below
+    # zero, clamped, so both sides compete
+    best: Steps | None = None
+    best_t = math.inf
+    for s in ((1.0, -1.0) if D > dc else (-1.0, 1.0)):
+        if best is not None and abs(D - dc) > _BC_TOL:
+            break
+        for steps in _type1_candidates(s * a0, s * v0, s * af, s * vf, s * D, limits):
+            steps = [(s * jerk, dur) for jerk, dur in steps]
+            t = steps_duration(steps)
+            if t < best_t - _TIE_TOL and _admissible(steps, a0, v0, af, vf, D, limits):
+                best, best_t = steps, t
+    if best is None:
+        raise SolverFailure(f"no candidate meets (a={af}, v={vf}) over D={D}")
+    return best

@@ -20,6 +20,15 @@ DROP_DURATION = 1e-12
 #: Absolute tolerance for segment-to-segment continuity in a, v and x.
 CHAIN_TOL = 1e-9
 
+#: Step durations down to -CLAMP_TOL are rounding noise and clamp to zero.
+CLAMP_TOL = 1e-9
+
+#: Largest gap in a, v or x at which two profiles still chain end to start.
+SEAM_TOL = 1e-7
+
+#: Grid instants closer than this to the profile end give way to the end.
+GRID_CUT = 1e-12
+
 
 @dataclass(frozen=True)
 class KinematicState:
@@ -215,7 +224,7 @@ def make_profile(steps, start: KinematicState,
     state = start
     for jerk, dur in steps:
         if dur < 0.0:
-            if dur < -1e-9:
+            if dur < -CLAMP_TOL:
                 raise ValueError(f"negative segment duration {dur}")
             dur = 0.0
         if dur < DROP_DURATION:
@@ -261,7 +270,7 @@ def concat_profiles(parts: list[AxisProfile]) -> AxisProfile:
         prev_end = segs[-1].end if segs else p.start_state
         nxt = p.start_state
         if max(abs(prev_end.a - nxt.a), abs(prev_end.v - nxt.v),
-               abs(prev_end.x - nxt.x)) > 1e-7:
+               abs(prev_end.x - nxt.x)) > SEAM_TOL:
             raise ValueError("profiles do not chain continuously")
         segs.extend(p.segments)
     return AxisProfile(t0=parts[0].t0, segments=tuple(segs))
@@ -281,7 +290,7 @@ def scale_profile(profile: AxisProfile, r: float, x_offset: float = 0.0) -> Axis
 
 
 def sample_times(profile: AxisProfile, dt: float) -> np.ndarray:
-    """Sampling grid t0 + k*dt below end - 1e-12, then the exact end time.
+    """Sampling grid t0 + k*dt below end - GRID_CUT, then the exact end time.
 
     The grid values rise with k, so the instants below the cut are a
     prefix of the candidates; the candidates run two past the estimated
@@ -290,7 +299,7 @@ def sample_times(profile: AxisProfile, dt: float) -> np.ndarray:
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be > 0")
     end = profile.end_time if profile.segments else profile.t0
-    cut = end - 1e-12
+    cut = end - GRID_CUT
     ts = profile.t0 + np.arange(int((cut - profile.t0) / dt) + 3) * dt
     return np.append(ts[ts < cut], end)
 

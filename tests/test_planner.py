@@ -245,10 +245,14 @@ def test_tiny_leading_coefficient_keeps_every_root(lin):
     assert prof.duration == pytest.approx(1.30495588, abs=1e-8)
 
 
-# (a0, v0, af, vf, D) within 1.5e-11 of the critical length.  Per-template
-# acceleration screens once dropped the roots a polish would repair, and
-# the plans took 1.016, 2.249 and 1.312 s where the direct connection
-# takes 0.440, 0.589 and 0.570 s.
+# (a0, v0, af, vf, D) within 2e-10 of the critical length, each once
+# planned much slower than the direct connection.  Per-template
+# acceleration screens dropped the roots a polish would repair on the
+# first three (1.016, 2.249 and 1.312 s against 0.440, 0.589 and 0.570 s
+# at D = dc).  The other six took 1.115, 1.973, 0.997, 1.819, 1.300 and
+# 1.421 s against 0.578, 0.233, 0.207, 0.695, 0.854 and 0.428 s while B4
+# was a squared-out quartic with a polished root.  Each fast plan is the
+# connection with one step a little below zero, clamped.
 NEAR_CRITICAL_SLOW = [
     (-0.28270584264262416, 0.11565779074234031, -0.12892771865132574,
      0.0001909533634131544, 0.022957447428433742),
@@ -256,6 +260,18 @@ NEAR_CRITICAL_SLOW = [
      0.14688470774582893, 0.0654373826141995),
     (0.07253618121570304, -0.13863392819470727, 0.04426387939298437,
      -0.03283547926993462, -0.047691916842588604),
+    (0.08389395352899748, -0.10928564850495609, -0.21717726716462699,
+     -0.09788357624601846, -0.04868136968135375),
+    (0.0645563398477414, 0.09507529664889336, 0.05655600868880589,
+     0.12144367864746294, 0.02531916188666827),
+    (-0.11710419558128829, 0.04889697395065132, -0.10255492504569702,
+     0.016564562848624786, 0.006699936330068547),
+    (0.23254669685073875, 0.08133728995374986, -0.03210996497514179,
+     0.061833860263016766, 0.06473969844847033),
+    (-0.15594757322804562, -0.11626927542803123, 0.019365693265314177,
+     -0.01929234603407612, -0.07357036705275799),
+    (-0.007124390786876544, -0.07828404168452832, 0.19449049563732618,
+     -0.00826226112208503, -0.022715982969000344),
 ]
 
 
@@ -272,30 +288,37 @@ def test_near_critical_plans_are_no_slower_than_the_connection(lin, case):
 
 def test_each_template_polynomial_sweeps_its_own_rebuild(lin):
     # one step list per template gives both its displacement polynomial and
-    # its rebuild, so the two agree wherever the steps are non-negative
+    # its rebuild (the steps at u), so the two agree wherever the steps are
+    # non-negative, and the steps reach (af, vf) for every u.  B4's
+    # durations are quadratics over u and its polynomial is u^3 x; every
+    # third draw has K = 0 (v0 = vf, |a0| = |af|), where the low
+    # coefficients are exact zeros and u^3 divides the polynomial
     rng = np.random.default_rng(31)
     checked = {}
-    for _ in range(200):
+    for n in range(300):
         a0, v0 = random_boundary(rng, lin)
         af, vf = random_boundary(rng, lin, outgoing=True)
-        for name, (steps, K) in zip(("B1", "B2", "B3", "B4"),
+        k0 = n % 3 == 0
+        if k0:
+            af, vf = rng.choice([-1.0, 1.0]) * a0, v0
+        for name, (steps, k) in zip(("B1", "B2", "B3", "B4"),
                                     planner._templates(a0, v0, af, vf, lin)):
-            x = planner._sweep_poly(steps, a0, v0)
-            by_e = [x[k:k + planner._E] for k in range(0, len(x), planner._E)]
+            # durations are steps(u) / u**k, and the sweep gives u^3k x
+            x = planner._sweep_poly(steps, [0.0] * k + [a0], [0.0] * 2 * k + [v0])
+            if k and k0:
+                assert x[:3] == [0.0, 0.0, 0.0]
             for u in rng.uniform(-1.0, 1.0, 8):
-                for sign in ((1.0,) if K is None else (-1.0, 1.0)):
-                    if K is not None and u * u + K < 0.0:
-                        continue
-                    e = 0.0 if K is None else sign * math.sqrt(u * u + K)
-                    steps_at_u = planner._rebuild(steps, K, sign)(u)
-                    if min(t for _, t in steps_at_u) < 0.0:
-                        continue
-                    swept = sum(peval(c, u) * e ** k for k, c in enumerate(by_e))
-                    exact = planner.sweep(steps_at_u, a0, v0)[2]
-                    assert abs(swept - exact) <= 1e-12 * max(1.0, abs(exact))
-                    checked[name, sign] = checked.get((name, sign), 0) + 1
-    assert sorted(checked) == [("B1", 1.0), ("B2", 1.0), ("B3", 1.0),
-                               ("B4", -1.0), ("B4", 1.0)]
+                steps_at_u = [(jerk, peval(d, u) / u ** k) for jerk, d in steps]
+                if min(t for _, t in steps_at_u) < 0.0:
+                    continue
+                a, v, exact = planner.sweep(steps_at_u, a0, v0)
+                assert max(abs(a - af), abs(v - vf)) <= 1e-12   # for every u
+                diff = abs(peval(x, u) - u ** (3 * k) * exact)
+                assert diff <= 1e-12 * abs(u) ** (3 * k) * max(1.0, abs(exact))
+                key = name, bool(k) and k0
+                checked[key] = checked.get(key, 0) + 1
+    assert sorted(checked) == [("B1", False), ("B2", False), ("B3", False),
+                               ("B4", False), ("B4", True)]
     assert min(checked.values()) >= 10
 
 
