@@ -31,9 +31,9 @@ from dataclasses import dataclass, field, replace
 from .errors import InfeasibleDuration
 from .planner import (critical_length, cruise_steps, plan_min_time_1d,
                       steps_duration)
-from .profiles import (AxisProfile, KinematicLimits, KinematicState,
-                       make_profile)
-from .roots import no_root_between, padd, pmul, pscale, solve_real_roots
+from .profiles import (CHAIN_TOL, AxisProfile, KinematicLimits,
+                       KinematicState, make_profile)
+from .roots import padd, pmul, pscale, solve_real_roots
 
 #: Imposed durations are matched to this absolute tolerance (seconds).
 DURATION_TOL = 1e-6
@@ -67,9 +67,9 @@ class TransitionProblem:
     runs: tuple[tuple[float, float], ...] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if abs(self.init.a) > 1e-9 or abs(self.final.a) > 1e-9:
+        if abs(self.init.a) > CHAIN_TOL or abs(self.final.a) > CHAIN_TOL:
             raise ValueError("transition boundary accelerations must be zero")
-        if abs((self.final.x - self.init.x) - self.displacement) > 1e-9:
+        if abs((self.final.x - self.init.x) - self.displacement) > CHAIN_TOL:
             raise ValueError("displacement disagrees with boundary positions")
 
     @property
@@ -156,11 +156,9 @@ def _cell_roots(problem: TransitionProblem, lo: float, hi: float) -> list[float]
             h = padd(pmul(h, h), pscale(pmul(pmul(mean, mean), p2), -1.0))
         ends = ((lo, hi) if len(vc) == 2
                 else sorted(math.sqrt(abs(w - vc[0])) for w in (lo, hi)))
-        if no_root_between(h, *ends):
-            continue
-        roots = solve_real_roots(h)
+        roots = solve_real_roots(h, *ends)
         if len(vc) == 3:
-            roots = [vc[0] + vc[2] * r * r for r in roots if r >= 0.0]
+            roots = [vc[0] + vc[2] * r * r for r in roots]
         found += roots
     return sorted(r for r in found if lo < r < hi)
 

@@ -21,7 +21,7 @@ from .fileio import (LimitSet, fmt, parse_vector, read_limits, read_waypoints,
 from .multiaxis import plan_ptp_nd
 from .oracle import brute_force_min_time
 from .orientation import Pose, Quaternion, Twist, plan_pose_axes
-from .profiles import KinematicState
+from .profiles import DROP_DURATION, KinematicState
 from .tracker import PoseTracker
 from .waypoints import plan_waypoint_path_detailed
 
@@ -134,7 +134,7 @@ def _cmd_track(args) -> int:
     current = Twist((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     while True:
         # adopt every reference that is due; the next line is read only then
-        while pending is not None and pending[0] <= tracker.time + 1e-12:
+        while pending is not None and pending[0] <= tracker.time + DROP_DURATION:
             t_last, current = pending
             pending = next(refs, None)
         pose = tracker.tick(current)

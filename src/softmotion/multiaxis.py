@@ -18,6 +18,9 @@ from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
                        KinematicState, scale_profile)
 from .ptp import PtpTimes, plan_ptp_1d, ptp_times
 
+#: Segment lengths and direction cosines below this are zero.
+NULL_TOL = 1e-15
+
 
 def scale_limits_for_duration(limits: KinematicLimits, t_opt: float,
                               t_imp: float) -> KinematicLimits:
@@ -64,7 +67,7 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
         raise ValueError("p0 and pf must be 1-D vectors of equal dimension")
     delta = pf - p0
     length = float(np.linalg.norm(delta))
-    if length < 1e-15:
+    if length < NULL_TOL:
         return [AxisProfile() for _ in p0], PtpTimes(0.0, 0.0, 0.0)
     unit = delta / length
     dominant = float(np.max(np.abs(unit)))
@@ -77,7 +80,7 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
     scalar = plan_ptp_1d(length, scalar_limits)
     profiles = []
     for i, u in enumerate(unit):
-        if abs(u) < 1e-15:
+        if abs(u) < NULL_TOL:
             hold = CubicSegment(duration=scalar.duration, jerk=0.0,
                                 start=KinematicState(0.0, 0.0, float(p0[i])))
             profiles.append(AxisProfile(segments=(hold,)))

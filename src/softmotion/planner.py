@@ -28,11 +28,14 @@ turns the steps into the template's displacement polynomial; the same
 steps evaluated at a root are the candidate.  The plateau-free B4 takes
 for u the drop from its peak to its valley acceleration: on the valley
 hyperbola both are rational in u, its durations are quadratics over u,
-and u^3 times its displacement is a polynomial again, with no square root
-to square out.  Real roots come from solve_real_roots, ascending, distinct
-and good to a few ulps, so no candidate is polished.  Every candidate is
-checked once on its step durations, |a|, |v| and both boundary states,
-and the fastest valid one wins.
+and u times its displacement is a quartic, with no square root to square
+out.  Roots are only sought where u can hold a plan: B1's plateau time in
+[max(0, -delta), 2 vmax / amax] (amax held for u seconds moves v by amax u,
+never more than 2 vmax), B2's valley and B3's peak acceleration within
+amax, B4's u in [-2 amax, 0], each end widened by the slack the final
+check accepts.  The roots come back good to a few ulps, so no candidate is
+polished.  Every candidate is checked once on its step durations, |a|, |v|
+and both boundary states, and the fastest valid one wins.
 """
 from __future__ import annotations
 
@@ -204,14 +207,16 @@ def cruise_steps(a0: float, v0: float, af: float, vf: float, D: float,
 # ---------------------------------------------------------------------------
 
 def _templates(a0: float, v0: float, af: float, vf: float,
-               limits: KinematicLimits) -> list[tuple[list, int]]:
-    """The peak templates B1-B4 as (steps, k).
+               limits: KinematicLimits) -> list[tuple[list, int, float, float]]:
+    """The peak templates B1-B4 as (steps, k, lo, hi).
 
     Each step duration is a polynomial in the template's unknown u divided
     by u**k (k = 1 for B4, else 0).  Velocity balance holds for every u by
-    construction.
+    construction.  No u outside [lo, hi] passes _admissible: at each end a
+    step lasts -CLAMP_TOL, or |a| (|v| for B1's upper end) is _BC_TOL over.
     """
     j, am = limits.jmax, limits.amax
+    slack = j * CLAMP_TOL                  # acceleration swept in -CLAMP_TOL
     up = (j, [(am - a0) / j])              # a0 -> +amax
     peak = (j, [-a0 / j, 1.0 / j])         # a0 -> u
     last = (j, [(af + am) / j])            # -amax -> af
@@ -226,13 +231,17 @@ def _templates(a0: float, v0: float, af: float, vf: float,
     # B3: plateau at -amax only; u = the peak acceleration
     c60 = ((af * af - a0 * a0 - 2.0 * am * am) / (2.0 * j) - (vf - v0)) / am
     b3 = [peak, (-j, [am / j, 1.0 / j]), (0.0, [c60, 0.0, hold]), last]
-    # B4: no plateau; u = e - p < 0 for the peak p and the valley e.  On the
+    # B4: no plateau; u = e - p <= 0 for the peak p and the valley e.  On the
     # valley hyperbola e^2 = p^2 + K, p = (K/u - u)/2 and e = (K/u + u)/2,
     # so the durations (p - a0)/J, (p - e)/J and (af - e)/J are quadratics over u
     K = j * (v0 - vf) + 0.5 * (af * af - a0 * a0)
     b4 = [(j, [0.5 * K / j, -a0 / j, -0.5 / j]), (-j, [0.0, 0.0, -1.0 / j]),
           (j, [-0.5 * K / j, af / j, -0.5 / j])]
-    return [(b1, 0), (b2, 0), (b3, 0), (b4, 1)]
+    a_lim = am + _BC_TOL                   # the largest |a| _admissible accepts
+    return [(b1, 0, max(0.0, -delta) - CLAMP_TOL, 2.0 * (limits.vmax + _BC_TOL) / am),
+            (b2, 0, -a_lim, min(af, am) + slack),
+            (b3, 0, max(a0, -am) - slack, a_lim),
+            (b4, 1, -2.0 * a_lim, slack)]
 
 
 def _sweep_poly(steps: list, a0: list[float], v0: list[float]) -> list[float]:
@@ -265,15 +274,16 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
         out.append(cruise_steps(a0, v0, af, vf, D, limits.vmax, limits)[0])
     except InfeasibleBoundary:
         pass
-    for steps, k in _templates(a0, v0, af, vf, limits):
-        # u^3k (x - D); at K = 0 B4's low coefficients are exact zeros and
-        # u^3 divides out exactly, leaving no root at u = 0
-        poly = padd(_sweep_poly(steps, [0.0] * k + [a0], [0.0] * 2 * k + [v0]),
-                    [0.0] * 3 * k + [-D])
-        while k and poly and poly[0] == 0.0:
+    for steps, k, lo, hi in _templates(a0, v0, af, vf, limits):
+        # u^k (x - D).  B4's sweep is u^3 x = u^2 (K^2 / 4J^2 + ...), so its
+        # two lowest coefficients vanish identically and hold only rounding;
+        # at K = 0 the next one is an exact zero, and u divides out too
+        x = _sweep_poly(steps, [0.0] * k + [a0], [0.0] * 2 * k + [v0])
+        poly = padd(x[2 * k:], [0.0] * k + [-D])
+        if k and poly[0] == 0.0:
             del poly[0]
-        for u in solve_real_roots(poly):
-            if u != 0.0 or not k:     # a multiple root may still come back as 0
+        for u in solve_real_roots(poly, lo, hi):
+            if u != 0.0 or not k:     # B4 has no durations at u = 0
                 out.append([(jerk, peval(d, u) / u ** k) for jerk, d in steps])
     return out
 

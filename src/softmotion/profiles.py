@@ -17,8 +17,12 @@ import numpy as np
 #: and are dropped during profile construction.
 DROP_DURATION = 1e-12
 
-#: Absolute tolerance for segment-to-segment continuity in a, v and x.
+#: Absolute tolerance at which two states agree in a, v and x, as at the
+#: seam of two chained segments.
 CHAIN_TOL = 1e-9
+
+#: Slack above jmax, amax and vmax that check_limits still accepts.
+LIMIT_TOL = 1e-9
 
 #: Step durations down to -CLAMP_TOL are rounding noise and clamp to zero.
 CLAMP_TOL = 1e-9
@@ -327,8 +331,7 @@ class LimitReport:
         return self.ok
 
 
-def check_limits(profile: AxisProfile, limits: KinematicLimits,
-                 tol: float = 1e-9) -> LimitReport:
+def check_limits(profile: AxisProfile, limits: KinematicLimits) -> LimitReport:
     """Verify |jerk| <= jmax, |a| <= amax and |v| <= vmax over a whole profile.
 
     Extrema are located analytically per segment: acceleration is linear so
@@ -339,11 +342,11 @@ def check_limits(profile: AxisProfile, limits: KinematicLimits,
     ts = profile.boundaries() if profile.segments else [profile.t0]
     for k, seg in enumerate(profile.segments):
         t_start = ts[k]
-        if abs(seg.jerk) > limits.jmax + tol:
+        if abs(seg.jerk) > limits.jmax + LIMIT_TOL:
             out.append(LimitViolation("jerk", k, t_start, seg.jerk, limits.jmax))
         ends = [(0.0, seg.start), (seg.duration, seg.end)]
         worst = max(ends, key=lambda c: abs(c[1].a))
-        if abs(worst[1].a) > limits.amax + tol:
+        if abs(worst[1].a) > limits.amax + LIMIT_TOL:
             out.append(LimitViolation("acceleration", k, t_start + worst[0],
                                       worst[1].a, limits.amax))
         candidates = list(ends)
@@ -352,7 +355,7 @@ def check_limits(profile: AxisProfile, limits: KinematicLimits,
             if 0.0 < t_star < seg.duration:
                 candidates.append((t_star, seg.state_at(t_star)))
         worst = max(candidates, key=lambda c: abs(c[1].v))
-        if abs(worst[1].v) > limits.vmax + tol:
+        if abs(worst[1].v) > limits.vmax + LIMIT_TOL:
             out.append(LimitViolation("velocity", k, t_start + worst[0],
                                       worst[1].v, limits.vmax))
     return LimitReport(tuple(out))

@@ -1,20 +1,17 @@
-"""Real-root extraction for low-degree polynomials.
+"""Real roots of low-degree polynomials on a given interval.
 
-Roots are isolated by recursing on the derivative: between consecutive
-critical points a polynomial is monotone, so a sign change brackets exactly
-one root, which a bracketed Newton iteration then pins down (a Newton step
+Roots are isolated by Descartes' rule (Collins and Akritas): a piece of
+[lo, hi] whose mapped polynomial has no sign change holds no root and is
+dropped; one with a single sign change and ends of opposite sign holds one
+simple root, which a bracketed Newton iteration pins down (a Newton step
 kept inside the shrinking bracket, bisection where it would leave it).
-Critical points where the polynomial itself (nearly) vanishes are multiple
-roots.  ``solve_real_roots`` returns the distinct real roots in ascending
-order; a multiple root may come back as a few neighbouring values, and the
-all-zero polynomial returns [].
+Any other piece is split at its midpoint, and where the floats between its
+ends run out the midpoint is a (multiple) root, as is an exact zero at an end.
 """
 from __future__ import annotations
 
 import math
 
-_TRIM_TOL = 1e-12        # leading coefficients below this share of the largest are zero
-_MULTIPLE_TOL = 1e-11    # |p| at a critical point, relative to the knots, of a multiple root
 _NEWTON_ITER = 100       # evaluations per bracketed root, at most
 _NEWTON_ULPS = 2.0       # a Newton step this many ulps long ends the search
 
@@ -53,10 +50,6 @@ def peval(p: list[float], x: float) -> float:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def _derivative(coeffs: list[float]) -> list[float]:
-    return [k * c for k, c in enumerate(coeffs)][1:]
 
 
 def _bracketed_newton(coeffs: list[float], deriv: list[float], lo: float,
@@ -99,55 +92,44 @@ def _taylor_shift(coeffs: list[float], s: float) -> list[float]:
     return c
 
 
-def no_root_between(coeffs, lo: float, hi: float) -> bool:
-    """True when Descartes' rule of signs rules out a root in (lo, hi).
+def _sign_changes(coeffs: list[float], lo: float, hi: float) -> int:
+    """Descartes' bound on the roots in (lo, hi), exact when 0 or 1.
 
-    The map x = (hi + lo t) / (1 + t) takes t > 0 onto (lo, hi); the
-    polynomial in t has as many positive roots as sign changes of its
-    coefficients, less an even number.  False means a root may lie there.
+    The sign changes of (1 + t)^n p((hi + lo t) / (1 + t)), where t > 0
+    maps onto (lo, hi): the roots there, plus an even number.
     """
     q = _taylor_shift(coeffs, lo)
     q = _taylor_shift([c * (hi - lo) ** k for k, c in enumerate(q)][::-1], 1.0)
     signs = [c > 0.0 for c in q if c != 0.0]
-    return all(sg == signs[0] for sg in signs)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def solve_real_roots(coeffs) -> list[float]:
-    """Distinct real roots as ascending floats; coefficients ascending in degree.
+def solve_real_roots(coeffs, lo: float, hi: float) -> list[float]:
+    """Distinct real roots in [lo, hi] as ascending floats.
 
     ``coeffs[k]`` multiplies x**k.  A simple root is refined until its
     Newton step is at most _NEWTON_ULPS ulps; a multiple root may come back
-    as a few neighbouring values.  The all-zero polynomial has no roots to
-    report and returns [].
+    as a few neighbouring values.  A constant, the zero polynomial
+    included, has no roots to report, and neither has an interval with
+    lo > hi: both return [].
     """
     coeffs = [float(c) for c in coeffs]
-    scale = max((abs(c) for c in coeffs), default=0.0)
-    # leading coefficients below rounding noise are structural zeros; keeping
-    # them would blow the root bound up by their reciprocal
-    while coeffs and abs(coeffs[-1]) <= _TRIM_TOL * scale:
+    while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()
-    if len(coeffs) <= 1:
+    if len(coeffs) <= 1 or not lo <= hi:
         return []
-    if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]]
-
-    bound = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])   # Cauchy
-    deriv = _derivative(coeffs)
-    crit = solve_real_roots(deriv)
-    knots = [-bound] + [c for c in crit if -bound < c < bound] + [bound]
-
-    # a critical point sitting (numerically) on the axis is a multiple root;
-    # its value was already polished at a deeper derivative level where the
-    # root is simple
-    values = [peval(coeffs, k) for k in knots]
-    local = max(abs(f) for f in values)
-    roots = [c for c in crit
-             if abs(peval(coeffs, c)) <= _MULTIPLE_TOL * local]
-    for lo, hi, flo, fhi in zip(knots, knots[1:], values, values[1:]):
-        if flo == 0.0:
-            roots.append(lo)
-        elif (flo < 0.0) != (fhi < 0.0):
-            roots.append(_bracketed_newton(coeffs, deriv, lo, hi, flo))
-    if values[-1] == 0.0:
-        roots.append(knots[-1])
-    return sorted(set(roots))
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    roots = set()
+    pieces = [(lo, hi, peval(coeffs, lo), peval(coeffs, hi))]
+    while pieces:
+        a, b, fa, fb = pieces.pop()
+        roots.update(x for x, f in ((a, fa), (b, fb)) if f == 0.0)
+        n, mid = _sign_changes(coeffs, a, b), 0.5 * (a + b)
+        if n <= 1 and min(fa, fb) < 0.0 < max(fa, fb):
+            roots.add(_bracketed_newton(coeffs, deriv, a, b, fa))
+        elif n and mid in (a, b):          # the floats between a and b ran out
+            roots.add(mid)
+        elif n:
+            f_mid = peval(coeffs, mid)
+            pieces += [(a, mid, fa, f_mid), (mid, b, f_mid, fb)]
+    return sorted(roots)

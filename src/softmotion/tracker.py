@@ -24,8 +24,8 @@ import numpy as np
 from .orientation import (Pose, Quaternion, Twist, omega_to_qdot,
                           qdot_to_omega)
 from .planner import check_boundary_state, connect_steps
-from .profiles import (DROP_DURATION, KinematicLimits, KinematicState,
-                       integrate_segment)
+from .profiles import (CHAIN_TOL, DROP_DURATION, KinematicLimits,
+                       KinematicState, integrate_segment)
 # not called here; perfbench's tracer patches these names on this module
 from .planner import critical_length, plan_min_time_1d  # noqa: F401
 from .profiles import evaluate  # noqa: F401
@@ -141,18 +141,18 @@ class PoseTracker:
         """True when the tracker holds this twist.
 
         Each position axis sits at zero acceleration and at the clamped
-        velocity a tick would track, both within 1e-9.  The quaternion rate
-        turns with the orientation, so instead the angular velocity read
+        velocity a tick would track, both within CHAIN_TOL.  The quaternion
+        rate turns with the orientation, so instead the angular velocity read
         back from it must be within one tick's change of the rate target,
-        |w|^2 dt / 2 (at least 1e-9), of the scaled reference a tick tracks.
+        |w|^2 dt / 2 (at least CHAIN_TOL), of the scaled reference tracked.
         """
         for state, lim, target in zip(self._inner.states, self._inner.limits,
                                       twist.v):
             target = max(-lim.vmax, min(lim.vmax, target))
-            if abs(state.a) > 1e-9 or abs(state.v - target) > 1e-9:
+            if abs(state.a) > CHAIN_TOL or abs(state.v - target) > CHAIN_TOL:
                 return False
         w = self._held_w(twist.w)
-        tol = max(0.5 * sum(c * c for c in w) * self._inner.dt, 1e-9)
+        tol = max(0.5 * sum(c * c for c in w) * self._inner.dt, CHAIN_TOL)
         return all(abs(a - b) <= tol for a, b in zip(self.twist().w, w))
 
     def tick(self, twist: Twist) -> Pose:

@@ -290,9 +290,10 @@ def test_each_template_polynomial_sweeps_its_own_rebuild(lin):
     # one step list per template gives both its displacement polynomial and
     # its rebuild (the steps at u), so the two agree wherever the steps are
     # non-negative, and the steps reach (af, vf) for every u.  B4's
-    # durations are quadratics over u and its polynomial is u^3 x; every
-    # third draw has K = 0 (v0 = vf, |a0| = |af|), where the low
-    # coefficients are exact zeros and u^3 divides the polynomial
+    # durations are quadratics over u and its polynomial is u^3 x, whose
+    # two lowest coefficients vanish identically (u^3 x = u^2 (K^2/4J^2 +
+    # ...)); every third draw has K = 0 (v0 = vf, |a0| = |af|), where the
+    # three low coefficients are exact zeros and u^3 divides the polynomial
     rng = np.random.default_rng(31)
     checked = {}
     for n in range(300):
@@ -301,10 +302,12 @@ def test_each_template_polynomial_sweeps_its_own_rebuild(lin):
         k0 = n % 3 == 0
         if k0:
             af, vf = rng.choice([-1.0, 1.0]) * a0, v0
-        for name, (steps, k) in zip(("B1", "B2", "B3", "B4"),
-                                    planner._templates(a0, v0, af, vf, lin)):
+        for name, (steps, k, _, _) in zip(("B1", "B2", "B3", "B4"),
+                                          planner._templates(a0, v0, af, vf, lin)):
             # durations are steps(u) / u**k, and the sweep gives u^3k x
             x = planner._sweep_poly(steps, [0.0] * k + [a0], [0.0] * 2 * k + [v0])
+            if k:
+                assert abs(x[0]) + abs(x[1]) <= 1e-15 * max(map(abs, x))
             if k and k0:
                 assert x[:3] == [0.0, 0.0, 0.0]
             for u in rng.uniform(-1.0, 1.0, 8):
@@ -320,6 +323,40 @@ def test_each_template_polynomial_sweeps_its_own_rebuild(lin):
     assert sorted(checked) == [("B1", False), ("B2", False), ("B3", False),
                                ("B4", False), ("B4", True)]
     assert min(checked.values()) >= 10
+
+
+def test_every_admissible_template_root_lies_in_its_interval(lin):
+    # the solver only searches each template's interval, so no real root
+    # outside it may give a valid plan.  All real roots come from np.roots,
+    # over displacements on both sides of dc, near it and far from it;
+    # every third draw has K = 0 (v0 = vf, |a0| = |af|)
+    rng = np.random.default_rng(37)
+    hits = {}
+    for n in range(600):
+        a0, v0 = random_boundary(rng, lin)
+        af, vf = random_boundary(rng, lin, outgoing=True)
+        if n % 3 == 0:
+            af, vf = rng.choice([-1.0, 1.0]) * a0, v0
+        try:
+            dc = critical_length(KinematicState(a0, v0), KinematicState(af, vf), lin)
+        except InfeasibleBoundary:     # (a0, v0) reversed may overshoot vmax
+            continue
+        D = dc + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, 0.0)
+        for name, (steps, k, lo, hi) in zip(("B1", "B2", "B3", "B4"),
+                                            planner._templates(a0, v0, af, vf, lin)):
+            x = planner._sweep_poly(steps, [0.0] * k + [a0], [0.0] * 2 * k + [v0])
+            x[3 * k] -= D
+            coeffs = np.trim_zeros(np.array(x[::-1]), "b")
+            for z in np.roots(coeffs):
+                u = float(z.real)
+                if z.imag != 0.0 or (k and u == 0.0):
+                    continue
+                rebuilt = [(jerk, peval(d, u) / u ** k) for jerk, d in steps]
+                if planner._admissible(rebuilt, a0, v0, af, vf, D, lin):
+                    assert lo <= u <= hi, (name, a0, v0, af, vf, D, u)
+                    hits[name, n % 3 == 0] = hits.get((name, n % 3 == 0), 0) + 1
+    assert {name for name, _ in hits} == {"B1", "B2", "B3", "B4"}
+    assert min(hits.values()) >= 5
 
 
 def test_stop_and_dwell_meets_displacement_near_critical(lin):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from softmotion.roots import no_root_between, solve_real_roots
+from softmotion.roots import solve_real_roots
 
 
 def coeffs_from_roots(roots):
@@ -13,7 +13,9 @@ def coeffs_from_roots(roots):
 
 
 def test_quadratic():
-    assert solve_real_roots([-1.0, 0.0, 1.0]) == pytest.approx([-1.0, 1.0], abs=1e-12)
+    assert solve_real_roots([-1.0, 0.0, 1.0], -2.0, 2.0) == pytest.approx(
+        [-1.0, 1.0], abs=1e-12)
+    assert solve_real_roots([-1.0, 0.0, 1.0], 0.0, 2.0) == pytest.approx([1.0], abs=1e-12)
 
 
 def test_triple_root_with_complex_pair():
@@ -21,10 +23,11 @@ def test_triple_root_with_complex_pair():
     # come back as a few neighbouring values, distinct and ascending
     c = np.convolve(np.array(coeffs_from_roots([0.2, 0.2, 0.2])),
                     np.array([1.0, 0.0, 1.0]))
-    roots = solve_real_roots(list(c))
-    assert roots
-    assert all(abs(r - 0.2) <= 1e-5 for r in roots)
-    assert all(lo < hi for lo, hi in zip(roots, roots[1:]))
+    for lo, hi in ((-3.0, 3.0), (0.0, 1.0), (0.15, 0.25)):
+        roots = solve_real_roots(list(c), lo, hi)
+        assert roots
+        assert all(abs(r - 0.2) <= 1e-5 for r in roots)
+        assert all(lo < hi for lo, hi in zip(roots, roots[1:]))
 
 
 def test_planted_degree_six_roots_recovered():
@@ -34,10 +37,17 @@ def test_planted_degree_six_roots_recovered():
         # keep roots separated so conditioning stays sane
         if min(np.diff(planted)) < 1e-2:
             continue
-        found = solve_real_roots(coeffs_from_roots(planted))
+        found = solve_real_roots(coeffs_from_roots(planted), -3.0, 3.0)
         assert len(found) == 6
         for want, got in zip(planted, found):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+        # on an interval, exactly the planted roots inside it
+        lo, hi = sorted(rng.uniform(-2.5, 2.5, 2))
+        inside = [r for r in planted if lo <= r <= hi]
+        if min(abs(r - e) for r in planted for e in (lo, hi)) < 1e-9:
+            continue
+        found = solve_real_roots(coeffs_from_roots(planted), lo, hi)
+        assert found == pytest.approx(inside, rel=1e-10, abs=1e-10)
 
 
 def test_cross_check_against_companion_matrix():
@@ -45,32 +55,69 @@ def test_cross_check_against_companion_matrix():
     for _ in range(50):
         c = rng.uniform(-1.0, 1.0, 6)
         c[-1] = c[-1] if abs(c[-1]) > 0.1 else 0.5
-        mine = solve_real_roots(list(c))
         ref = np.roots(c[::-1])
         ref_real = sorted(float(z.real) for z in ref
                           if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)))
+        # every real root lies within the Cauchy bound
+        bound = 1.0 + max(abs(c[:-1] / c[-1]))
+        mine = solve_real_roots(list(c), -bound, bound)
         assert len(mine) == len(ref_real)
         for a, b in zip(mine, ref_real):
             assert a == pytest.approx(b, rel=1e-8, abs=1e-8)
+        lo, hi = sorted(rng.uniform(-bound, bound, 2))
+        want = [r for r in ref_real if lo + 1e-6 < r < hi - 1e-6]
+        got = [r for r in solve_real_roots(list(c), lo, hi)
+               if lo + 1e-6 < r < hi - 1e-6]
+        assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
 
 
 def test_zero_polynomial_has_no_roots():
-    assert solve_real_roots([0.0, 0.0, 0.0]) == []
-    assert solve_real_roots([]) == []
+    assert solve_real_roots([0.0, 0.0, 0.0], -1.0, 1.0) == []
+    assert solve_real_roots([], -1.0, 1.0) == []
 
 
 def test_constant_and_linear():
-    assert solve_real_roots([3.0]) == []
-    assert solve_real_roots([3.0, -1.5]) == pytest.approx([2.0], abs=1e-12)
+    assert solve_real_roots([3.0], -10.0, 10.0) == []
+    assert solve_real_roots([3.0, -1.5], -10.0, 10.0) == pytest.approx([2.0], abs=1e-12)
+    assert solve_real_roots([3.0, -1.5], 2.5, 10.0) == []
+    # an exact zero leading coefficient lowers the degree
+    assert solve_real_roots([3.0, -1.5, 0.0], 0.0, 10.0) == pytest.approx([2.0], abs=1e-12)
 
 
-def test_no_root_between_brackets_the_roots():
+def test_root_free_intervals_return_nothing():
     # (x - 0.2)(x - 0.5)(x^2 + 1): real roots 0.2 and 0.5 only
     c = coeffs_from_roots([0.2, 0.5])
     c = list(np.convolve(c, [1.0, 0.0, 1.0]))
-    assert no_root_between(c, 0.25, 0.45)
-    assert no_root_between(c, 0.6, 3.0)
-    assert no_root_between(c, -2.0, 0.19)
-    assert not no_root_between(c, 0.1, 0.3)
-    assert not no_root_between(c, 0.45, 0.55)
-    assert not no_root_between(c, 0.0, 1.0)
+    assert solve_real_roots(c, 0.25, 0.45) == []
+    assert solve_real_roots(c, 0.6, 3.0) == []
+    assert solve_real_roots(c, -2.0, 0.19) == []
+    assert solve_real_roots(c, 0.1, 0.3) == pytest.approx([0.2], abs=1e-12)
+    assert solve_real_roots(c, 0.45, 0.55) == pytest.approx([0.5], abs=1e-12)
+    assert solve_real_roots(c, 0.0, 1.0) == pytest.approx([0.2, 0.5], abs=1e-12)
+    assert solve_real_roots(c, 1.0, 0.0) == []          # an empty interval
+
+
+def test_roots_at_the_interval_ends_come_back():
+    # a simple root at either end, and a triple root at an end
+    c = coeffs_from_roots([0.5, -1.0])
+    assert solve_real_roots(c, 0.5, 2.0) == [0.5]
+    assert solve_real_roots(c, -3.0, -1.0) == [-1.0]
+    assert solve_real_roots(c, -1.0, 0.5) == [-1.0, 0.5]
+    triple = coeffs_from_roots([0.5, 0.5, 0.5, -2.0])
+    for lo, hi in ((0.5, 1.0), (-1.0, 0.5)):
+        roots = solve_real_roots(triple, lo, hi)
+        assert roots and all(abs(r - 0.5) <= 1e-5 for r in roots)
+
+
+def test_complex_pair_just_off_the_axis_returns():
+    # x^2 + 1e-24 has the pair +-1e-12 i; shifted to 0.3, float coefficients
+    # cannot tell it from a double root, which may come back
+    assert solve_real_roots([1e-24, 0.0, 1.0], -1.0, 1.0) == []
+    c = [0.09 + 1e-24, -0.6, 1.0]
+    for lo, hi in ((0.0, 1.0), (0.3, 1.0), (-1.0, 0.3)):
+        roots = solve_real_roots(c, lo, hi)
+        assert all(abs(r - 0.3) <= 1e-6 for r in roots)
+    # the pair times a simple root: that root still comes back alone
+    c = list(np.convolve(c, [-0.7, 1.0]))
+    roots = solve_real_roots(c, 0.5, 1.0)
+    assert roots == pytest.approx([0.7], abs=1e-12)
