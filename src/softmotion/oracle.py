@@ -30,25 +30,33 @@ from .profiles import KinematicLimits, KinematicState
 #: Active frontier rows allowed before the search gives up.
 NODE_CAP = 5_000_000
 
+_PEAK_TOL = 1e-12       # an extreme acceleration this far short of a or af reaches it
+_SQUARE_TOL = 1e-15     # a squared extreme acceleration down to -_SQUARE_TOL is zero
+_CLAMP_TOL = 1e-9       # a braking step down to -_CLAMP_TOL s long clamps to zero
+_LIMIT_SLACK = 1e-12    # a successor may exceed amax and vmax by this much
+_BOX_SLACK = 1e-12      # added to each half-width of the goal box in a, v and x
+_OVERLAP_TOL = 1e-15    # two parameter ranges on a segment overlap up to this gap
+_FLAT = 1e-300          # a segment changing v or x by less than this is flat in it
+_NEVER = 1e30           # time of a shape that cannot connect, read back as 0 s
+
 
 def _connect_time_vec(a, v, af, vf, jm, am):
     a2 = a * a
     af2 = af * af
     s_up = jm * (vf - v) + 0.5 * (a2 + af2)
     apk = np.sqrt(np.maximum(s_up, 0.0))
-    up_ok = (s_up >= 0.0) & (apk >= a - 1e-12) & (apk >= af - 1e-12)
+    up_ok = (s_up >= 0.0) & (apk >= a - _PEAK_TOL) & (apk >= af - _PEAK_TOL)
     hold_u = ((vf - v) - (2 * am * am - a2 - af2) / (2 * jm)) / am
     t_up = np.where(apk <= am, (2.0 * apk - a - af) / jm,
                     (2.0 * am - a - af) / jm + np.maximum(hold_u, 0.0))
     s_dn = -jm * (vf - v) + 0.5 * (a2 + af2)
     avl = -np.sqrt(np.maximum(s_dn, 0.0))
-    dn_ok = (s_dn >= 0.0) & (avl <= a + 1e-12) & (avl <= af + 1e-12)
+    dn_ok = (s_dn >= 0.0) & (avl <= a + _PEAK_TOL) & (avl <= af + _PEAK_TOL)
     hold_d = ((v - vf) - (2 * am * am - a2 - af2) / (2 * jm)) / am
     t_dn = np.where(avl >= -am, (a + af - 2.0 * avl) / jm,
                     (a + af + 2.0 * am) / jm + np.maximum(hold_d, 0.0))
-    big = 1e30
-    t = np.minimum(np.where(up_ok, t_up, big), np.where(dn_ok, t_dn, big))
-    return np.where(t >= big, 0.0, np.maximum(t, 0.0))
+    t = np.minimum(np.where(up_ok, t_up, _NEVER), np.where(dn_ok, t_dn, _NEVER))
+    return np.where(t >= _NEVER, 0.0, np.maximum(t, 0.0))
 
 
 def _stop_time_sweep(a: float, v: float, jm: float, am: float) -> tuple[float, float]:
@@ -56,12 +64,12 @@ def _stop_time_sweep(a: float, v: float, jm: float, am: float) -> tuple[float, f
     best: tuple[float, float] | None = None
     for sgn in (1.0, -1.0):   # jerk sign of the first arc
         s = -sgn * jm * v + 0.5 * a * a
-        if s < -1e-15:
+        if s < -_SQUARE_TOL:
             continue
         ext = sgn * math.sqrt(max(s, 0.0))
-        if sgn > 0 and ext < max(a, 0.0) - 1e-12:
+        if sgn > 0 and ext < max(a, 0.0) - _PEAK_TOL:
             continue
-        if sgn < 0 and ext > min(a, 0.0) + 1e-12:
+        if sgn < 0 and ext > min(a, 0.0) + _PEAK_TOL:
             continue
         if abs(ext) <= am:
             steps = ((sgn * jm, (ext - a) / (sgn * jm)),
@@ -71,7 +79,7 @@ def _stop_time_sweep(a: float, v: float, jm: float, am: float) -> tuple[float, f
             hold = (-v - (2 * am * am - a * a) / (2 * sgn * jm)) / ext_c
             steps = ((sgn * jm, (ext_c - a) / (sgn * jm)), (0.0, hold),
                      (-sgn * jm, ext_c / (sgn * jm)))
-        if any(d < -1e-9 for _, d in steps):
+        if any(d < -_CLAMP_TOL for _, d in steps):
             continue
         aa, vv, xx = a, v, 0.0
         total = 0.0
@@ -89,28 +97,27 @@ def _stop_time_sweep(a: float, v: float, jm: float, am: float) -> tuple[float, f
 
 
 def _segment_meets_box(v1, x1, v2, x2, vf, xf, tol_v, tol_x) -> bool:
-    eps = 1e-300
     dv = v2 - v1
     dx = x2 - x1
-    sv = np.where(np.abs(dv) < eps, eps, dv)
-    sx = np.where(np.abs(dx) < eps, eps, dx)
+    sv = np.where(np.abs(dv) < _FLAT, _FLAT, dv)
+    sx = np.where(np.abs(dx) < _FLAT, _FLAT, dx)
     l1 = (vf - tol_v - v1) / sv
     l2 = (vf + tol_v - v1) / sv
     lov, hiv = np.minimum(l1, l2), np.maximum(l1, l2)
-    flat = np.abs(dv) < eps
+    flat = np.abs(dv) < _FLAT
     okf = np.abs(v1 - vf) <= tol_v
     lov = np.where(flat, np.where(okf, 0.0, 1.0), lov)
     hiv = np.where(flat, np.where(okf, 1.0, 0.0), hiv)
     m1 = (xf - tol_x - x1) / sx
     m2 = (xf + tol_x - x1) / sx
     lox, hix = np.minimum(m1, m2), np.maximum(m1, m2)
-    flat = np.abs(dx) < eps
+    flat = np.abs(dx) < _FLAT
     okf = np.abs(x1 - xf) <= tol_x
     lox = np.where(flat, np.where(okf, 0.0, 1.0), lox)
     hix = np.where(flat, np.where(okf, 1.0, 0.0), hix)
     lo = np.maximum(np.maximum(lov, lox), 0.0)
     hi = np.minimum(np.minimum(hiv, hix), 1.0)
-    return bool((lo <= hi + 1e-15).any())
+    return bool((lo <= hi + _OVERLAP_TOL).any())
 
 
 #: Rows per block in _successors: short enough that the many temporaries
@@ -144,7 +151,7 @@ def _successors(m, v, x, a, t_next, a0, qa, af, vf, D, dt, t_ub, limits,
                 x2 += step * d6
             a2 = a0 + m2 * qa
             xgap = np.maximum(np.abs(D - x2) - tol_x, 0.0)
-            keep = ((np.abs(a2) <= am + 1e-12) & (np.abs(v2) <= vm + 1e-12)
+            keep = ((np.abs(a2) <= am + _LIMIT_SLACK) & (np.abs(v2) <= vm + _LIMIT_SLACK)
                     & (x2 >= xlo_b) & (x2 <= xhi_b)
                     & (t_next + xgap / vm <= t_ub)
                     & (t_next + (_connect_time_vec(a2, v2, af, vf, jm, am) - 2 * dt)
@@ -178,9 +185,9 @@ def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
     jm, am, vm = limits.jmax, limits.amax, limits.vmax
     qa = jm * dt
     wv = 0.25 * am * dt
-    tol_a = 0.5 * jm * dt + 1e-12
-    tol_v = 0.5 * am * dt + 1e-12
-    tol_x = 0.5 * vm * dt + 1e-12
+    tol_a = 0.5 * jm * dt + _BOX_SLACK
+    tol_v = 0.5 * am * dt + _BOX_SLACK
+    tol_x = 0.5 * vm * dt + _BOX_SLACK
     margin = vm * (vm / am + am / jm) / 2 + 0.15 * vm
     xlo_b, xhi_b = min(0.0, D) - margin, max(0.0, D) + margin
     k_max = int(math.ceil(t_ub / dt)) + 2

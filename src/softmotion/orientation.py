@@ -24,6 +24,9 @@ from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
 
 _UNIT_TOL = 1e-3      # largest |norm - 1| accepted for an input orientation
 
+#: Quaternions with a norm below this cannot be normalized.
+NORM_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -58,7 +61,7 @@ class Quaternion:
 
     def normalized(self) -> "Quaternion":
         nrm = self.norm
-        if nrm < 1e-12:
+        if nrm < NORM_FLOOR:
             raise ValueError("cannot normalize a near-zero quaternion")
         return Quaternion.from_array(self.as_array() / nrm)
 

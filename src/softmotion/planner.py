@@ -35,16 +35,21 @@ never more than 2 vmax), B2's valley and B3's peak acceleration within
 amax, B4's u in [-2 amax, 0], each end widened by the slack the final
 check accepts.  The roots come back good to a few ulps, so no candidate is
 polished.  Every candidate is checked once on its step durations, |a|, |v|
-and both boundary states, and the fastest valid one wins.
+and both boundary states, and the fastest valid one wins.  A valid cruise
+that holds vmax ends its side's search: no plan's velocity rises above the
+envelope of the fastest ramp up from the start, vmax and the fastest ramp
+down into the end, which the cruise rides, so only a plan that exceeds vmax
+inside the check's slack is faster.
 """
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 
 from .errors import InfeasibleBoundary, SolverFailure
 from .profiles import (CLAMP_TOL, AxisProfile, KinematicLimits,
-                       KinematicState, integrate_segment, make_profile)
+                       KinematicState, cubic, make_profile)
 from .roots import padd, peval, pmul, pscale, solve_real_roots
 
 __all__ = [
@@ -69,12 +74,23 @@ class MotionType(enum.Enum):
 Steps = list[tuple[float, float]]     # (jerk, duration) runs
 
 
+def _finite(a: float, v: float, x: float) -> tuple[float, float, float]:
+    """(a, v, x) as given; ValueError where a KinematicState of them raises."""
+    if not (math.isfinite(a) and math.isfinite(v) and math.isfinite(x)):
+        raise ValueError(f"non-finite kinematic state {(a, v, x)}")
+    return a, v, x
+
+
 def sweep(steps: Steps, a0: float, v0: float) -> tuple[float, float, float]:
-    """Final (a, v, x) of the steps run from (a0, v0) at x = 0."""
-    st = KinematicState(a0, v0, 0.0)
+    """Final (a, v, x) of the steps run from (a0, v0) at x = 0.
+
+    integrate_segment's walk on plain floats, bit for bit.  cubic never makes
+    a non-finite value finite again, so one check at the end raises as it does.
+    """
+    a, v, x = a0, v0, 0.0
     for jerk, dur in steps:
-        st = integrate_segment(st, jerk, max(dur, 0.0))
-    return st.a, st.v, st.x
+        a, v, x = cubic(a, v, x, jerk, max(dur, 0.0))
+    return _finite(a, v, x)
 
 
 def steps_duration(steps: Steps) -> float:
@@ -181,7 +197,9 @@ def mirror_problem(init: KinematicState, final: KinematicState,
 
     Solving the mirrored problem and flipping every jerk sign solves the
     original, which turns any type-2 problem into a type-1 problem.
-    The mapping is an involution.
+    The mapping is an involution.  _min_time_steps applies it inline to
+    plain floats; this form stays public because ``softmotion`` exports it
+    to callers and tests that mirror whole problems.
     """
     neg = lambda s: KinematicState(-s.a, -s.v, -s.x)
     return neg(init), neg(final), -displacement
@@ -261,19 +279,25 @@ def _sweep_poly(steps: list, a0: list[float], v0: list[float]) -> list[float]:
 
 
 def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
-                      limits: KinematicLimits) -> list[Steps]:
-    """Every type-1 template solution for displacement D > critical length.
+                      limits: KinematicLimits) -> Iterator[tuple[Steps, bool]]:
+    """Every type-1 template solution for displacement D, as (steps, cruising).
 
-    The cruise at +vmax, then the steps of each peak template at each real
-    root of its displacement polynomial.  Roots are good to a few ulps, so
-    no candidate needs a polish, and nothing is screened here: _admissible
-    checks every step, the cruise included, and make_profile clamps.
+    The cruise at +vmax comes first, then each peak template's steps at each
+    real root of its displacement polynomial, solved only when asked for.
+    ``cruising`` marks a cruise with t_c >= 0.  If valid, it is outrun only by
+    a template that exceeds vmax within _BC_TOL (see the module docstring),
+    by about _BC_TOL * (T + 1) / vmax at most for a plan of T seconds.  A
+    cruise with t_c < 0 holds vmax for no time and meets D only within
+    _BC_TOL.  Roots are good to a few ulps, so no candidate needs a polish,
+    and nothing is screened here: _admissible checks every step, the cruise
+    included, and make_profile clamps.
     """
-    out = []
     try:
-        out.append(cruise_steps(a0, v0, af, vf, D, limits.vmax, limits)[0])
+        cruise, t_c = cruise_steps(a0, v0, af, vf, D, limits.vmax, limits)
     except InfeasibleBoundary:
         pass
+    else:
+        yield cruise, t_c >= 0.0
     for steps, k, lo, hi in _templates(a0, v0, af, vf, limits):
         # u^k (x - D).  B4's sweep is u^3 x = u^2 (K^2 / 4J^2 + ...), so its
         # two lowest coefficients vanish identically and hold only rounding;
@@ -284,8 +308,7 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
             del poly[0]
         for u in solve_real_roots(poly, lo, hi):
             if u != 0.0 or not k:     # B4 has no durations at u = 0
-                out.append([(jerk, peval(d, u) / u ** k) for jerk, d in steps])
-    return out
+                yield [(jerk, peval(d, u) / u ** k) for jerk, d in steps], False
 
 
 def _admissible(steps: Steps, a0: float, v0: float, af: float, vf: float,
@@ -297,19 +320,19 @@ def _admissible(steps: Steps, a0: float, v0: float, af: float, vf: float,
     final (a, v, x) within _BC_TOL of (af, vf, D).
     """
     am, vm = limits.amax + _BC_TOL, limits.vmax + _BC_TOL
-    st = KinematicState(a0, v0, 0.0)
+    a, v, x = _finite(a0, v0, 0.0)
     for jerk, dur in steps:
         if dur < -CLAMP_TOL:
             return False
         dur = max(dur, 0.0)
         if jerk != 0.0:
-            t_star = -st.a / jerk
-            if 0.0 < t_star < dur and abs(integrate_segment(st, jerk, t_star).v) > vm:
+            t_star = -a / jerk
+            if 0.0 < t_star < dur and abs(_finite(*cubic(a, v, x, jerk, t_star))[1]) > vm:
                 return False
-        st = integrate_segment(st, jerk, dur)
-        if abs(st.a) > am or abs(st.v) > vm:
+        a, v, x = _finite(*cubic(a, v, x, jerk, dur))
+        if abs(a) > am or abs(v) > vm:
             return False
-    return max(abs(st.a - af), abs(st.v - vf), abs(st.x - D)) <= _BC_TOL
+    return max(abs(a - af), abs(v - vf), abs(x - D)) <= _BC_TOL
 
 
 def plan_min_time_1d(init: KinematicState, final: KinematicState,
@@ -344,17 +367,21 @@ def _min_time_steps(a0: float, v0: float, af: float, vf: float, D: float,
     # -1: the mirrored ones); a problem above it can still need the
     # down-up-down shapes, and vice versa.  Within _BC_TOL of it the fast
     # plans on either side are the connection with one step a little below
-    # zero, clamped, so both sides compete
+    # zero, clamped, so both sides compete.  A valid cruise at s * vmax ends
+    # its side (see _type1_candidates)
     best: Steps | None = None
     best_t = math.inf
     for s in ((1.0, -1.0) if D > dc else (-1.0, 1.0)):
         if best is not None and abs(D - dc) > _BC_TOL:
             break
-        for steps in _type1_candidates(s * a0, s * v0, s * af, s * vf, s * D, limits):
+        for steps, cruising in _type1_candidates(s * a0, s * v0, s * af, s * vf,
+                                                 s * D, limits):
             steps = [(s * jerk, dur) for jerk, dur in steps]
             t = steps_duration(steps)
             if t < best_t - _TIE_TOL and _admissible(steps, a0, v0, af, vf, D, limits):
                 best, best_t = steps, t
+                if cruising:
+                    break
     if best is None:
         raise SolverFailure(f"no candidate meets (a={af}, v={vf}) over D={D}")
     return best

@@ -104,15 +104,16 @@ def integrate_segment(start: KinematicState, jerk: float, dt: float) -> Kinemati
         raise ValueError("jerk and dt must be finite")
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    a, v, x = _cubic(start.a, start.v, start.x, jerk, dt)
+    a, v, x = cubic(start.a, start.v, start.x, jerk, dt)
     return KinematicState(a=a, v=v, x=x)
 
 
-def _cubic(a0, v0, x0, jerk, dt):
+def cubic(a0, v0, x0, jerk, dt):
     """(a, v, x) after dt under constant jerk, for floats or arrays alike.
 
-    The one home of the closed form: ``integrate_segment`` and ``sample``
-    both call it, so their results agree bit for bit.
+    The one home of the closed form: ``integrate_segment``, ``sample`` and
+    the planner's float walks all call it, so their results agree bit for
+    bit.  It checks nothing; ``integrate_segment`` is the checked form.
     """
     return (a0 + jerk * dt,
             v0 + (a0 + 0.5 * jerk * dt) * dt,
@@ -213,7 +214,7 @@ def sample(profile: AxisProfile, ts) -> tuple[np.ndarray, np.ndarray,
     k = np.minimum(np.searchsorted(b, t, side="right") - 1, len(profile.segments) - 1)
     a0, v0, x0, jerk = np.array([(s.start.a, s.start.v, s.start.x, s.jerk)
                                  for s in profile.segments], dtype=float)[k].T
-    a, v, x = _cubic(a0, v0, x0, jerk, t - b[k])
+    a, v, x = cubic(a0, v0, x0, jerk, t - b[k])
     return x, v, a, jerk
 
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .orientation import (Pose, Quaternion, Twist, omega_to_qdot,
+from .orientation import (NORM_FLOOR, Pose, Quaternion, Twist, omega_to_qdot,
                           qdot_to_omega)
 from .planner import check_boundary_state, connect_steps
 from .profiles import (CHAIN_TOL, DROP_DURATION, KinematicLimits,
@@ -159,7 +159,7 @@ class PoseTracker:
         states = self._inner.states
         raw = [s.x for s in states[3:]]
         nrm = float(np.linalg.norm(raw))
-        if nrm < 1e-12:
+        if nrm < NORM_FLOOR:
             raise ValueError("cannot normalize a near-zero quaternion")
         self.norm_drift = max(self.norm_drift, abs(nrm - 1.0))
         unit = [c / nrm for c in raw]      # the bits of Quaternion.normalized()

@@ -9,6 +9,7 @@ from softmotion import (InfeasibleBoundary, KinematicState, MotionType,
                         classify, critical_length, mirror_problem,
                         plan_min_time_1d, stop_time, transition_problem)
 from softmotion import planner
+from softmotion.profiles import integrate_segment
 from softmotion.roots import peval
 
 
@@ -357,6 +358,154 @@ def test_every_admissible_template_root_lies_in_its_interval(lin):
                     hits[name, n % 3 == 0] = hits.get((name, n % 3 == 0), 0) + 1
     assert {name for name, _ in hits} == {"B1", "B2", "B3", "B4"}
     assert min(hits.values()) >= 5
+
+
+def _peak_speed(steps, a0, v0):
+    """Largest |v| of the steps run from (a0, v0): at step ends and at a = 0."""
+    st, peak = KinematicState(a0, v0), abs(v0)
+    for jerk, dur in steps:
+        dur = max(dur, 0.0)
+        if jerk != 0.0 and 0.0 < -st.a / jerk < dur:
+            peak = max(peak, abs(integrate_segment(st, jerk, -st.a / jerk).v))
+        st = integrate_segment(st, jerk, dur)
+        peak = max(peak, abs(st.v))
+    return peak
+
+
+def test_valid_cruise_is_never_outrun(lin):
+    # a valid cruise that holds vmax for t_c >= 0 ends its side's search, so
+    # the templates after it are never solved.  Solve them anyway: one may
+    # beat the cruise only by peaking above vmax within _admissible's slack,
+    # and then by at most _BC_TOL (T + 1) / vmax.  D lies just past the
+    # cruise's two ramps, where such templates exist, or well beyond them;
+    # one draw in ten, near or far, has a boundary speed of exactly +-vmax
+    rng = np.random.default_rng(43)
+    am, vm = lin.amax, lin.vmax
+    stopped, outrun = 0, {}
+    for n in range(2400):
+        a0, v0 = random_boundary(rng, lin)
+        af, vf = random_boundary(rng, lin, outgoing=True)
+        on_vmax = n % 20 < 2
+        if on_vmax:
+            s = rng.choice([-1.0, 1.0])
+            if rng.random() < 0.5:
+                a0, v0 = -s * rng.uniform(0.0, am), s * vm
+            else:
+                af, vf = s * rng.uniform(0.0, am), s * vm
+        ramps = -planner.cruise_steps(a0, v0, af, vf, 0.0, vm, lin)[1] * vm
+        if n % 2:
+            D = ramps + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -3.0)
+        else:
+            D = ramps + rng.uniform(0.0, 0.5)
+        t_c = planner.cruise_steps(a0, v0, af, vf, D, vm, lin)[1]
+        candidates = list(planner._type1_candidates(a0, v0, af, vf, D, lin))
+        (cruise, cruising), rest = candidates[0], candidates[1:]
+        assert cruising == (t_c >= 0.0) and not any(c for _, c in rest)
+        if not (cruising and planner._admissible(cruise, a0, v0, af, vf, D, lin)):
+            continue
+        stopped += 1
+        t_cruise = planner.steps_duration(cruise)
+        for steps, _ in rest:
+            gain = t_cruise - planner.steps_duration(steps)
+            if gain > planner._TIE_TOL and planner._admissible(steps, a0, v0, af,
+                                                               vf, D, lin):
+                outrun[on_vmax] = outrun.get(on_vmax, 0) + 1
+                assert _peak_speed(steps, a0, v0) > vm, (a0, v0, af, vf, D)
+                assert gain <= planner._BC_TOL * (t_cruise + 1.0) / vm
+        dc = critical_length(KinematicState(a0, v0), KinematicState(af, vf), lin)
+        if D > dc + planner._BC_TOL:        # the planner stops at the cruise
+            assert planner._min_time_steps(a0, v0, af, vf, D, lin) == cruise
+    assert stopped >= 1000
+    assert outrun.get(False, 0) >= 10 and outrun.get(True, 0) >= 1
+
+
+def _walk_by_segments(steps, a0, v0):
+    """sweep, walked with integrate_segment over KinematicStates."""
+    st = KinematicState(a0, v0, 0.0)
+    for jerk, dur in steps:
+        st = integrate_segment(st, jerk, max(dur, 0.0))
+    return st.a, st.v, st.x
+
+
+def _admissible_by_segments(steps, a0, v0, af, vf, D, limits):
+    """_admissible, walked with integrate_segment over KinematicStates."""
+    am, vm = limits.amax + planner._BC_TOL, limits.vmax + planner._BC_TOL
+    st = KinematicState(a0, v0, 0.0)
+    for jerk, dur in steps:
+        if dur < -planner.CLAMP_TOL:
+            return False
+        dur = max(dur, 0.0)
+        if jerk != 0.0:
+            t_star = -st.a / jerk
+            if 0.0 < t_star < dur and abs(integrate_segment(st, jerk, t_star).v) > vm:
+                return False
+        st = integrate_segment(st, jerk, dur)
+        if abs(st.a) > am or abs(st.v) > vm:
+            return False
+    return max(abs(st.a - af), abs(st.v - vf), abs(st.x - D)) <= planner._BC_TOL
+
+
+def test_float_walks_match_integrate_segment_bit_for_bit(lin):
+    # sweep and _admissible carry (a, v, x) as floats through profiles.cubic:
+    # the same bits, signed zeros included, and the same verdicts as a walk
+    # of integrate_segment.  Durations are zero, a little below zero (clamped
+    # above -CLAMP_TOL, rejected below it) or up to 0.5 s; every third list
+    # is a plan, and the targets sit on or near the walk's end
+    rng = np.random.default_rng(47)
+    verdicts = set()
+    for n in range(3000):
+        a0, v0 = random_boundary(rng, lin)
+        if n % 3 == 0:
+            af, vf = random_boundary(rng, lin, outgoing=True)
+            dc = critical_length(KinematicState(a0, v0), KinematicState(af, vf), lin)
+            steps = planner._min_time_steps(a0, v0, af, vf,
+                                            dc + rng.uniform(-0.3, 0.3), lin)
+        else:
+            steps = [(float(rng.choice([lin.jmax, -lin.jmax, 0.0, rng.uniform(-1, 1)])),
+                      float(rng.choice([0.0, -rng.uniform(0.0, 2e-9),
+                                        rng.uniform(0.0, 0.5)])))
+                     for _ in range(rng.integers(0, 8))]
+        want = _walk_by_segments(steps, a0, v0)
+        got = planner.sweep(steps, a0, v0)
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+        af, vf, D = (c + float(rng.choice([0.0, 1e-10, 1e-8])) for c in want)
+        verdict = _admissible_by_segments(steps, a0, v0, af, vf, D, lin)
+        assert planner._admissible(steps, a0, v0, af, vf, D, lin) is verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _outcome(walk, *args):
+    try:
+        return walk(*args)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_walks_raise_where_integrate_segment_raises(lin, bad):
+    # a non-finite jerk or duration in any step, or a non-finite start,
+    # raises ValueError in both walks; a duration of -inf is below zero, so
+    # sweep clamps it and _admissible rejects it, in both walks alike
+    good = [(0.9, 0.1), (0.0, 0.2), (-0.9, 0.1)]
+    af, vf, D = _walk_by_segments(good, 0.0, 0.0)
+    assert planner._admissible(good, 0.0, 0.0, af, vf, D, lin)
+    raised = 0
+    for k, (jerk, dur) in enumerate(good):
+        for step in ((bad, dur), (jerk, bad)):
+            steps = good[:k] + [step] + good[k + 1:]
+            want = _outcome(_walk_by_segments, steps, 0.0, 0.0)
+            assert _outcome(planner.sweep, steps, 0.0, 0.0) == want
+            args = (steps, 0.0, 0.0, af, vf, D, lin)
+            assert (_outcome(planner._admissible, *args)
+                    == _outcome(_admissible_by_segments, *args))
+            raised += want is ValueError
+    assert raised == (3 if bad == -math.inf else 6)
+    for steps in (good, []):
+        with pytest.raises(ValueError):
+            planner.sweep(steps, bad, 0.0)
+        with pytest.raises(ValueError):
+            planner._admissible(steps, 0.0, bad, af, vf, D, lin)
 
 
 def test_stop_and_dwell_meets_displacement_near_critical(lin):
