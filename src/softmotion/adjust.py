@@ -21,19 +21,21 @@ grows without bound where a run reaches vc = 0.
 ``transition_problem`` solves an axis once: the minimal-time profile, the
 halt and restart legs, and the exact run ends.  Everything after it only
 reads the problem, and each interval end is a duration the slowing search
-builds.
+builds.  Between the cuts v0, vf and v +- amax^2/jmax one unknown makes vc
+and each sqrt(|vc - v|) rational, so each run end and crossing T(vc) = t_imp
+is a root of one polynomial of degree 2, 4 or 6, moved to the float by ``_snap``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import InfeasibleDuration
+from .errors import InfeasibleDuration, SolverFailure
 from .planner import (critical_length, cruise_steps, plan_min_time_1d,
                       steps_duration)
 from .profiles import (CHAIN_TOL, AxisProfile, KinematicLimits,
-                       KinematicState, make_profile)
-from .roots import padd, pmul, pscale, solve_real_roots
+                       KinematicState, check_limits, make_profile)
+from .roots import padd, peval, pmul, pscale, solve_real_roots
 
 #: Imposed durations are matched to this absolute tolerance (seconds).
 DURATION_TOL = 1e-6
@@ -118,113 +120,110 @@ def slowing_pieces(problem: TransitionProblem, vc: float):
     return steps_duration(steps), steps
 
 
-def _cell_roots(problem: TransitionProblem, lo: float, hi: float) -> list[float]:
-    """Cruise velocities in (lo, hi) where vc * t_c = D - s1 - s2 may vanish.
+def _cells(problem: TransitionProblem, lo: float, hi: float) -> list[float]:
+    """[lo, hi] cut at v0, vf and v +- amax^2/jmax, where a ramp changes shape."""
+    thr = problem.limits.amax ** 2 / problem.limits.jmax
+    return sorted({lo, hi} | {w for v in (problem.init.v, problem.final.v)
+                              for w in (v - thr, v, v + thr) if lo < w < hi})
 
-    Between the cuts of ``_feasible_runs`` both ramp shapes are fixed.  A
-    ramp between v and vc sweeps (v + vc) R / 2: a quadratic in vc with a
-    plateau, and (v + vc) p / sqrt(jmax) with p = sqrt(|vc - v|) without
-    one.  The unknown is vc, or p of a triangular ramp; a triangular ramp
-    from the other velocity goes to one side, and the equation is squared.
-    With two triangular ramps both choices are solved, as each resolves
-    the roots near its own v.  Squaring may add roots where t_c does not
-    vanish; the caller reads the sign of t_c between them.
+
+def _cell_roots(problem: TransitionProblem, lo: float, hi: float,
+                t_imp: float | None = None) -> list[float]:
+    """Cruise velocities in (lo, hi) where t_c = 0, or T = t_imp if given.
+
+    Between two cuts of ``_cells`` both ramp shapes are fixed, and one
+    unknown w, monotone in vc, makes vc = V/q^2 and each triangular
+    p = sqrt(|vc - v|) = P/q rational: w = vc, or p of the one triangular
+    ramp, or with two, p0 + p1 on the hyperbola p0^2 - p1^2 = s (vf - v0)
+    (vc beyond both) and tan(theta/2) on the circle p0^2 + p1^2 = |vf - v0|.
+    A ramp lasts 2Y and sweeps (v + vc) Y, with qY = P/sqrt(jmax), or
+    (s (vc - v)/amax + amax/jmax)/2 with a plateau (there q = 1): q^3 vc t_c
+    and q^3 vc (T - t_imp) are polynomials in w of degree <= 6.
     """
     j, am = problem.limits.jmax, problem.limits.amax
+    vs = (problem.init.v, problem.final.v)
     mid = 0.5 * (lo + hi)
-    ramps = [(v, math.copysign(1.0, mid - v), abs(mid - v) < am * am / j)
-             for v in (problem.init.v, problem.final.v)]
-    # the unknown: p of a triangular ramp (vc = v + s p^2), or vc itself
-    unknowns = {(v, s): [v, 0.0, s] for v, s, triangular in ramps if triangular}
-    found = []
-    for vc in list(unknowns.values()) or [[0.0, 1.0]]:
-        h = [problem.displacement]
-        other = None
-        for v, s, triangular in ramps:
-            mean = padd(vc, [v])
-            if not triangular:
-                swept = pmul(pscale(mean, 0.5),
-                             padd(pscale(padd(vc, [-v]), s / am), [am / j]))
-            elif v == vc[0]:
-                swept = pmul(mean, [0.0, 1.0 / math.sqrt(j)])
-            else:
-                other = (mean, pscale(padd(vc, [-v]), s / j))
-                continue
-            h = padd(h, pscale(swept, -1.0))
-        if other is not None:   # h = (v + vc) p' / sqrt(jmax), squared
-            mean, p2 = other
-            h = padd(pmul(h, h), pscale(pmul(pmul(mean, mean), p2), -1.0))
-        ends = ((lo, hi) if len(vc) == 2
-                else sorted(math.sqrt(abs(w - vc[0])) for w in (lo, hi)))
-        roots = solve_real_roots(h, *ends)
-        if len(vc) == 3:
-            roots = [vc[0] + vc[2] * r * r for r in roots]
-        found += roots
-    return sorted(r for r in found if lo < r < hi)
+    s = [math.copysign(1.0, mid - v) for v in vs]
+    tri = [abs(mid - v) < am * am / j for v in vs]
+    ends = [[math.sqrt(abs(vc - v)) for v in vs] for vc in (lo, hi)]   # p at lo, hi
+    if all(tri) and s[0] == s[1]:
+        c = s[0] * (vs[1] - vs[0])
+        q, P = [0.0, 1.0], [[0.5 * c, 0.0, 0.5], [-0.5 * c, 0.0, 0.5]]
+        ws = [p0 + p1 for p0, p1 in ends]
+    elif all(tri):
+        r = math.sqrt(abs(vs[1] - vs[0]))
+        q, P = [1.0, 0.0, 1.0], [[r, 0.0, -r], [0.0, 2.0 * r]]
+        ws = [p1 / (r + p0) for p0, p1 in ends]
+    else:
+        q, P = [1.0], [[0.0, 1.0]] * 2
+        ws = [p[tri.index(True)] for p in ends] if any(tri) else [lo, hi]
+    q2, k = pmul(q, q), tri.index(True) if any(tri) else None
+    V = [0.0, 1.0] if k is None else padd(pscale(q2, vs[k]), pscale(pmul(P[k], P[k]), s[k]))
+    h = padd(pscale(pmul(q2, q), problem.displacement),
+             [] if t_imp is None else pscale(pmul(V, q), -t_imp))
+    for v, sv, triangular, Pv in zip(vs, s, tri, P):
+        Y = (pscale(Pv, 1.0 / math.sqrt(j)) if triangular else
+             pscale(padd(pscale(padd(V, [-v]), sv / am), [am / j]), 0.5))
+        h = padd(h, pmul(padd(pscale(V, -1.0 if t_imp is None else 1.0), pscale(q2, -v)), Y))
+    qs = [(w, peval(q, w)) for w in solve_real_roots(h, *sorted(ws))]
+    return sorted(vc for w, qw in qs if qw != 0.0 and lo < (vc := peval(V, w) / (qw * qw)) < hi)
 
 
-def _bisect(keep: float, drop: float, accept) -> float:
-    """The last float from ``keep`` towards ``drop`` where ``accept`` holds.
+def _snap(accept, edge: float, inner: float, outer: float, vmax: float) -> float:
+    """The last velocity from ``inner`` towards ``outer`` where ``accept`` holds.
 
-    ``accept`` holds at ``keep`` and not at ``drop``.
+    ``accept`` holds at ``inner`` and not at ``outer`` (unless outer ==
+    edge, a bound of the velocities).  ``edge`` is a root good to a few ulps
+    of vmax, but at an exact root the rounded ramps can still give
+    t_c = -1e-17, so doubling steps from ``edge`` bracket the flip of
+    ``accept`` and a bisection closes the bracket.  An edge at vc = 0
+    stays: a run's durations grow without bound there.
     """
+    if edge == 0.0:
+        return edge
+    ok = accept(edge)
+    near, far = edge, (outer if ok else inner)   # accept(far) != ok
+    step = max(math.ulp(edge), math.ulp(vmax))
+    while (far - (vc := edge + math.copysign(step, far - edge))) * (far - edge) > 0.0:
+        if accept(vc) != ok:
+            far = vc
+            break
+        near, step = vc, 2.0 * step
+    keep, drop = (near, far) if ok else (far, near)
     while (mid := 0.5 * (keep + drop)) != keep and mid != drop:
         keep, drop = (mid, drop) if accept(mid) else (keep, mid)
     return keep
 
 
-def _snap(problem: TransitionProblem, edge: float, inner: float,
-          outer: float) -> float:
-    """The run end near ``edge``: the last velocity that builds before ``outer``.
-
-    ``slowing_pieces`` builds at ``inner`` and not at ``outer`` (unless
-    outer == edge, a bound of the velocities).  ``edge`` is a root good to a
-    few ulps of vmax, and at an exact root the rounded ramps can still give
-    t_c = -1e-17, so doubling steps bracket the end, outwards from an edge
-    that builds and inwards from one that does not.  An end at vc = 0
-    stays: the run's durations grow without bound there.
-    """
-    if edge == 0.0:
-        return edge
-    builds = lambda vc: slowing_pieces(problem, vc) is not None
-    ok = builds(edge)
-    near, far = edge, (outer if ok else inner)   # builds(far) != ok
-    step = max(math.ulp(edge), math.ulp(problem.limits.vmax))
-    while (far - (vc := edge + math.copysign(step, far - edge))) * (far - edge) > 0.0:
-        if builds(vc) != ok:
-            far = vc
-            break
-        near, step = vc, 2.0 * step
-    return _bisect(near, far, builds) if ok else _bisect(far, near, builds)
-
-
 def _feasible_runs(problem: TransitionProblem) -> tuple[tuple[float, float], ...]:
     """Maximal runs (vc_lo, vc_hi) of cruise velocities with t_c >= 0.
 
-    Each sign of vc is cut at v0, vf and v +- amax^2/jmax, where a ramp
-    changes shape, and each cell at the roots of ``_cell_roots``; t_c keeps
-    its sign between consecutive cuts, so ``slowing_pieces`` at the middle
-    of each piece decides it.  Feasible pieces that touch form one run.
+    Each sign of vc is cut into ``_cells`` and each cell at the roots of
+    ``_cell_roots``; t_c keeps its sign between consecutive cuts, so
+    ``slowing_pieces`` at the middle of each piece decides it.  Feasible
+    pieces that touch form one run.  A root within 8 ulps of vmax of 0 is
+    the cut at 0: rounding puts it there when D is the halt-and-restart
+    distance, and the sliver it would cut holds only durations at t_stop.
     """
-    v0, vf, vm = problem.init.v, problem.final.v, problem.limits.vmax
-    thr = problem.limits.amax ** 2 / problem.limits.jmax
+    vm = problem.limits.vmax
+    builds = lambda vc: slowing_pieces(problem, vc) is not None
     runs = []
     for lo, hi in ((-vm, 0.0), (0.0, vm)):
-        cells = sorted({lo, hi} | {w for v in (v0, vf) for w in (v - thr, v, v + thr)
-                                   if lo < w < hi})
+        cells = _cells(problem, lo, hi)
         cuts = [lo]
         for a, b in zip(cells, cells[1:]):
-            cuts += _cell_roots(problem, a, b) + [b]
+            cuts += [r for r in _cell_roots(problem, a, b)
+                     if abs(r) > 8.0 * math.ulp(vm)] + [b]
         pieces = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < 0.5 * (a + b) < b]
         mids = [0.5 * (a + b) for a, b in pieces] + [hi]
-        ok = [slowing_pieces(problem, m) is not None for m in mids[:-1]] + [False]
+        ok = [builds(m) for m in mids[:-1]] + [False]
         for k, (a, b) in enumerate(pieces):
             if ok[k] and (k == 0 or not ok[k - 1]):
                 first = k
             if ok[k] and not ok[k + 1]:
-                runs.append((_snap(problem, pieces[first][0], mids[first],
-                                   mids[first - 1] if first else lo),
-                             _snap(problem, b, mids[k], mids[k + 1])))
+                runs.append((_snap(builds, pieces[first][0], mids[first],
+                                   mids[first - 1] if first else lo, vm),
+                             _snap(builds, b, mids[k], mids[k + 1], vm)))
     return tuple(runs)
 
 
@@ -237,8 +236,10 @@ def _nearest_in_run(problem: TransitionProblem, run: tuple[float, float],
                     t_imp: float) -> float:
     """The cruise velocity of ``run`` whose duration is nearest t_imp.
 
-    T is monotone along the run, so one bisection between its ends finds
-    the velocity where T crosses t_imp.
+    T is monotone along the run, so it crosses t_imp at one root of
+    ``_cell_roots`` in the run's cells (none may show in a sliver run).
+    ``_snap`` moves it, or the fast end, to the last velocity from the fast
+    end that builds with T < t_imp.
     """
     (fast, t_fast), (slow, t_slow) = sorted(
         ((vc, _end_duration(problem, vc)) for vc in run), key=lambda e: e[1])
@@ -246,8 +247,10 @@ def _nearest_in_run(problem: TransitionProblem, run: tuple[float, float],
         return fast
     if t_imp >= t_slow:
         return slow
-    return _bisect(fast, slow, lambda vc: (r := slowing_pieces(problem, vc))
-                   is not None and r[0] < t_imp)
+    cells = _cells(problem, *run)
+    roots = [r for a, b in zip(cells, cells[1:]) for r in _cell_roots(problem, a, b, t_imp)]
+    return _snap(lambda vc: (r := slowing_pieces(problem, vc)) is not None and r[0] < t_imp,
+                 roots[0] if roots else fast, fast, slow, problem.limits.vmax)
 
 
 def plan_slowing_velocity(problem: TransitionProblem, t_imp: float) -> AxisProfile:
@@ -323,7 +326,14 @@ def impose_common_time(
 
 
 def plan_for_duration(problem: TransitionProblem, t_imp: float) -> AxisProfile:
-    """Profile of duration t_imp: minimal-time, slowed, or stop-and-dwell."""
-    if abs(t_imp - problem.t_opt) > TIME_TOL and t_imp >= problem.t_stop - TIME_TOL:
-        return stop_time(problem, t_imp)
-    return plan_slowing_velocity(problem, t_imp)
+    """Profile of duration t_imp: minimal-time, slowed, or stop-and-dwell.
+
+    Raises SolverFailure rather than return one that breaks a limit or D.
+    """
+    stop = abs(t_imp - problem.t_opt) > TIME_TOL and t_imp >= problem.t_stop - TIME_TOL
+    profile = stop_time(problem, t_imp) if stop else plan_slowing_velocity(problem, t_imp)
+    end = profile.final_state if profile.segments else problem.init
+    if (abs(end.x - problem.init.x - problem.displacement) > CHAIN_TOL
+            or not check_limits(profile, problem.limits).ok):
+        raise SolverFailure(f"profile of duration {t_imp} breaks a limit or misses D")
+    return profile

@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from softmotion import (InfeasibleDuration, KinematicState, check_limits,
-                        critical_length, feasibility_intervals,
-                        impose_common_time, plan_for_duration,
-                        plan_slowing_velocity, stop_time, transition_problem)
+from softmotion import (InfeasibleDuration, KinematicState, SolverFailure,
+                        check_limits, cli, critical_length,
+                        feasibility_intervals, impose_common_time,
+                        plan_for_duration, plan_slowing_velocity, stop_time,
+                        transition_problem)
 from softmotion import adjust
-from softmotion.adjust import slowing_pieces
+from softmotion.adjust import DURATION_TOL, slowing_pieces
+from softmotion.planner import cruise_steps
 
 
 def exhaustive_vc_times(problem, n=30001):
@@ -284,6 +286,91 @@ def test_exact_runs_match_a_dense_scan(lin):
             assert check_limits(prof, lin).ok
         checked += 1
     assert checked == 520
+
+
+def test_every_cell_root_is_a_zero_of_the_cruise_time(lin):
+    # no squaring: each root the cell polynomial gives is a real run end
+    count = 0
+    for v0, vf, d in equivalence_cases(lin):
+        prob = scanned_case(v0, vf, d, lin)[0]
+        for side in ((-lin.vmax, 0.0), (0.0, lin.vmax)):
+            cells = adjust._cells(prob, *side)
+            for a, b in zip(cells, cells[1:]):
+                for vc in adjust._cell_roots(prob, a, b):
+                    if a < vc < b:
+                        t_c = cruise_steps(0.0, v0, 0.0, vf, d, vc, lin)[1]
+                        assert abs(vc * t_c) <= 1e-12
+                        count += 1
+    assert count > 200
+
+
+def test_crossings_are_the_last_velocity_below_the_imposed_duration(lin):
+    checked = 0
+    for v0, vf, d in equivalence_cases(lin):
+        prob = scanned_case(v0, vf, d, lin)[0]
+        for run in prob.runs:
+            if run[1] - run[0] <= 1e-12:
+                continue
+            (fast, t_fast), (slow, t_slow) = sorted(
+                ((vc, end_duration(prob, vc)) for vc in run), key=lambda e: e[1])
+            top = t_slow if math.isfinite(t_slow) else max(t_fast, prob.t_stop) + 1.0
+            for k in range(1, 8):
+                t_imp = t_fast + (top - t_fast) * k / 8.0
+                if not t_fast < t_imp < t_slow:
+                    continue
+                vc = adjust._nearest_in_run(prob, run, t_imp)
+                built = slowing_pieces(prob, vc)
+                assert built is not None and built[0] < t_imp
+                after = slowing_pieces(prob, math.nextafter(vc, slow))
+                assert after is None or after[0] >= t_imp
+                prof = plan_for_duration(prob, t_imp)
+                assert abs(prof.duration - t_imp) <= DURATION_TOL
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("v0, vf", [(0.15, 0.0), (0.0, 0.15)])
+def test_no_sliver_run_at_the_halt_and_restart_distance(lin, v0, vf):
+    # D is the halt-and-restart distance, so t_c vanishes at vc = 0 and a
+    # rounded root lands a few ulps from it; that root is the cut at 0
+    prob = transition_problem(v0, vf, 0.0625, lin)
+    assert not any(abs(lo) <= 1e-15 and abs(hi) <= 1e-15 for lo, hi in prob.runs)
+    [(lo, hi)] = feasibility_intervals(prob)
+    assert lo == hi == pytest.approx(5.0 / 6.0, abs=1e-15)
+
+
+def above_vmax(problem, vc):
+    """A fake slowed profile that lasts 1 s but rises 0.2 m/s above v0."""
+    tau = math.sqrt(0.2 / problem.limits.jmax)
+    j = problem.limits.jmax
+    return 1.0, [(j, tau), (-j, tau), (0.0, 1.0 - 2.0 * tau)]
+
+
+def holding_v0(problem, vc):
+    """A fake slowed profile that lasts 1 s but holds v0 throughout."""
+    return 1.0, [(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("fake", [above_vmax, holding_v0])
+def test_plan_for_duration_fails_closed(lin, monkeypatch, fake):
+    prob = transition_problem(0.15, 0.15, 0.125, lin)
+    assert prob.t_opt < 1.0 < prob.t_stop
+    monkeypatch.setattr(adjust, "slowing_pieces", fake)
+    with pytest.raises(SolverFailure):
+        plan_for_duration(prob, 1.0)
+
+
+def test_cli_exits_3_on_a_profile_that_misses_its_displacement(
+        lin, monkeypatch, tmp_path, capsys):
+    built = slowing_pieces
+    monkeypatch.setattr(adjust, "slowing_pieces", lambda problem, vc: (
+        (r := built(problem, vc)) and (r[0], [(0.0, r[0])])))
+    wp = tmp_path / "wp.txt"
+    wp.write_text("0,0,0\n0.15,0.1,0\n0.3,0.1,0.1\n")
+    code = cli.main(["plan-path", "--waypoints", str(wp), "--dt", "0.01",
+                     "--out", str(tmp_path / "traj.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: solver failed")
 
 
 README_CORNER = [(0.15, 0.15, 0.125), (0.15, 0.15, 0.125), (0.0, 0.15, 0.0625)]

@@ -127,10 +127,15 @@ PINNED = [
      "17f43dc70201f07b5ca4219db705f8d99bc5f6760215709de868bc8dc78f7a7e"),
     (["plan-path", "--dt", "0.01"], "0,0,0\n0.15,0.15,0\n0.30,0.30,0.15\n",
      "c9b511ffaee711eb994b947c406d8b3f50a20805914a8391daa91899160f7033"),
+    # a path whose corners take the slowed, stop-and-dwell and min-time
+    # strategies, pinned before the stretching root solver was rewritten
+    (["plan-path", "--dt", "0.01"], "0,0,0\n0.15,0.1,0\n0.3,0.1,0.1\n0.2,0.25,0.15\n",
+     "3d8d1817fadcbbb77c0d4ac54e29c91d48c336a119df33427b4ae01d7f5baa28"),
 ]
 
 
-@pytest.mark.parametrize("argv,waypoints,digest", PINNED, ids=["plan-ptp", "plan-path"])
+@pytest.mark.parametrize("argv,waypoints,digest", PINNED,
+                         ids=["plan-ptp", "plan-path", "plan-path-stretched"])
 def test_readme_csv_bytes_are_pinned(tmp_path, argv, waypoints, digest):
     out = tmp_path / "traj.csv"
     argv = argv + ["--out", str(out)]
