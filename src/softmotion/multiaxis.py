@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
+from .errors import SolverFailure
 from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
-                       KinematicState, scale_profile)
+                       KinematicState, check_limits, scale_profile)
 from .ptp import PtpTimes, plan_ptp_1d, ptp_times
 
 #: Segment lengths and direction cosines below this are zero.
@@ -59,7 +60,9 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
     With a ``duration`` above the minimal time, the scalar profile is
     replanned under the projected limits dilated to that duration (see
     scale_limits_for_duration), and the times describe the stretched
-    profile.  A duration below the minimal time raises ValueError.
+    profile.  A duration below the minimal time raises ValueError.  Every
+    profile is checked against ``limits`` before it is returned: one that
+    breaks a limit raises SolverFailure.
     """
     p0 = np.asarray(p0, dtype=float)
     pf = np.asarray(pf, dtype=float)
@@ -86,4 +89,10 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
             profiles.append(AxisProfile(segments=(hold,)))
         else:
             profiles.append(scale_profile(scalar, float(u), x_offset=float(p0[i])))
+    for i, prof in enumerate(profiles):
+        report = check_limits(prof, limits)
+        if not report.ok:
+            bad = report.violations[0]
+            raise SolverFailure(f"axis {i} reaches {bad.quantity} {bad.value!r} "
+                                f"at t={bad.time:.6g}, above its limit {bad.bound!r}")
     return profiles, times

@@ -161,6 +161,10 @@ def plan_pose_axes(pose0: Pose, posef: Pose, limits_linear: KinematicLimits,
     duration; the other group is stretched to it by replanning under
     time-dilated limits.  The target quaternion is flipped into the
     hemisphere of the start so the component path never crosses q.q0 < 0.
+    Every moving axis comes from plan_ptp_nd_with_times, which checks it
+    against its group's limits (linear, or angular halved) and raises
+    SolverFailure rather than return a profile that breaks one; the other
+    axes are holds.
     """
     _check_unit(pose0.orient)
     _check_unit(posef.orient)

@@ -1,12 +1,13 @@
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from softmotion import (AxisProfile, Pose, Quaternion, cli, evaluate,
                         plan_pose_axes, plan_ptp_nd, plan_waypoint_path_detailed,
                         sample_times, shift_profile)
-from softmotion.fileio import fmt, write_trajectory_csv
+from softmotion.fileio import _csv_rows, fmt, write_trajectory_csv
 
 
 def reference_write(stream, profiles, names, dt, rest_positions=None):
@@ -98,6 +99,93 @@ def test_block_edges_match_reference(lin, rows):
     new, ref = both_writers(profiles, XYZ, dt)
     assert new.count("\n") == rows + 1
     assert new == ref
+
+
+def reference_rows(block):
+    return "".join(",".join(fmt(v) for v in row) + "\n" for row in block.tolist())
+
+
+def assert_rows_match_fmt(values, cols=29):
+    """_csv_rows equals fmt value by value, on blocks of 256 rows."""
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
+    for lo in range(0, len(values), 256):
+        block = values[lo:lo + 256]
+        new, ref = _csv_rows(block), reference_rows(block)
+        if new != ref:
+            bad = [(v, a, b) for v, a, b in zip(block.ravel().tolist(),
+                                                new.replace("\n", ",").split(","),
+                                                ref.replace("\n", ",").split(","))
+                   if a != b]
+            raise AssertionError(f"{len(bad)} values differ from fmt, first {bad[:3]}")
+
+
+def exact_ties():
+    """Every value (n + 1/2)*10**(X - 8) with 1e8 <= n < 1e9 and X = -4..3
+    that float64 holds: q * 2**(X - 9) for odd q = (2n + 1) / 5**(8 - X)."""
+    out = []
+    for X in range(-4, 4):
+        five = 5 ** (8 - X)
+        q = np.arange(-(-(2 * 10 ** 8 + 1) // five), (2 * 10 ** 9 - 1) // five + 1)
+        q = q[q % 2 == 1]
+        out.append(np.ldexp(q.astype(float), X - 9))
+    return np.concatenate(out)
+
+
+def test_rows_match_fmt_on_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64, endpoint=False)
+    assert_rows_match_fmt(bits.view(np.float64))
+    # the same mantissas with binary exponents -17..14 (8e-6 to 3e4), around
+    # the range the formatter writes itself
+    exponent = rng.integers(1023 - 17, 1023 + 15, len(bits)).astype(np.uint64) << np.uint64(52)
+    mixed = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | exponent
+    assert_rows_match_fmt(mixed.view(np.float64))
+
+
+def test_rows_match_fmt_next_to_powers_of_ten():
+    powers = np.array([10.0 ** k for k in range(-6, 11)])
+    values = [powers]
+    for steps in range(1, 4):
+        lo, hi = powers.copy(), powers.copy()
+        for _ in range(steps):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+        values += [lo, hi]
+    values = np.concatenate(values)
+    assert_rows_match_fmt(np.concatenate([values, -values]))
+
+
+def test_rows_match_fmt_on_exact_ties_and_their_neighbours():
+    ties = exact_ties()
+    assert len(ties) > 300_000
+    scaled = [t * 10.0 ** (8 - np.floor(np.log10(t))) for t in ties[::9973]]
+    assert all(s % 1.0 == 0.5 for s in scaled)
+    values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    values[1::2] *= -1.0
+    assert_rows_match_fmt(values)
+
+
+def test_rows_match_fmt_next_to_ties_that_float64_cannot_hold():
+    # the float nearest (n + 1/2)*10**(X - 8): its scaled product may round
+    # onto the half, where rint and the exact value part ways
+    rng = np.random.default_rng(21)
+    n = rng.integers(10 ** 8, 10 ** 9, 200_000).tolist()
+    X = rng.integers(-4, 4, len(n)).tolist()
+    near = np.array([float(f"{10 * k + 5}e{e - 9}") for k, e in zip(n, X)])
+    values = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+    values[1::2] *= -1.0
+    assert_rows_match_fmt(values)
+
+
+def test_rows_match_fmt_on_special_values():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+              float("nan"), -float("nan"), float("inf"), -float("inf"),
+              9.9999999995, -9.9999999995, 999.9999995, -999.9999995, 999.99999951,
+              999999999.5, 9999.99999, 9999.999995,
+              1e-4, 9.99999999e-5, 0.5, 1.0, 1e16, -1.7976931348623157e308]
+    for cols in (1, 3, 29):
+        assert_rows_match_fmt(values, cols)
+    assert _csv_rows(np.array([[0.0, -0.0]])) == "0,-0\n"
 
 
 class WriteOnly:

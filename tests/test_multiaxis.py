@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from softmotion import (check_limits, evaluate, plan_ptp_1d, plan_ptp_nd,
-                        scale_limits_for_duration)
+from softmotion import (SolverFailure, check_limits, evaluate, multiaxis,
+                        plan_ptp_1d, plan_ptp_nd, scale_limits_for_duration)
 
 
 def test_three_axis_example(lin):
@@ -95,3 +95,13 @@ def test_scale_limits_dilation_random(lin):
 def test_scale_limits_rejects_shorter_duration(lin):
     with pytest.raises(ValueError):
         scale_limits_for_duration(lin, 1.0, 0.5)
+
+
+def planned_under_doubled_limits(length, limits):
+    return plan_ptp_1d(length, limits.scaled(2.0))
+
+
+def test_straight_line_fails_closed(lin, monkeypatch):
+    monkeypatch.setattr(multiaxis, "plan_ptp_1d", planned_under_doubled_limits)
+    with pytest.raises(SolverFailure, match="axis 0 reaches"):
+        plan_ptp_nd([0.0, 0.0, 0.0], [0.3, 0.1, 0.0], lin)

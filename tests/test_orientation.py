@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from softmotion import (Pose, Quaternion, check_limits, evaluate,
-                        omega_to_qdot, plan_pose_axes, pose_at, qdot_to_omega,
-                        qr_matrix, quaternion_norm_drift, sample_times)
+from softmotion import (Pose, Quaternion, SolverFailure, check_limits, cli,
+                        evaluate, multiaxis, omega_to_qdot, plan_pose_axes,
+                        plan_ptp_1d, pose_at, qdot_to_omega, qr_matrix,
+                        quaternion_norm_drift, sample_times)
 
 
 def random_unit_quaternion(rng):
@@ -146,3 +147,33 @@ def test_norm_drift_matches_per_instant_loop(lin, ang, angle, dt):
     profiles = plan_pose_axes(pose0, posef, lin, ang)
     assert quaternion_norm_drift(profiles, dt) == pytest.approx(
         reference_norm_drift(profiles, dt), abs=1e-15)
+
+
+def planned_under_limits_times_1_5(length, limits):
+    return plan_ptp_1d(length, limits.scaled(1.5))
+
+
+def test_pose_planner_checks_quaternions_against_halved_angular_limits(
+        lin, ang, monkeypatch):
+    # a pure rotation: the position axes are holds, the quaternion axes move
+    # under 1.5 times the halved angular limits, so within the full ones
+    monkeypatch.setattr(multiaxis, "plan_ptp_1d", planned_under_limits_times_1_5)
+    pose0 = Pose((0.1, 0.0, 0.2), Quaternion.identity())
+    posef = Pose((0.1, 0.0, 0.2), Quaternion.from_axis_angle((0, 0, 1), 0.5))
+    with pytest.raises(SolverFailure, match=r"reaches jerk .* above its limit 0\.3$"):
+        plan_pose_axes(pose0, posef, lin, ang)
+    # with the position axes moving too, their linear jerk fails first
+    posef = Pose((0.3, 0.0, 0.2), posef.orient)
+    with pytest.raises(SolverFailure, match=r"axis 0 reaches jerk .* above its limit 0\.9$"):
+        plan_pose_axes(pose0, posef, lin, ang)
+
+
+def test_cli_exits_3_on_a_pose_move_that_breaks_a_limit(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(multiaxis, "plan_ptp_1d", planned_under_limits_times_1_5)
+    out = tmp_path / "traj.csv"
+    code = cli.main(["plan-ptp", "--from", "0,0,0,1,0,0,0",
+                     "--to", "0.1,0,0,0.966,0,0,0.259", "--dt", "0.01",
+                     "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: solver failed: axis 0 reaches jerk")
+    assert not out.exists()
