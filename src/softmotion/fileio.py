@@ -11,8 +11,10 @@ Trajectory CSV: header ``t`` then ``<axis>_pos,<axis>_vel,<axis>_acc,
 <axis>_jerk`` per axis; samples on the grid t0 + k*dt plus the exact final
 time.  All numbers are serialized with 9 significant digits (``fmt``), so
 output is byte-identical across runs.  Rows are sampled in blocks of grid
-instants, one array pass per axis and block, and ``_csv_rows`` formats a
-block in numpy; its bytes equal ``fmt`` of each value, value by value.
+instants: each moving axis's segment table is built once per write, every
+block is one ``sample_axes`` pass over all moving axes, and ``_csv_rows``
+formats a block in numpy; its bytes equal ``fmt`` of each value, value by
+value.
 For 1e-4 <= |x| < 1e3 it scales |x| by an exact power of ten to 9 integer
 digits and rounds once: the product is off by at most half an ulp (6e-8),
 so that rounding is the correctly rounded one Python uses, unless the
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import AxisProfile, KinematicLimits, sample, sample_times
+from .profiles import (AxisProfile, KinematicLimits, sample_axes, sample_times,
+                       segment_tables)
 from .profiles import evaluate  # noqa: F401  (perfbench/tracing.py wraps fileio.evaluate)
 
 DEFAULT_LINEAR = KinematicLimits(jmax=0.900, amax=0.300, vmax=0.150)
@@ -228,21 +231,30 @@ def write_trajectory_csv(stream: io.TextIOBase, profiles: list[AxisProfile],
         raise ValueError("one name per axis profile is required")
     if rest_positions is None:
         rest_positions = [0.0] * len(profiles)
+    if len(rest_positions) != len(profiles):
+        raise ValueError("one rest position per axis profile is required")
     longest = max(profiles, key=lambda p: p.end_time, default=AxisProfile())
     grid = sample_times(longest, dt)
     header = ["t"]
     for name in names:
         header += [f"{name}_pos", f"{name}_vel", f"{name}_acc", f"{name}_jerk"]
     stream.write(",".join(header) + "\n")
+    moving = np.flatnonzero([bool(p.segments) for p in profiles])
+    tables = segment_tables([profiles[i] for i in moving]) if moving.size else None
+    rows = np.empty((min(len(grid), _BLOCK_ROWS), len(header)))
+    # each axis's (pos, vel, acc, jerk) columns, a view of rows; those of an
+    # axis at rest are written once
+    cells = rows[:, 1:].reshape(len(rows), len(profiles), 4)
+    for i, (prof, rest) in enumerate(zip(profiles, rest_positions)):
+        if not prof.segments:
+            cells[:, i] = (float(rest), 0.0, 0.0, 0.0)
     for lo in range(0, len(grid), _BLOCK_ROWS):
         ts = grid[lo:lo + _BLOCK_ROWS]
-        block = np.empty((len(ts), len(header)))
+        block = rows[:len(ts)]
         block[:, 0] = ts
-        for c, prof, rest in zip(range(1, len(header), 4), profiles, rest_positions):
-            if prof.segments:
-                block[:, c:c + 4] = np.transpose(sample(prof, ts))
-            else:
-                block[:, c:c + 4] = (float(rest), 0.0, 0.0, 0.0)
+        if tables is not None:
+            for q, values in enumerate(sample_axes(tables, ts)):
+                cells[:len(ts), moving, q] = values.T
         stream.write(_csv_rows(block))
 
 

@@ -52,6 +52,36 @@ def plan_ptp_nd(p0, pf, limits: KinematicLimits) -> list[AxisProfile]:
     return profiles
 
 
+def _scalar_problem(p0, pf, limits: KinematicLimits):
+    """(p0, length, unit direction, projected limits) of the segment p0 -> pf.
+
+    The scalar progress profile runs along the segment length under the
+    limits projected onto the dominant axis.  Coincident endpoints give a
+    length of 0 and no direction.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    pf = np.asarray(pf, dtype=float)
+    if p0.shape != pf.shape or p0.ndim != 1 or p0.size < 1:
+        raise ValueError("p0 and pf must be 1-D vectors of equal dimension")
+    delta = pf - p0
+    length = float(np.linalg.norm(delta))
+    if length < NULL_TOL:
+        return p0, 0.0, None, limits
+    unit = delta / length
+    dominant = float(np.max(np.abs(unit)))
+    return p0, length, unit, limits.scaled(1.0 / dominant)
+
+
+def min_time_nd(p0, pf, limits: KinematicLimits) -> float:
+    """Minimal duration of the straight-line move p0 -> pf, in closed form.
+
+    The total of the times ``plan_ptp_nd_with_times`` plans by, without
+    planning: 0 for coincident endpoints.
+    """
+    _, length, _, scalar_limits = _scalar_problem(p0, pf, limits)
+    return ptp_times(length, scalar_limits).total
+
+
 def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
                            duration: float | None = None,
                            ) -> tuple[list[AxisProfile], PtpTimes]:
@@ -64,17 +94,9 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
     profile is checked against ``limits`` before it is returned: one that
     breaks a limit raises SolverFailure.
     """
-    p0 = np.asarray(p0, dtype=float)
-    pf = np.asarray(pf, dtype=float)
-    if p0.shape != pf.shape or p0.ndim != 1 or p0.size < 1:
-        raise ValueError("p0 and pf must be 1-D vectors of equal dimension")
-    delta = pf - p0
-    length = float(np.linalg.norm(delta))
-    if length < NULL_TOL:
+    p0, length, unit, scalar_limits = _scalar_problem(p0, pf, limits)
+    if unit is None:
         return [AxisProfile() for _ in p0], PtpTimes(0.0, 0.0, 0.0)
-    unit = delta / length
-    dominant = float(np.max(np.abs(unit)))
-    scalar_limits = limits.scaled(1.0 / dominant)
     times = ptp_times(length, scalar_limits)
     if duration is not None and duration != times.total:
         scalar_limits = scale_limits_for_duration(scalar_limits, times.total,

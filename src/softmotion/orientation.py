@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiaxis import plan_ptp_nd_with_times
+from .multiaxis import min_time_nd, plan_ptp_nd_with_times
 from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
-                       KinematicState, evaluate, sample, sample_times)
+                       KinematicState, evaluate, sample_axes, sample_times,
+                       segment_tables)
 
 _UNIT_TOL = 1e-3      # largest |norm - 1| accepted for an input orientation
 
@@ -157,10 +158,11 @@ def plan_pose_axes(pose0: Pose, posef: Pose, limits_linear: KinematicLimits,
     """Synchronized 7-axis motion between two poses, all axes one duration.
 
     Positions run under the linear limits, quaternion components under the
-    angular limits halved.  The slower of the two groups sets the common
-    duration; the other group is stretched to it by replanning under
-    time-dilated limits.  The target quaternion is flipped into the
-    hemisphere of the start so the component path never crosses q.q0 < 0.
+    angular limits halved.  The slower of the two groups' minimal times
+    (``min_time_nd``) sets the common duration, and each group is planned
+    once at it: the faster one under time-dilated limits.  The target
+    quaternion is flipped into the hemisphere of the start so the component
+    path never crosses q.q0 < 0.
     Every moving axis comes from plan_ptp_nd_with_times, which checks it
     against its group's limits (linear, or angular halved) and raises
     SolverFailure rather than return a profile that breaks one; the other
@@ -174,14 +176,10 @@ def plan_pose_axes(pose0: Pose, posef: Pose, limits_linear: KinematicLimits,
         qf = -qf
     quat_limits = limits_angular.scaled(0.5)
 
-    pos_profiles, pos_times = plan_ptp_nd_with_times(pose0.p, posef.p, limits_linear)
-    quat_profiles, quat_times = plan_ptp_nd_with_times(q0, qf, quat_limits)
-    duration = max(pos_times.total, quat_times.total)
-    if pos_times.total < duration:
-        pos_profiles, _ = plan_ptp_nd_with_times(pose0.p, posef.p, limits_linear,
-                                                 duration)
-    if quat_times.total < duration:
-        quat_profiles, _ = plan_ptp_nd_with_times(q0, qf, quat_limits, duration)
+    duration = max(min_time_nd(pose0.p, posef.p, limits_linear),
+                   min_time_nd(q0, qf, quat_limits))
+    pos_profiles, _ = plan_ptp_nd_with_times(pose0.p, posef.p, limits_linear, duration)
+    quat_profiles, _ = plan_ptp_nd_with_times(q0, qf, quat_limits, duration)
     pos_profiles = [_as_hold(p, float(x), duration) for p, x in zip(pos_profiles, pose0.p)]
     quat_profiles = [_as_hold(p, float(c), duration) for p, c in zip(quat_profiles, q0)]
     return pos_profiles + quat_profiles
@@ -228,5 +226,5 @@ def quaternion_norm_drift(profiles: list[AxisProfile], dt: float = 0.01) -> floa
         return 0.0
     ref = max(spans, key=lambda p: p.duration)
     ts = sample_times(ref, dt)
-    comps = np.column_stack([sample(p, ts)[0] for p in quat_profiles])
-    return float(np.max(np.abs(np.linalg.norm(comps, axis=1) - 1.0)))
+    comps = sample_axes(segment_tables(quat_profiles), ts)[0]
+    return float(np.max(np.abs(np.linalg.norm(comps, axis=0) - 1.0)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,9 +112,10 @@ def integrate_segment(start: KinematicState, jerk: float, dt: float) -> Kinemati
 def cubic(a0, v0, x0, jerk, dt):
     """(a, v, x) after dt under constant jerk, for floats or arrays alike.
 
-    The one home of the closed form: ``integrate_segment``, ``sample`` and
-    the planner's float walks all call it, so their results agree bit for
-    bit.  It checks nothing; ``integrate_segment`` is the checked form.
+    The one home of the closed form: ``integrate_segment``,
+    ``sample_axes`` and the planner's float walks all call it, so their
+    results agree bit for bit.  It checks nothing; ``integrate_segment`` is
+    the checked form.
     """
     return (a0 + jerk * dt,
             v0 + (a0 + 0.5 * jerk * dt) * dt,
@@ -193,29 +195,95 @@ def evaluate(profile: AxisProfile, t: float) -> tuple[KinematicState, float]:
     return seg.state_at(t - ts[k]), seg.jerk
 
 
+class SegmentTables(NamedTuple):
+    """The segments of m profiles as arrays, to sample them at many instants.
+
+    Row i of ``bounds`` holds profile i's boundaries, padded with inf to
+    one width L; column i*L + k of ``coeffs`` holds (a0, v0, x0, jerk) of
+    its segment k.  ``last`` is each profile's last segment index and
+    ``offsets`` is i*L, both as (m, 1) columns.  ``clamps`` is the pairs
+    (t0, end_time) and (b[0], b[-1]) of (m, 1) columns, in the order the
+    times are held to them; ``span`` is the interval, (largest low end,
+    smallest high end), on which no clamp changes a time.
+    """
+
+    bounds: np.ndarray
+    coeffs: np.ndarray
+    last: np.ndarray
+    offsets: np.ndarray
+    clamps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    span: tuple[float, float]
+
+
+def segment_tables(profiles: list[AxisProfile]) -> SegmentTables:
+    """The tables ``sample_axes`` reads, built once for a list of profiles."""
+    if not all(p.segments for p in profiles):
+        raise ValueError("cannot sample an empty profile")
+    m = len(profiles)
+    width = max(len(p.segments) for p in profiles) + 1
+    bounds = np.full((m, width), np.inf)
+    coeffs = np.zeros((4, m, width))
+    ends = np.empty((4, m, 1))      # t0, end_time, b[0], b[-1]
+    for i, p in enumerate(profiles):
+        b = p.boundaries()
+        bounds[i, :len(b)] = b
+        coeffs[:, i, :len(b) - 1] = np.transpose(
+            [(s.start.a, s.start.v, s.start.x, s.jerk) for s in p.segments])
+        ends[:, i, 0] = (p.t0, p.end_time, b[0], b[-1])
+    last = np.array([[len(p.segments) - 1] for p in profiles])
+    return SegmentTables(
+        bounds=bounds, coeffs=coeffs.reshape(4, m * width), last=last,
+        offsets=np.arange(m).reshape(m, 1) * width,
+        clamps=((ends[0], ends[1]), (ends[2], ends[3])),
+        span=(float(np.max(ends[0::2])), float(np.min(ends[1::2]))))
+
+
+def sample_axes(tables: SegmentTables, ts) -> tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray, np.ndarray]:
+    """Position, velocity, acceleration and jerk of every profile at the 1-D
+    times ts, each an (m, len(ts)) array.
+
+    Times are first held to [t0, end_time], so instants outside a profile
+    read its start or final state.  Every value equals, bit for bit, what
+    ``evaluate`` returns at the held time.
+    """
+    t = np.asarray(ts, dtype=float)
+    m = len(tables.bounds)
+    if t.size and tables.span[0] <= t.min() and t.max() <= tables.span[1]:
+        # every time lies within every clamp pair: no np.where below would
+        # pick its bound, so the times stay as they are
+        held = np.broadcast_to(t, (m, t.size))
+    else:
+        # held to [t0, end_time], then to the boundaries like evaluate (the
+        # two ends can differ by an ulp when t0 != 0); np.where keeps
+        # min(max(t, lo), hi)'s pick between equal values, so signed zeros
+        # match
+        held = t
+        for lo, hi in tables.clamps:
+            held = np.where(lo > held, lo, held)
+            held = np.where(hi < held, hi, held)
+    k = np.empty((m, t.size), dtype=np.intp)
+    for i in range(m):
+        k[i] = tables.bounds[i].searchsorted(held[i], "right")
+    k -= 1
+    np.minimum(k, tables.last, out=k)
+    k += tables.offsets
+    a0, v0, x0, jerk = tables.coeffs.take(k, axis=1)
+    a, v, x = cubic(a0, v0, x0, jerk, held - tables.bounds.take(k))
+    return x, v, a, jerk
+
+
 def sample(profile: AxisProfile, ts) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray, np.ndarray]:
     """Position, velocity, acceleration and jerk arrays at the times ts.
 
-    Times are first held to [t0, end_time], so instants outside the profile
-    read its start or final state.  Every value equals, bit for bit, what
-    ``evaluate`` returns at the held time.
+    The one-profile case of ``sample_axes``, each array of the shape of ts:
+    times are held to [t0, end_time], and every value equals, bit for bit,
+    what ``evaluate`` returns at the held time.
     """
-    if not profile.segments:
-        raise ValueError("cannot sample an empty profile")
-    b = np.array(profile.boundaries())
     t = np.asarray(ts, dtype=float)
-    # held to [t0, end_time] like the samplers, then to the boundaries like
-    # evaluate (the two ends can differ by an ulp when t0 != 0); np.where keeps
-    # min(max(t, lo), hi)'s pick between equal values, so signed zeros match
-    for lo, hi in ((profile.t0, profile.end_time), (b[0], b[-1])):
-        t = np.where(lo > t, lo, t)
-        t = np.where(hi < t, hi, t)
-    k = np.minimum(np.searchsorted(b, t, side="right") - 1, len(profile.segments) - 1)
-    a0, v0, x0, jerk = np.array([(s.start.a, s.start.v, s.start.x, s.jerk)
-                                 for s in profile.segments], dtype=float)[k].T
-    a, v, x = cubic(a0, v0, x0, jerk, t - b[k])
-    return x, v, a, jerk
+    return tuple(col[0].reshape(t.shape)
+                 for col in sample_axes(segment_tables([profile]), t.ravel()))
 
 
 def make_profile(steps, start: KinematicState,

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from softmotion import (AxisProfile, Pose, Quaternion, cli, evaluate,
+from softmotion import (AxisProfile, Pose, Quaternion, cli, evaluate, fileio,
                         plan_pose_axes, plan_ptp_nd, plan_waypoint_path_detailed,
                         sample_times, shift_profile)
 from softmotion.fileio import _csv_rows, fmt, write_trajectory_csv
@@ -207,6 +207,41 @@ def test_writer_needs_only_write(lin):
     assert "".join(out.parts) == new == ref
 
 
+def test_writer_needs_one_rest_position_per_axis(lin):
+    # a missing rest position would leave its axis's columns unwritten
+    profiles = [AxisProfile(), *plan_ptp_nd([0.0], [0.1], lin), AxisProfile()]
+    with pytest.raises(ValueError):
+        write_trajectory_csv(io.StringIO(), profiles, XYZ, 0.01, rest_positions=[0.0, 0.0])
+
+
+def test_writer_builds_each_axis_table_once(lin, ang, monkeypatch):
+    # a pose move of 7 axes over 3 blocks, and a line with a resting axis
+    pose0 = Pose((0.0, 0.0, 0.0), Quaternion.identity())
+    posef = Pose((0.01, 0.02, 0.0), Quaternion.from_axis_angle((1, 2, 3), 0.1))
+    moves = [plan_pose_axes(pose0, posef, lin, ang),
+             [*plan_ptp_nd([0.0, 0.0], [0.01, 0.02], lin), AxisProfile()]]
+    counts = {"segment_tables": 0, "boundaries": 0}
+    segment_tables, boundaries = fileio.segment_tables, AxisProfile.boundaries
+
+    def counted_tables(profiles):
+        counts["segment_tables"] += 1
+        return segment_tables(profiles)
+
+    def counted_boundaries(self):
+        counts["boundaries"] += 1
+        return boundaries(self)
+
+    monkeypatch.setattr(fileio, "segment_tables", counted_tables)
+    monkeypatch.setattr(AxisProfile, "boundaries", counted_boundaries)
+    for profiles in moves:
+        counts.update(segment_tables=0, boundaries=0)
+        out = io.StringIO()
+        write_trajectory_csv(out, profiles, POSE[:len(profiles)], 0.001)
+        assert out.getvalue().count("\n") > 2 * 256 + 1
+        moving = sum(1 for p in profiles if p.segments)
+        assert counts == {"segment_tables": 1, "boundaries": moving}
+
+
 #: SHA-256 of the README commands' CSVs, fixed before the block writer
 #: existed; a change that alters one byte of them fails here.
 PINNED = [
@@ -219,11 +254,18 @@ PINNED = [
     # strategies, pinned before the stretching root solver was rewritten
     (["plan-path", "--dt", "0.01"], "0,0,0\n0.15,0.1,0\n0.3,0.1,0.1\n0.2,0.25,0.15\n",
      "3d8d1817fadcbbb77c0d4ac54e29c91d48c336a119df33427b4ae01d7f5baa28"),
+    # all seven axes move, the end (8.83342489 s) falls off the grid and the
+    # 8 835 rows span 35 blocks; pinned before all axes of a block were
+    # sampled in one pass
+    (["plan-ptp", "--from", "0.02,-0.01,0.03,0.9,0.3,-0.2,0.2449",
+      "--to", "0.11,0.05,-0.04,0.95,-0.1,0.2,0.2179", "--dt", "0.001"], None,
+     "fbb101588274e837f85204147e059c59eefe1c8ef3aed3f32240707bc6fc16bc"),
 ]
 
 
 @pytest.mark.parametrize("argv,waypoints,digest", PINNED,
-                         ids=["plan-ptp", "plan-path", "plan-path-stretched"])
+                         ids=["plan-ptp", "plan-path", "plan-path-stretched",
+                              "plan-ptp-seven-axes"])
 def test_readme_csv_bytes_are_pinned(tmp_path, argv, waypoints, digest):
     out = tmp_path / "traj.csv"
     argv = argv + ["--out", str(out)]

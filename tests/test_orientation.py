@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from softmotion import (Pose, Quaternion, SolverFailure, check_limits, cli,
-                        evaluate, multiaxis, omega_to_qdot, plan_pose_axes,
-                        plan_ptp_1d, pose_at, qdot_to_omega, qr_matrix,
-                        quaternion_norm_drift, sample_times)
+                        evaluate, multiaxis, omega_to_qdot, orientation,
+                        plan_pose_axes, plan_ptp_1d, pose_at, qdot_to_omega,
+                        qr_matrix, quaternion_norm_drift, sample_times)
 
 
 def random_unit_quaternion(rng):
@@ -100,6 +100,27 @@ def test_pose_axes_synchronized_and_limited(lin, ang):
     assert abs(end.orient.dot(posef.orient)) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("goal, slower", [((0.1, -0.05, 0.02), "rotation"),
+                                           ((0.9, 0.0, 0.0), "translation")])
+def test_pose_planner_plans_each_group_once(lin, ang, monkeypatch, goal, slower):
+    pose0 = Pose((0.0, 0.0, 0.0), Quaternion.identity())
+    posef = Pose(goal, Quaternion.from_axis_angle((1, 1, 0), 0.5))
+    q0, qf = (pose.orient.normalized().as_array() for pose in (pose0, posef))
+    # the slower group's plan is its minimal-time plan, bit for bit
+    alone = (multiaxis.plan_ptp_nd(q0, qf, ang.scaled(0.5)) if slower == "rotation"
+             else multiaxis.plan_ptp_nd(pose0.p, posef.p, lin))
+    counts = {"plan_ptp_nd_with_times": 0, "check_limits": 0}
+    for owner, name in ((orientation, "plan_ptp_nd_with_times"), (multiaxis, "check_limits")):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    profiles = plan_pose_axes(pose0, posef, lin, ang)
+    assert counts == {"plan_ptp_nd_with_times": 2, "check_limits": 7}
+    assert (profiles[3:] if slower == "rotation" else profiles[:3]) == alone
+    assert len({p.end_time for p in profiles}) <= 2     # one duration, to an ulp
+
+
 def test_hemisphere_handling(lin, ang):
     q0 = Quaternion.identity()
     qf = Quaternion.from_array(-Quaternion.from_axis_angle((0, 0, 1), 0.6).as_array())
@@ -162,9 +183,15 @@ def test_pose_planner_checks_quaternions_against_halved_angular_limits(
     posef = Pose((0.1, 0.0, 0.2), Quaternion.from_axis_angle((0, 0, 1), 0.5))
     with pytest.raises(SolverFailure, match=r"reaches jerk .* above its limit 0\.3$"):
         plan_pose_axes(pose0, posef, lin, ang)
-    # with the position axes moving too, their linear jerk fails first
-    posef = Pose((0.3, 0.0, 0.2), posef.orient)
+    # with the position axes moving too and setting the duration (6.17 s
+    # against the rotation's 5.78 s), their linear jerk fails first
+    posef = Pose((0.9, 0.0, 0.2), posef.orient)
     with pytest.raises(SolverFailure, match=r"axis 0 reaches jerk .* above its limit 0\.9$"):
+        plan_pose_axes(pose0, posef, lin, ang)
+    # a shorter translation is stretched to the rotation's duration, and its
+    # plan, under 1.5 times the dilated limits, stays within the linear ones
+    posef = Pose((0.3, 0.0, 0.2), posef.orient)
+    with pytest.raises(SolverFailure, match=r"axis 3 reaches jerk .* above its limit 0\.3$"):
         plan_pose_axes(pose0, posef, lin, ang)
 
 
@@ -175,5 +202,6 @@ def test_cli_exits_3_on_a_pose_move_that_breaks_a_limit(monkeypatch, tmp_path, c
                      "--to", "0.1,0,0,0.966,0,0,0.259", "--dt", "0.01",
                      "--out", str(out)])
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: solver failed: axis 0 reaches jerk")
+    # the rotation sets the duration: qk, its dominant component, fails first
+    assert capsys.readouterr().err.startswith("error: solver failed: axis 3 reaches jerk")
     assert not out.exists()

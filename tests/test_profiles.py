@@ -8,8 +8,9 @@ from softmotion import (AxisProfile, CubicSegment, KinematicState, Pose,
                         Quaternion, SoftMotionError, check_limits,
                         concat_profiles, evaluate, integrate_segment,
                         make_profile, plan_min_time_1d, plan_pose_axes,
-                        plan_ptp_1d, sample, sample_times, shift_profile,
-                        slice_profile)
+                        plan_ptp_1d, plan_waypoint_path, sample, sample_times,
+                        shift_profile, slice_profile)
+from softmotion.profiles import sample_axes, segment_tables
 
 
 def brute_integrate(state, jerk, dt, steps=1_000_000):
@@ -163,9 +164,71 @@ def test_sample_equals_evaluate_bit_for_bit(lin, ang):
             assert np.array_equal(np.signbit(arr), np.signbit(col))
 
 
-def test_sample_rejects_an_empty_profile():
+def _axes_of_every_shape(lin):
+    """Profiles with 1 to many segments, t0 != 0, starting late and ending early."""
+    hold = CubicSegment(duration=1.5, jerk=0.0, start=KinematicState(0.0, 0.0, 0.3))
+    cruise = CubicSegment(duration=2.0, jerk=0.0, start=KinematicState(0.0, -0.1, 0.05))
+    path = plan_waypoint_path([[0.0, 0.0, 0.0], [0.15, 0.1, 0.0], [0.3, 0.1, 0.1],
+                               [0.2, 0.25, 0.15]], lin)
+    dwell = plan_min_time_1d(KinematicState(0.1, -0.05, 0.02),
+                             KinematicState(0.0, 0.0, -0.1), lin)
+    axes = [AxisProfile(segments=(hold,)), AxisProfile(t0=0.4, segments=(cruise,)),
+            plan_ptp_1d(0.6, lin), shift_profile(plan_ptp_1d(-0.2, lin), 0.9),
+            plan_ptp_1d(0.03, lin, t0=0.2), shift_profile(dwell, -1.3)]
+    axes += [shift_profile(p, 0.37) for p in path] + path
+    return axes
+
+
+def test_sample_axes_equals_evaluate_bit_for_bit(lin):
+    axes = _axes_of_every_shape(lin)
+    assert {1, 7} <= {len(p.segments) for p in axes}
+    assert max(len(p.segments) for p in axes) > 15       # the joined path
+    rng = np.random.default_rng(20)
+    edges = np.concatenate([p.boundaries() for p in axes])
+    ends = np.array([(p.t0, p.end_time) for p in axes])
+    ts = np.concatenate([
+        edges,                                  # every boundary of every axis
+        ends.ravel()[:, None] + [-1.0, -1e-13, 1e-13, 1.0],
+        sample_times(max(axes, key=lambda p: p.end_time), 0.0137),
+        rng.uniform(ends.min(), ends.max(), 400),
+        [-0.0, 0.0]], axis=None)
+    # blocks of the sorted instants, as the CSV writer samples them, and the
+    # whole set in random order; the path axes alone share a span, and the
+    # blocks within it skip the clamps
+    blocks = np.array_split(np.sort(ts), len(ts) // 16) + [rng.permutation(ts)]
+    for group in (axes, axes[6:]):
+        tables = segment_tables(group)
+        inside = 0
+        for block in blocks:
+            inside += tables.span[0] <= block.min() and block.max() <= tables.span[1]
+            got = sample_axes(tables, block)
+            for i, prof in enumerate(group):
+                ref = [[], [], [], []]
+                for t in block.tolist():
+                    state, jerk = evaluate(prof, min(max(t, prof.t0), prof.end_time))
+                    for col, val in zip(ref, (state.x, state.v, state.a, jerk)):
+                        col.append(val)
+                for arr, col in zip(got, ref):
+                    # == and the same sign of every zero: the same bits
+                    assert arr[i].tolist() == col
+                    assert np.array_equal(np.signbit(arr[i]), np.signbit(col))
+        assert inside == 0 if group is axes else 0 < inside < len(blocks)
+
+
+def test_sample_keeps_the_shape_of_the_times(lin):
+    prof = shift_profile(plan_ptp_1d(0.3, lin), 0.7)
+    ts = np.array([[0.5, 1.0, 1.4], [2.0, 3.0, 9.0]])
+    got = sample(prof, ts)
+    for (r, c), t in np.ndenumerate(ts):
+        state, jerk = evaluate(prof, min(max(t, prof.t0), prof.end_time))
+        assert [arr[r, c] for arr in got] == [state.x, state.v, state.a, jerk]
+
+
+def test_sample_rejects_an_empty_profile(lin):
     with pytest.raises(ValueError):
         sample(AxisProfile(), [0.0])
+    with pytest.raises(ValueError):
+        segment_tables([plan_ptp_1d(0.1, lin), AxisProfile()])
 
 
 def test_saturated_jerk_segments_stay_on_parabola(lin):

@@ -13,10 +13,12 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from softmotion import (KinematicLimits, KinematicState, check_limits, cli,
-                        critical_length, impose_common_time, plan_min_time_1d,
-                        plan_waypoint_path, transition_problem)
+from softmotion import (KinematicLimits, KinematicState, OnlineTracker,
+                        PoseTracker, Twist, check_limits, cli, critical_length,
+                        impose_common_time, plan_min_time_1d, plan_waypoint_path,
+                        transition_problem)
 from softmotion.fileio import DEFAULT_ANGULAR, DEFAULT_LINEAR
+from softmotion.profiles import LIMIT_TOL
 from test_waypoints import seam_discontinuity
 
 LIN = KinematicLimits(jmax=0.900, amax=0.300, vmax=0.150)
@@ -254,3 +256,44 @@ def test_cli_exits_0_2_or_3_with_an_error_line_and_no_traceback(command):
     assert "Traceback" not in err
     if code != 0:
         assert any("error:" in line for line in err.splitlines()), (argv, code, err)
+
+
+def held_component(vmax):
+    """A reference component: rest, the bound, past it, or any value up to 2x."""
+    return st.one_of(st.sampled_from([0.0, vmax, -vmax, 1.5 * vmax, -2.0 * vmax]),
+                     st.floats(-2.0 * vmax, 2.0 * vmax))
+
+
+#: held twists: linear and angular references, each held for 1 to 80 ticks
+TWIST_STREAMS = st.lists(st.tuples(st.tuples(*[held_component(LIN.vmax)] * 3),
+                                   st.tuples(*[held_component(DEFAULT_ANGULAR.vmax)] * 3),
+                                   st.integers(1, 80)), min_size=1, max_size=6)
+
+
+def assert_tick_keeps_limits(before, after, limits, dt):
+    """Each axis within its limits, and within one tick's change of a and v."""
+    for s0, s1, lim in zip(before, after, limits):
+        assert abs(s1.v) <= lim.vmax + LIMIT_TOL
+        assert abs(s1.a) <= lim.amax + LIMIT_TOL
+        assert abs(s1.a - s0.a) <= lim.jmax * dt + LIMIT_TOL
+        assert abs(s1.v - s0.v) <= lim.amax * dt + LIMIT_TOL
+
+
+# budget: 150 streams of up to 480 ticks, each ticked by both trackers, in about 5 s
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(TWIST_STREAMS)
+def test_tracker_ticks_keep_limits_and_one_tick_changes(stream):
+    dt = 0.01
+    # a 6-axis bank on the raw references, and the pose tracker on the twist;
+    # the pose tracker's per-axis states are those of its inner bank
+    bank = OnlineTracker([LIN] * 3 + [DEFAULT_ANGULAR] * 3, dt=dt)
+    pose = PoseTracker(LIN, DEFAULT_ANGULAR, dt=dt)
+    pose_limits = pose._inner.limits
+    assert pose_limits[3:] == [DEFAULT_ANGULAR.scaled(0.5)] * 4
+    for v, w, ticks in stream:
+        for _ in range(ticks):
+            before = bank.states
+            assert_tick_keeps_limits(before, bank.tick(v + w), bank.limits, dt)
+            before = pose._inner.states
+            pose.tick(Twist(v, w))
+            assert_tick_keeps_limits(before, pose._inner.states, pose_limits, dt)
