@@ -24,8 +24,11 @@ connections, cruise time from the leftover distance) or peaks below vmax.
 Each peak template (B1-B4: which acceleration plateaus are present) is
 written once, as (jerk, duration) steps whose durations are polynomials in
 one unknown u.  One symbolic sweep, the Horner form of the cubic segment,
-turns the steps into the template's displacement polynomial; the same
-steps evaluated at a root are the candidate.  The plateau-free B4 takes
+turns the steps into the template's displacement polynomial.  It is traced
+once per template and compiled to straight-line code (roots.trace), whose
+coefficients are the sweep's bit for bit: where the list product skips a
+zero factor the code adds a signed zero to a sum that is never -0.0.  The
+same steps evaluated at a root are the candidate.  The plateau-free B4 takes
 for u the drop from its peak to its valley acceleration: on the valley
 hyperbola both are rational in u, its durations are quadratics over u,
 and u times its displacement is a quartic, with no square root to square
@@ -44,13 +47,14 @@ inside the check's slack is faster.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Iterator
 
 from .errors import InfeasibleBoundary, SolverFailure
 from .profiles import (CLAMP_TOL, AxisProfile, KinematicLimits,
                        KinematicState, cubic, make_profile)
-from .roots import padd, peval, pmul, pscale, solve_real_roots
+from .roots import padd, peval, pmul, pscale, solve_real_roots, trace
 
 __all__ = [
     "CLAMP_TOL", "MotionType", "Steps", "connect_steps", "critical_length",
@@ -235,6 +239,16 @@ def _templates(a0: float, v0: float, af: float, vf: float,
     """
     j, am = limits.jmax, limits.amax
     slack = j * CLAMP_TOL                  # acceleration swept in -CLAMP_TOL
+    a_lim = am + _BC_TOL                   # the largest |a| _admissible accepts
+    (b1, b2, b3, b4), delta = _template_steps(a0, v0, af, vf, j, am)
+    return [(b1, 0, max(0.0, -delta) - CLAMP_TOL, 2.0 * (limits.vmax + _BC_TOL) / am),
+            (b2, 0, -a_lim, min(af, am) + slack),
+            (b3, 0, max(a0, -am) - slack, a_lim),
+            (b4, 1, -2.0 * a_lim, slack)]
+
+
+def _template_steps(a0, v0, af, vf, j, am) -> tuple[list, float]:
+    """B1-B4's step lists and B1's delta; arithmetic only, so traceable."""
     up = (j, [(am - a0) / j])              # a0 -> +amax
     peak = (j, [-a0 / j, 1.0 / j])         # a0 -> u
     last = (j, [(af + am) / j])            # -amax -> af
@@ -255,11 +269,17 @@ def _templates(a0: float, v0: float, af: float, vf: float,
     K = j * (v0 - vf) + 0.5 * (af * af - a0 * a0)
     b4 = [(j, [0.5 * K / j, -a0 / j, -0.5 / j]), (-j, [0.0, 0.0, -1.0 / j]),
           (j, [-0.5 * K / j, af / j, -0.5 / j])]
-    a_lim = am + _BC_TOL                   # the largest |a| _admissible accepts
-    return [(b1, 0, max(0.0, -delta) - CLAMP_TOL, 2.0 * (limits.vmax + _BC_TOL) / am),
-            (b2, 0, -a_lim, min(af, am) + slack),
-            (b3, 0, max(a0, -am) - slack, a_lim),
-            (b4, 1, -2.0 * a_lim, slack)]
+    return [b1, b2, b3, b4], delta
+
+
+@functools.cache
+def _template_poly(i: int, k: int):
+    """u^k (x - D) of template i as compiled code of (a0, v0, af, vf, D, jmax, amax)."""
+    def poly(a0, v0, af, vf, D, j, am):
+        x = _sweep_poly(_template_steps(a0, v0, af, vf, j, am)[0][i],
+                        [0.0] * k + [a0], [0.0] * 2 * k + [v0])
+        return padd(x[2 * k:], [0.0] * k + [-D])
+    return trace(poly, 7)
 
 
 def _sweep_poly(steps: list, a0: list[float], v0: list[float]) -> list[float]:
@@ -298,12 +318,11 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
         pass
     else:
         yield cruise, t_c >= 0.0
-    for steps, k, lo, hi in _templates(a0, v0, af, vf, limits):
+    for i, (steps, k, lo, hi) in enumerate(_templates(a0, v0, af, vf, limits)):
         # u^k (x - D).  B4's sweep is u^3 x = u^2 (K^2 / 4J^2 + ...), so its
         # two lowest coefficients vanish identically and hold only rounding;
         # at K = 0 the next one is an exact zero, and u divides out too
-        x = _sweep_poly(steps, [0.0] * k + [a0], [0.0] * 2 * k + [v0])
-        poly = padd(x[2 * k:], [0.0] * k + [-D])
+        poly = _template_poly(i, k)(a0, v0, af, vf, D, limits.jmax, limits.amax)
         if k and poly[0] == 0.0:
             del poly[0]
         for u in solve_real_roots(poly, lo, hi):

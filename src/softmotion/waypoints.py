@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjust import impose_common_time, transition_problem
+from .errors import SolverFailure
 from .multiaxis import plan_ptp_nd_with_times
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
                        concat_profiles, evaluate, shift_profile, slice_profile)
@@ -48,7 +49,7 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
     leg, a transition at each interior waypoint, the cruise of each middle
     leg between its transitions, and the cruise and tail of the last leg.
     It starts and ends at rest and is continuous in position, velocity and
-    acceleration across every seam.
+    acceleration across every seam; a seam that misses raises SolverFailure.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 3:
@@ -96,8 +97,11 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
             hi = windows[w][1] if w < len(pts) - 2 else leg.duration
             if leg.segments and hi > lo:
                 pieces.append(slice_profile(leg, lo, hi))
-        profile = concat_profiles([shift_profile(p, 0.0) for p in pieces if p.segments])
-        out.append(profile)
+        pieces = [shift_profile(p, 0.0) for p in pieces if p.segments]
+        try:
+            out.append(concat_profiles(pieces))
+        except ValueError as exc:      # a seam missed: the planners' fault, not the input's
+            raise SolverFailure(f"axis {ax}: {exc}") from exc
     return out, summaries
 
 

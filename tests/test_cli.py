@@ -338,6 +338,22 @@ def test_non_positive_dt_exits_2(tmp_path, command, dt):
     assert not out.exists()
 
 
+def test_a_missed_path_seam_exits_3(tmp_path):
+    # limits 1e3 times slower than the defaults leave a seam gap above
+    # SEAM_TOL on this path: a solver fault (exit 3), not bad input (exit 2)
+    limits = tmp_path / "limits.txt"
+    limits.write_text("linear.jmax 9e-10\nlinear.amax 3e-7\nlinear.vmax 1.5e-4\n")
+    wp = tmp_path / "waypoints.txt"
+    wp.write_text("-0.12655123880094574,0.177738074745243,0.2836348017541804\n"
+                  "-0.42228022700169743,0.2629560798552092,0.3777032309541172\n"
+                  "-0.556325731101488,0.4539498369057291,0.3171195803223751\n"
+                  "-0.8104583499344544,0.18613963096210373,0.42567836133986586\n")
+    res = run_cli(["plan-path", "--waypoints", str(wp), "--limits", str(limits),
+                   "--dt", "100", "--out", str(tmp_path / "traj.csv")], timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "profiles do not chain continuously" in res.stderr
+
+
 def test_solver_failure_exits_3(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise SolverFailure("oracle found no trajectory within its horizon")

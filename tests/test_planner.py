@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from softmotion import (InfeasibleBoundary, KinematicState, MotionType,
                         SolverFailure, brute_force_min_time, check_limits,
                         classify, critical_length, mirror_problem,
                         plan_min_time_1d, stop_time, transition_problem)
-from softmotion import planner
+from softmotion import planner, roots
 from softmotion.profiles import integrate_segment
-from softmotion.roots import peval
+from softmotion.roots import padd, peval
 
 
 def test_critical_length_examples(lin):
@@ -324,6 +325,70 @@ def test_each_template_polynomial_sweeps_its_own_rebuild(lin):
     assert sorted(checked) == [("B1", False), ("B2", False), ("B3", False),
                                ("B4", False), ("B4", True)]
     assert min(checked.values()) >= 10
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def test_compiled_templates_match_the_list_sweep_bit_for_bit(lin):
+    # the compiled u^k (x - D) of each template against _sweep_poly on its
+    # step lists, signed zeros included: random boundaries, boundary
+    # accelerations at +-0.0 and +-amax, v0 = vf, K = 0 (B4's exact zeros),
+    # and every problem mirrored too, where s * 0.0 gives -0.0
+    rng = np.random.default_rng(41)
+    am, corners = lin.amax, (0.0, -0.0, lin.amax, -lin.amax)
+    checked = 0
+    for n in range(400):
+        a0, v0 = random_boundary(rng, lin)
+        af, vf = random_boundary(rng, lin, outgoing=True)
+        if n % 4 == 1:
+            a0, af = rng.choice(corners), rng.choice(corners)
+            v0 = rng.uniform(-1.0, 1.0) * (lin.vmax - a0 * a0 / (2.0 * lin.jmax))
+            vf = rng.uniform(-1.0, 1.0) * (lin.vmax - af * af / (2.0 * lin.jmax))
+        if n % 4 == 2:
+            vf = v0
+        if n % 4 == 3:                 # K = 0
+            af, vf = rng.choice([-1.0, 1.0]) * a0, v0
+        D = rng.choice([0.0, rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-12.0, 0.0)])
+        for s in (1.0, -1.0):
+            args = s * a0, s * v0, s * af, s * vf, s * D
+            for i, (steps, k, _, _) in enumerate(planner._templates(*args[:4], lin)):
+                x = planner._sweep_poly(steps, [0.0] * k + [args[0]], [0.0] * 2 * k + [args[1]])
+                listed = padd(x[2 * k:], [0.0] * k + [-args[4]])
+                compiled = planner._template_poly(i, k)(*args, lin.jmax, am)
+                assert _bits(compiled) == _bits(listed), (i, args)
+                checked += 1
+    assert checked == 400 * 2 * 4
+
+
+def test_each_template_and_degree_is_traced_once(lin, monkeypatch):
+    # a boundary_pairs-style sweep (type-1 cruise and peak, type-2 and
+    # critical displacements) traces each template once and each degree of
+    # the Descartes map once, however many plans and pieces ask for them
+    traced = []
+    trace = roots.trace
+
+    def counted(fn, nargs):
+        traced.append((fn.__qualname__, nargs))
+        return trace(fn, nargs)
+
+    monkeypatch.setattr(planner, "trace", counted)
+    monkeypatch.setattr(roots, "trace", counted)
+    planner._template_poly.cache_clear()
+    roots._compiled_map.cache_clear()
+    rng = np.random.default_rng(43)
+    for n in range(120):
+        a0, v0 = random_boundary(rng, lin)
+        af, vf = random_boundary(rng, lin, outgoing=True)
+        dc = critical_length(KinematicState(a0, v0), KinematicState(af, vf), lin)
+        D = dc + (0.0, -0.3, 0.3, 3.0)[n % 4] * rng.uniform()
+        plan_min_time_1d(KinematicState(a0, v0), KinematicState(af, vf, D), lin)
+    templates = [t for t in traced if t[0] != "_descartes_map"]
+    degrees = [nargs - 3 for name, nargs in traced if name == "_descartes_map"]
+    assert len(templates) == 4 and planner._template_poly.cache_info().misses == 4
+    assert sorted(degrees) == sorted(set(degrees)) and {2, 4} <= set(degrees)
+    assert planner._template_poly.cache_info().hits > 40
 
 
 def test_every_admissible_template_root_lies_in_its_interval(lin):
