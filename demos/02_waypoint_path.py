@@ -39,8 +39,7 @@ for t in np.linspace(0.0, T, 13):
 
 # the sampled table is also available as CSV (plot-ready)
 buf = io.StringIO()
-write_trajectory_csv(buf, profiles, ["x", "y", "z"], dt=0.01,
-                     rest_positions=list(p0))
+write_trajectory_csv(buf, profiles, ["x", "y", "z"], dt=0.01)
 lines = buf.getvalue().splitlines()
 print(f"\nCSV sampling at 10 ms: {len(lines) - 1} rows, header:")
 print(" ", lines[0])

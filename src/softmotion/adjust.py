@@ -92,7 +92,7 @@ def transition_problem(v0: float, vf: float, displacement: float,
     sweep_stop = critical_length(init, KinematicState(0.0, 0.0), limits)
     stop = KinematicState(0.0, 0.0, init.x + sweep_stop)   # the natural standstill
     halt = plan_min_time_1d(init, stop, limits)
-    restart = plan_min_time_1d(stop, final, limits, t0=halt.duration)
+    restart = plan_min_time_1d(stop, final, limits)
     problem = TransitionProblem(init, final, displacement, limits, min_time,
                                 halt, restart, runs=())
     return replace(problem, runs=_feasible_runs(problem))

@@ -76,25 +76,20 @@ def _cmd_plan_ptp(args) -> int:
         profiles = plan_pose_axes(pose0, posef, limits.linear, limits.angular)
         names = _POSE_NAMES
     with _output(args.out) as out:
-        write_trajectory_csv(out, profiles, names, args.dt,
-                             rest_positions=list(start))
+        write_trajectory_csv(out, profiles, names, args.dt)
     return 0
 
 
 def _cmd_plan_path(args) -> int:
     limits = _load_limits(args.limits)
     points = read_waypoints(args.waypoints)
-    if points.shape[0] < 3:
-        print("error: at least three points are required", file=sys.stderr)
-        return 2
     if points.shape[1] != 3:
         print("error: plan-path plans positions only; give x,y,z waypoints "
               "without orientation columns", file=sys.stderr)
         return 2
     profiles, summaries = plan_waypoint_path_detailed(points, limits.linear)
     with _output(args.out) as out:
-        write_trajectory_csv(out, profiles, _POSITION_NAMES, args.dt,
-                             rest_positions=list(points[0]))
+        write_trajectory_csv(out, profiles, _POSITION_NAMES, args.dt)
     if args.report is not None:
         with _output(args.report) as rep:
             write_transition_report(rep, summaries, _POSITION_NAMES)

@@ -11,8 +11,8 @@ Trajectory CSV: header ``t`` then ``<axis>_pos,<axis>_vel,<axis>_acc,
 <axis>_jerk`` per axis; samples on the grid t0 + k*dt plus the exact final
 time.  All numbers are serialized with 9 significant digits (``fmt``), so
 output is byte-identical across runs.  Rows are sampled in blocks of grid
-instants: each moving axis's segment table is built once per write, every
-block is one ``sample_axes`` pass over all moving axes, and ``_csv_rows``
+instants: the axes' segment tables are built once per write, every block
+is one ``sample_axes`` pass over all axes, and ``_csv_rows``
 formats a block in numpy; its bytes equal ``fmt`` of each value, value by
 value.
 For 1e-4 <= |x| < 1e3 it scales |x| by an exact power of ten to 9 integer
@@ -219,42 +219,30 @@ def parse_vector(text: str) -> list[float]:
 
 
 def write_trajectory_csv(stream: io.TextIOBase, profiles: list[AxisProfile],
-                         names: list[str], dt: float,
-                         rest_positions: list[float] | None = None) -> None:
+                         names: list[str], dt: float) -> None:
     """Sampled trajectory table; one row per grid instant.
 
-    The grid is sample_times of the axis that ends last.  Axes with empty
-    profiles (no motion at all) report their rest position with zero
-    derivatives.
+    The grid is sample_times of the axis that ends last.  Every axis needs
+    a profile with segments (an axis at rest is a hold, as the planners
+    return it); an empty profile raises ValueError before anything is
+    written.
     """
     if len(profiles) != len(names):
         raise ValueError("one name per axis profile is required")
-    if rest_positions is None:
-        rest_positions = [0.0] * len(profiles)
-    if len(rest_positions) != len(profiles):
-        raise ValueError("one rest position per axis profile is required")
-    longest = max(profiles, key=lambda p: p.end_time, default=AxisProfile())
-    grid = sample_times(longest, dt)
+    tables = segment_tables(profiles)
+    grid = sample_times(max(profiles, key=lambda p: p.end_time), dt)
     header = ["t"]
     for name in names:
         header += [f"{name}_pos", f"{name}_vel", f"{name}_acc", f"{name}_jerk"]
     stream.write(",".join(header) + "\n")
-    moving = np.flatnonzero([bool(p.segments) for p in profiles])
-    tables = segment_tables([profiles[i] for i in moving]) if moving.size else None
     rows = np.empty((min(len(grid), _BLOCK_ROWS), len(header)))
-    # each axis's (pos, vel, acc, jerk) columns, a view of rows; those of an
-    # axis at rest are written once
-    cells = rows[:, 1:].reshape(len(rows), len(profiles), 4)
-    for i, (prof, rest) in enumerate(zip(profiles, rest_positions)):
-        if not prof.segments:
-            cells[:, i] = (float(rest), 0.0, 0.0, 0.0)
     for lo in range(0, len(grid), _BLOCK_ROWS):
         ts = grid[lo:lo + _BLOCK_ROWS]
         block = rows[:len(ts)]
         block[:, 0] = ts
-        if tables is not None:
-            for q, values in enumerate(sample_axes(tables, ts)):
-                cells[:len(ts), moving, q] = values.T
+        # column 1 + 4 i + q holds quantity q (pos, vel, acc, jerk) of axis i
+        for q, values in enumerate(sample_axes(tables, ts)):
+            block[:, 1 + q::4] = values.T
         stream.write(_csv_rows(block))
 
 

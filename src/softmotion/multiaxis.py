@@ -46,7 +46,7 @@ def plan_ptp_nd(p0, pf, limits: KinematicLimits) -> list[AxisProfile]:
 
     Every axis gets a profile of the same duration (the largest single-axis
     minimal time); axes with zero displacement hold position for that
-    duration.  Coincident endpoints yield empty profiles.
+    duration.  Coincident endpoints yield a 0 s hold per axis at p0.
     """
     profiles, _ = plan_ptp_nd_with_times(p0, pf, limits)
     return profiles
@@ -92,11 +92,14 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
     scale_limits_for_duration), and the times describe the stretched
     profile.  A duration below the minimal time raises ValueError.  Every
     profile is checked against ``limits`` before it is returned: one that
-    breaks a limit raises SolverFailure.
+    breaks a limit raises SolverFailure.  Coincident endpoints give every
+    axis a hold at p0 for ``duration`` (0 s when it is None), and times
+    whose total is that duration.
     """
     p0, length, unit, scalar_limits = _scalar_problem(p0, pf, limits)
     if unit is None:
-        return [AxisProfile() for _ in p0], PtpTimes(0.0, 0.0, 0.0)
+        rest = 0.0 if duration is None else duration
+        return [_hold(float(x), rest) for x in p0], PtpTimes(0.0, 0.0, rest)
     times = ptp_times(length, scalar_limits)
     if duration is not None and duration != times.total:
         scalar_limits = scale_limits_for_duration(scalar_limits, times.total,
@@ -106,9 +109,7 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
     profiles = []
     for i, u in enumerate(unit):
         if abs(u) < NULL_TOL:
-            hold = CubicSegment(duration=scalar.duration, jerk=0.0,
-                                start=KinematicState(0.0, 0.0, float(p0[i])))
-            profiles.append(AxisProfile(segments=(hold,)))
+            profiles.append(_hold(float(p0[i]), scalar.duration))
         else:
             profiles.append(scale_profile(scalar, float(u), x_offset=float(p0[i])))
     for i, prof in enumerate(profiles):
@@ -118,3 +119,9 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
             raise SolverFailure(f"axis {i} reaches {bad.quantity} {bad.value!r} "
                                 f"at t={bad.time:.6g}, above its limit {bad.bound!r}")
     return profiles, times
+
+
+def _hold(x: float, duration: float) -> AxisProfile:
+    """An axis at rest at x for duration seconds: one zero-jerk segment."""
+    return AxisProfile(segments=(CubicSegment(duration=duration, jerk=0.0,
+                                              start=KinematicState(0.0, 0.0, x)),))

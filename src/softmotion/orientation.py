@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiaxis import min_time_nd, plan_ptp_nd_with_times
-from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
-                       KinematicState, evaluate, sample_axes, sample_times,
-                       segment_tables)
+from .profiles import (AxisProfile, KinematicLimits, evaluate, sample_axes,
+                       sample_times, segment_tables)
 
 _UNIT_TOL = 1e-3      # largest |norm - 1| accepted for an input orientation
 
@@ -163,10 +162,10 @@ def plan_pose_axes(pose0: Pose, posef: Pose, limits_linear: KinematicLimits,
     once at it: the faster one under time-dilated limits.  The target
     quaternion is flipped into the hemisphere of the start so the component
     path never crosses q.q0 < 0.
-    Every moving axis comes from plan_ptp_nd_with_times, which checks it
-    against its group's limits (linear, or angular halved) and raises
-    SolverFailure rather than return a profile that breaks one; the other
-    axes are holds.
+    Every axis comes from plan_ptp_nd_with_times, which checks it against
+    its group's limits (linear, or angular halved) and raises SolverFailure
+    rather than return a profile that breaks one; an axis that does not
+    move holds its start (the normalized q0 for a quaternion component).
     """
     _check_unit(pose0.orient)
     _check_unit(posef.orient)
@@ -180,31 +179,14 @@ def plan_pose_axes(pose0: Pose, posef: Pose, limits_linear: KinematicLimits,
                    min_time_nd(q0, qf, quat_limits))
     pos_profiles, _ = plan_ptp_nd_with_times(pose0.p, posef.p, limits_linear, duration)
     quat_profiles, _ = plan_ptp_nd_with_times(q0, qf, quat_limits, duration)
-    pos_profiles = [_as_hold(p, float(x), duration) for p, x in zip(pos_profiles, pose0.p)]
-    quat_profiles = [_as_hold(p, float(c), duration) for p, c in zip(quat_profiles, q0)]
     return pos_profiles + quat_profiles
-
-
-def _as_hold(profile: AxisProfile, x: float, duration: float) -> AxisProfile:
-    """Replace an empty profile with a hold at x so all axes share a span."""
-    if profile.segments or duration <= 0.0:
-        return profile
-    hold = CubicSegment(duration=duration, jerk=0.0,
-                        start=KinematicState(0.0, 0.0, x))
-    return AxisProfile(segments=(hold,))
 
 
 def pose_at(profiles: list[AxisProfile], t: float) -> Pose:
     """Sampled pose at time t; the quaternion is renormalized."""
     if len(profiles) != 7:
         raise ValueError("pose sampling needs 7 axis profiles")
-    vals = []
-    for p in profiles:
-        if p.segments:
-            state, _ = evaluate(p, min(max(t, p.t0), p.end_time))
-            vals.append(state.x)
-        else:
-            raise ValueError("pose profiles must span the motion (use holds)")
+    vals = [evaluate(p, min(max(t, p.t0), p.end_time))[0].x for p in profiles]
     quat = Quaternion.from_array(vals[3:]).normalized()
     return Pose((vals[0], vals[1], vals[2]), quat)
 
@@ -221,10 +203,7 @@ def quaternion_norm_drift(profiles: list[AxisProfile], dt: float = 0.01) -> floa
     if len(profiles) != 7:
         raise ValueError("pose sampling needs 7 axis profiles")
     quat_profiles = profiles[3:]
-    spans = [p for p in quat_profiles if p.segments]
-    if not spans:
-        return 0.0
-    ref = max(spans, key=lambda p: p.duration)
+    ref = max(quat_profiles, key=lambda p: p.duration)
     ts = sample_times(ref, dt)
     comps = sample_axes(segment_tables(quat_profiles), ts)[0]
     return float(np.max(np.abs(np.linalg.norm(comps, axis=0) - 1.0)))

@@ -52,8 +52,8 @@ import math
 from collections.abc import Iterator
 
 from .errors import InfeasibleBoundary, SolverFailure
-from .profiles import (CLAMP_TOL, AxisProfile, KinematicLimits,
-                       KinematicState, cubic, make_profile)
+from .profiles import (CHAIN_TOL, CLAMP_TOL, LIMIT_TOL, AxisProfile,
+                       KinematicLimits, KinematicState, cubic, make_profile)
 from .roots import padd, peval, pmul, pscale, solve_real_roots, trace
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "steps_duration", "sweep",
 ]
 
-_BC_TOL = 1e-9           # boundary reproduction tolerance in a, v, x
 _CRITICAL_TOL = 1e-12    # |D - dc| up to which the direct connection is the plan
 _SQUARE_TOL = 1e-15      # a squared peak acceleration down to -_SQUARE_TOL is zero
 _PEAK_TOL = 1e-12        # a peak acceleration this far short of a0 or af still reaches it
@@ -119,13 +118,13 @@ def check_boundary_state(state: KinematicState, limits: KinematicLimits,
     """
     a, v = state.a, state.v
     j, am, vm = limits.jmax, limits.amax, limits.vmax
-    if abs(a) > am + _BC_TOL:
+    if abs(a) > am + LIMIT_TOL:
         raise InfeasibleBoundary(f"|a|={abs(a)} exceeds amax={am}")
-    if abs(v) > vm + _BC_TOL:
+    if abs(v) > vm + LIMIT_TOL:
         raise InfeasibleBoundary(f"|v|={abs(v)} exceeds vmax={vm}")
     a_eff = -a if outgoing else a
     excursion = v + a_eff * abs(a_eff) / (2.0 * j)
-    if excursion > vm + _BC_TOL or excursion < -vm - _BC_TOL:
+    if excursion > vm + LIMIT_TOL or excursion < -vm - LIMIT_TOL:
         raise InfeasibleBoundary(
             f"state (a={a}, v={v}) forces velocity to {excursion}, beyond vmax={vm}")
 
@@ -235,13 +234,13 @@ def _templates(a0: float, v0: float, af: float, vf: float,
     Each step duration is a polynomial in the template's unknown u divided
     by u**k (k = 1 for B4, else 0).  Velocity balance holds for every u by
     construction.  No u outside [lo, hi] passes _admissible: at each end a
-    step lasts -CLAMP_TOL, or |a| (|v| for B1's upper end) is _BC_TOL over.
+    step lasts -CLAMP_TOL, or |a| (|v| for B1's upper end) is LIMIT_TOL over.
     """
     j, am = limits.jmax, limits.amax
     slack = j * CLAMP_TOL                  # acceleration swept in -CLAMP_TOL
-    a_lim = am + _BC_TOL                   # the largest |a| _admissible accepts
+    a_lim = am + LIMIT_TOL                 # the largest |a| _admissible accepts
     (b1, b2, b3, b4), delta = _template_steps(a0, v0, af, vf, j, am)
-    return [(b1, 0, max(0.0, -delta) - CLAMP_TOL, 2.0 * (limits.vmax + _BC_TOL) / am),
+    return [(b1, 0, max(0.0, -delta) - CLAMP_TOL, 2.0 * (limits.vmax + LIMIT_TOL) / am),
             (b2, 0, -a_lim, min(af, am) + slack),
             (b3, 0, max(a0, -am) - slack, a_lim),
             (b4, 1, -2.0 * a_lim, slack)]
@@ -305,10 +304,10 @@ def _type1_candidates(a0: float, v0: float, af: float, vf: float, D: float,
     The cruise at +vmax comes first, then each peak template's steps at each
     real root of its displacement polynomial, solved only when asked for.
     ``cruising`` marks a cruise with t_c >= 0.  If valid, it is outrun only by
-    a template that exceeds vmax within _BC_TOL (see the module docstring),
-    by about _BC_TOL * (T + 1) / vmax at most for a plan of T seconds.  A
+    a template that exceeds vmax within LIMIT_TOL (see the module docstring),
+    by about LIMIT_TOL * (T + 1) / vmax at most for a plan of T seconds.  A
     cruise with t_c < 0 holds vmax for no time and meets D only within
-    _BC_TOL.  Roots are good to a few ulps, so no candidate needs a polish,
+    CHAIN_TOL.  Roots are good to a few ulps, so no candidate needs a polish,
     and nothing is screened here: _admissible checks every step, the cruise
     included, and make_profile clamps.
     """
@@ -336,9 +335,9 @@ def _admissible(steps: Steps, a0: float, v0: float, af: float, vf: float,
 
     The one screen of every candidate: no step below -CLAMP_TOL, |a| and |v|
     within amax and vmax at step ends and at interior a = 0 points, and the
-    final (a, v, x) within _BC_TOL of (af, vf, D).
+    final (a, v, x) within CHAIN_TOL of (af, vf, D).
     """
-    am, vm = limits.amax + _BC_TOL, limits.vmax + _BC_TOL
+    am, vm = limits.amax + LIMIT_TOL, limits.vmax + LIMIT_TOL
     a, v, x = _finite(a0, v0, 0.0)
     for jerk, dur in steps:
         if dur < -CLAMP_TOL:
@@ -351,11 +350,11 @@ def _admissible(steps: Steps, a0: float, v0: float, af: float, vf: float,
         a, v, x = _finite(*cubic(a, v, x, jerk, dur))
         if abs(a) > am or abs(v) > vm:
             return False
-    return max(abs(a - af), abs(v - vf), abs(x - D)) <= _BC_TOL
+    return max(abs(a - af), abs(v - vf), abs(x - D)) <= CHAIN_TOL
 
 
 def plan_min_time_1d(init: KinematicState, final: KinematicState,
-                     limits: KinematicLimits, t0: float = 0.0) -> AxisProfile:
+                     limits: KinematicLimits) -> AxisProfile:
     """Minimal-time profile between two full kinematic states.
 
     The displacement is final.x - init.x.  The result has at most seven
@@ -368,10 +367,10 @@ def plan_min_time_1d(init: KinematicState, final: KinematicState,
     check_boundary_state(final, limits, outgoing=True)
     D = final.x - init.x
     steps = _min_time_steps(init.a, init.v, final.a, final.v, D, limits)
-    profile = make_profile(steps, init, t0=t0)
+    profile = make_profile(steps, init)
     end = profile.final_state if profile.segments else init
     err = max(abs(end.a - final.a), abs(end.v - final.v), abs(end.x - final.x))
-    if err > _BC_TOL:
+    if err > CHAIN_TOL:
         raise SolverFailure(f"planner failed to meet boundary ({err:.2e})")
     return profile
 
@@ -384,14 +383,14 @@ def _min_time_steps(a0: float, v0: float, af: float, vf: float, D: float,
         return connect
     # the critical length picks the side tried first (1: type-1 templates,
     # -1: the mirrored ones); a problem above it can still need the
-    # down-up-down shapes, and vice versa.  Within _BC_TOL of it the fast
+    # down-up-down shapes, and vice versa.  Within CHAIN_TOL of it the fast
     # plans on either side are the connection with one step a little below
     # zero, clamped, so both sides compete.  A valid cruise at s * vmax ends
     # its side (see _type1_candidates)
     best: Steps | None = None
     best_t = math.inf
     for s in ((1.0, -1.0) if D > dc else (-1.0, 1.0)):
-        if best is not None and abs(D - dc) > _BC_TOL:
+        if best is not None and abs(D - dc) > CHAIN_TOL:
             break
         for steps, cruising in _type1_candidates(s * a0, s * v0, s * af, s * vf,
                                                  s * D, limits):

@@ -19,10 +19,11 @@ import numpy as np
 DROP_DURATION = 1e-12
 
 #: Absolute tolerance at which two states agree in a, v and x, as at the
-#: seam of two chained segments.
+#: seam of two chained segments or where a plan meets its boundary state.
 CHAIN_TOL = 1e-9
 
-#: Slack above jmax, amax and vmax that check_limits still accepts.
+#: Slack above jmax, amax and vmax that check_limits and the planner
+#: still accept.
 LIMIT_TOL = 1e-9
 
 #: Step durations down to -CLAMP_TOL are rounding noise and clamp to zero.
@@ -340,7 +341,7 @@ def concat_profiles(parts: list[AxisProfile]) -> AxisProfile:
         return AxisProfile()
     segs = list(parts[0].segments)
     for p in parts[1:]:
-        prev_end = segs[-1].end if segs else p.start_state
+        prev_end = segs[-1].end
         nxt = p.start_state
         if max(abs(prev_end.a - nxt.a), abs(prev_end.v - nxt.v),
                abs(prev_end.x - nxt.x)) > SEAM_TOL:
@@ -408,7 +409,7 @@ def check_limits(profile: AxisProfile, limits: KinematicLimits) -> LimitReport:
     point where a = 0 inside the segment.  No sampling is involved.
     """
     out = []
-    ts = profile.boundaries() if profile.segments else [profile.t0]
+    ts = profile.boundaries()
     for k, seg in enumerate(profile.segments):
         t_start = ts[k]
         if abs(seg.jerk) > limits.jmax + LIMIT_TOL:

@@ -19,7 +19,7 @@ from .adjust import impose_common_time, transition_problem
 from .errors import SolverFailure
 from .multiaxis import plan_ptp_nd_with_times
 from .profiles import (AxisProfile, KinematicLimits, KinematicState,
-                       concat_profiles, evaluate, shift_profile, slice_profile)
+                       concat_profiles, evaluate, slice_profile)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
     legs = []
     windows = []
     for k in range(len(pts) - 1):
-        # a dwell leg (coincident points) has empty profiles and the
+        # a dwell leg (coincident points) is a 0 s hold per axis, with the
         # single-instant window (0, 0)
         prof, times = plan_ptp_nd_with_times(pts[k], pts[k + 1], limits)
         legs.append(prof)
@@ -73,8 +73,8 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
         t_fc = windows[w][0]
         problems = []
         for ax in range(n_axes):
-            ic = _anchor_state(leg_in[ax], t_ic, rest_x=float(pts[w][ax]))
-            fc = _anchor_state(leg_out[ax], t_fc, rest_x=float(pts[w][ax]))
+            ic = _anchor_state(leg_in[ax], t_ic)
+            fc = _anchor_state(leg_out[ax], t_fc)
             problems.append(transition_problem(ic.v, fc.v, fc.x - ic.x,
                                                limits, x0=ic.x))
         t_imp, tprofiles = impose_common_time(problems)
@@ -86,28 +86,25 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
 
     out = []
     for ax in range(n_axes):
-        pieces = []
-        first = legs[0][ax]
-        if first.segments:
-            pieces.append(slice_profile(first, 0.0, windows[0][1]))
+        pieces = [slice_profile(legs[0][ax], 0.0, windows[0][1])]
         for w in range(1, len(pts) - 1):
             pieces.append(transitions[w - 1][ax])
             leg = legs[w][ax]
             lo = windows[w][0]
             hi = windows[w][1] if w < len(pts) - 2 else leg.duration
-            if leg.segments and hi > lo:
+            if hi > lo:
                 pieces.append(slice_profile(leg, lo, hi))
-        pieces = [shift_profile(p, 0.0) for p in pieces if p.segments]
         try:
-            out.append(concat_profiles(pieces))
+            profile = concat_profiles(pieces)
         except ValueError as exc:      # a seam missed: the planners' fault, not the input's
             raise SolverFailure(f"axis {ax}: {exc}") from exc
+        # every piece is empty only on a path that never moves: it rests in
+        # the first leg's 0 s hold
+        out.append(profile if profile.segments else legs[0][ax])
     return out, summaries
 
 
-def _anchor_state(profile: AxisProfile, t: float, rest_x: float) -> KinematicState:
-    """Leg state at time t; an empty (dwell) leg anchors at rest at the waypoint."""
-    if not profile.segments:
-        return KinematicState(0.0, 0.0, rest_x)
+def _anchor_state(profile: AxisProfile, t: float) -> KinematicState:
+    """Leg state at time t, held to the leg's span."""
     state, _ = evaluate(profile, min(max(t, profile.t0), profile.end_time))
     return state

@@ -52,6 +52,49 @@ def test_plan_ptp_degenerate_single_row(tmp_path):
     assert rows[0, header.index("x_pos")] == pytest.approx(0.1)
 
 
+XYZ_HEADER = ("t,x_pos,x_vel,x_acc,x_jerk,y_pos,y_vel,y_acc,y_jerk,"
+              "z_pos,z_vel,z_acc,z_jerk")
+POSE_HEADER = XYZ_HEADER + "".join(f",{q}_pos,{q}_vel,{q}_acc,{q}_jerk"
+                                   for q in ("qn", "qi", "qj", "qk"))
+#: Moves that never leave their start, and their bytes, pinned from the
+#: writer that took each resting axis's position as an argument: every axis
+#: is now a 0 s hold at its coordinate, and the CSV is one row at t = 0.
+RESTING = [
+    (["plan-ptp", "--from", "0.1,-0.2,0.3", "--to", "0.1,-0.2,0.3"], None,
+     XYZ_HEADER + "\n0,0.1,0,0,0,-0.2,0,0,0,0.3,0,0,0\n"),
+    (["plan-ptp", "--from", "0.1,-0.2,0.3,1,0,0,0", "--to", "0.1,-0.2,0.3,1,0,0,0"],
+     None, POSE_HEADER + "\n0,0.1,0,0,0,-0.2,0,0,0,0.3,0,0,0,1,0,0,0"
+     + ",0,0,0,0" * 3 + "\n"),
+    (["plan-path"], "0.1,-0.2,0.3\n" * 3,
+     XYZ_HEADER + "\n0,0.1,0,0,0,-0.2,0,0,0,0.3,0,0,0\n"),
+]
+
+
+@pytest.mark.parametrize("argv,waypoints,expected", RESTING,
+                         ids=["plan-ptp", "plan-ptp-pose", "plan-path"])
+def test_resting_moves_write_one_row(tmp_path, argv, waypoints, expected):
+    out = tmp_path / "traj.csv"
+    argv = argv + ["--out", str(out)]
+    if waypoints is not None:
+        wp = tmp_path / "wp.txt"
+        wp.write_text(waypoints)
+        argv += ["--waypoints", str(wp)]
+    assert cli.main(argv) == 0
+    assert out.read_text() == expected
+
+
+def test_resting_axis_at_negative_zero_writes_zero(tmp_path):
+    # a hold is sampled through the cubic, where -0.0 + 0.0 is +0.0: a move
+    # that rests at -0.0 writes 0, as a resting axis of a moving plan does
+    rest, moving = tmp_path / "rest.csv", tmp_path / "moving.csv"
+    assert cli.main(["plan-ptp", "--from=-0.0,0,0", "--to=-0.0,0,0",
+                     "--out", str(rest)]) == 0
+    assert cli.main(["plan-ptp", "--from=-0.0,0,0", "--to=-0.0,0.1,0",
+                     "--out", str(moving)]) == 0
+    assert rest.read_text().splitlines()[1] == "0" + ",0" * 12
+    assert moving.read_text().splitlines()[1].startswith("0,0,0,0,0,0,")
+
+
 def test_plan_ptp_pose_motion(tmp_path):
     out = tmp_path / "traj.csv"
     res = run_cli(["plan-ptp", "--from", "0,0,0,1,0,0,0",

@@ -10,13 +10,11 @@ from softmotion import (AxisProfile, Pose, Quaternion, cli, evaluate, fileio,
 from softmotion.fileio import _csv_rows, fmt, write_trajectory_csv
 
 
-def reference_write(stream, profiles, names, dt, rest_positions=None):
+def reference_write(stream, profiles, names, dt):
     """The per-value writer (one evaluate and one fmt per value) the block writer replaced."""
     if len(profiles) != len(names):
         raise ValueError("one name per axis profile is required")
-    if rest_positions is None:
-        rest_positions = [0.0] * len(profiles)
-    longest = max(profiles, key=lambda p: p.end_time, default=AxisProfile())
+    longest = max(profiles, key=lambda p: p.end_time)
     grid = sample_times(longest, dt)
     header = ["t"]
     for name in names:
@@ -24,19 +22,16 @@ def reference_write(stream, profiles, names, dt, rest_positions=None):
     stream.write(",".join(header) + "\n")
     for t in grid:
         row = [fmt(t)]
-        for prof, rest in zip(profiles, rest_positions):
-            if prof.segments:
-                state, jerk = evaluate(prof, min(max(t, prof.t0), prof.end_time))
-                row += [fmt(state.x), fmt(state.v), fmt(state.a), fmt(jerk)]
-            else:
-                row += [fmt(rest), fmt(0.0), fmt(0.0), fmt(0.0)]
+        for prof in profiles:
+            state, jerk = evaluate(prof, min(max(t, prof.t0), prof.end_time))
+            row += [fmt(state.x), fmt(state.v), fmt(state.a), fmt(jerk)]
         stream.write(",".join(row) + "\n")
 
 
-def both_writers(profiles, names, dt, rest_positions=None):
+def both_writers(profiles, names, dt):
     new, ref = io.StringIO(), io.StringIO()
-    write_trajectory_csv(new, profiles, names, dt, rest_positions=rest_positions)
-    reference_write(ref, profiles, names, dt, rest_positions=rest_positions)
+    write_trajectory_csv(new, profiles, names, dt)
+    reference_write(ref, profiles, names, dt)
     return new.getvalue(), ref.getvalue()
 
 
@@ -64,15 +59,19 @@ def test_pose_move_with_hold_axes_matches_reference(lin, ang):
 def test_waypoint_path_matches_reference(lin):
     profiles, _ = plan_waypoint_path_detailed(
         [[0.0, 0.0, 0.0], [0.15, 0.15, 0.0], [0.30, 0.30, 0.15]], lin)
-    new, ref = both_writers(profiles, XYZ, 0.01, rest_positions=[0.0, 0.0, 0.0])
+    new, ref = both_writers(profiles, XYZ, 0.01)
     assert new == ref
 
 
 @pytest.mark.parametrize("rest", [None, [0.1, -0.2, 0.3]])
-def test_all_empty_move_matches_reference(rest):
-    new, ref = both_writers([AxisProfile()] * 3, XYZ, 0.01, rest_positions=rest)
+def test_all_empty_move_matches_reference(lin, rest):
+    # a move of zero length (None: at the origin) is a 0 s hold per axis,
+    # written as one row at its rest position
+    rest = [0.0, 0.0, 0.0] if rest is None else rest
+    new, ref = both_writers(plan_ptp_nd(rest, rest, lin), XYZ, 0.01)
     assert new.count("\n") == 2
     assert new == ref
+    assert new.splitlines()[1] == ",".join(["0"] + [f"{fmt(x)},0,0,0" for x in rest])
 
 
 def test_dt_that_does_not_divide_the_duration(lin):
@@ -207,19 +206,22 @@ def test_writer_needs_only_write(lin):
     assert "".join(out.parts) == new == ref
 
 
-def test_writer_needs_one_rest_position_per_axis(lin):
-    # a missing rest position would leave its axis's columns unwritten
+def test_writer_rejects_an_empty_profile(lin):
+    # an axis at rest is a hold; an empty profile has no position to write
     profiles = [AxisProfile(), *plan_ptp_nd([0.0], [0.1], lin), AxisProfile()]
+    out = io.StringIO()
     with pytest.raises(ValueError):
-        write_trajectory_csv(io.StringIO(), profiles, XYZ, 0.01, rest_positions=[0.0, 0.0])
+        write_trajectory_csv(out, profiles, XYZ, 0.01)
+    assert out.getvalue() == ""
 
 
 def test_writer_builds_each_axis_table_once(lin, ang, monkeypatch):
-    # a pose move of 7 axes over 3 blocks, and a line with a resting axis
+    # a pose move of 7 axes over 3 blocks, and a line whose z axis holds
     pose0 = Pose((0.0, 0.0, 0.0), Quaternion.identity())
     posef = Pose((0.01, 0.02, 0.0), Quaternion.from_axis_angle((1, 2, 3), 0.1))
     moves = [plan_pose_axes(pose0, posef, lin, ang),
-             [*plan_ptp_nd([0.0, 0.0], [0.01, 0.02], lin), AxisProfile()]]
+             plan_ptp_nd([0.0, 0.0, 0.0], [0.01, 0.02, 0.0], lin)]
+    assert moves[1][2].segments[0].jerk == 0.0 and len(moves[1][2].segments) == 1
     counts = {"segment_tables": 0, "boundaries": 0}
     segment_tables, boundaries = fileio.segment_tables, AxisProfile.boundaries
 
@@ -238,8 +240,7 @@ def test_writer_builds_each_axis_table_once(lin, ang, monkeypatch):
         out = io.StringIO()
         write_trajectory_csv(out, profiles, POSE[:len(profiles)], 0.001)
         assert out.getvalue().count("\n") > 2 * 256 + 1
-        moving = sum(1 for p in profiles if p.segments)
-        assert counts == {"segment_tables": 1, "boundaries": moving}
+        assert counts == {"segment_tables": 1, "boundaries": len(profiles)}
 
 
 #: SHA-256 of the README commands' CSVs, fixed before the block writer

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from softmotion import (SolverFailure, check_limits, evaluate, multiaxis,
-                        plan_ptp_1d, plan_ptp_nd, scale_limits_for_duration)
+from softmotion import (AxisProfile, CubicSegment, KinematicState, SolverFailure,
+                        check_limits, evaluate, multiaxis, plan_ptp_1d,
+                        plan_ptp_nd, plan_ptp_nd_with_times,
+                        scale_limits_for_duration)
 
 
 def test_three_axis_example(lin):
@@ -30,9 +32,15 @@ def test_one_dimensional_case_matches_plan_ptp_1d(lin):
         assert a.x == pytest.approx(b.x, abs=1e-12)
 
 
-def test_coincident_points_give_empty_profiles(lin):
-    profs = plan_ptp_nd([0.1, -0.2], [0.1, -0.2], lin)
-    assert all(p.segments == () for p in profs)
+def test_coincident_points_give_holds(lin):
+    # one zero-jerk hold per axis at p0, lasting the duration (0 s if None)
+    p0 = [0.1, -0.2]
+    for duration, hold in ((None, 0.0), (0.0, 0.0), (1.25, 1.25)):
+        profs, times = plan_ptp_nd_with_times(p0, p0, lin, duration)
+        assert times.total == hold
+        assert profs == [AxisProfile(segments=(
+            CubicSegment(hold, 0.0, KinematicState(0.0, 0.0, x)),)) for x in p0]
+    assert plan_ptp_nd(p0, p0, lin) == plan_ptp_nd_with_times(p0, p0, lin)[0]
 
 
 def test_collinearity_and_synchronization(lin):

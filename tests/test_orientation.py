@@ -62,10 +62,14 @@ def test_non_unit_quaternion_rejected():
         omega_to_qdot(Quaternion(1.2, (0.0, 0.0, 0.0)), (0.1, 0.0, 0.0))
 
 
-def test_plan_pose_same_pose_is_empty(lin, ang):
+def test_plan_pose_same_pose_holds(lin, ang):
+    # every axis is a 0 s hold at its start coordinate
     pose = Pose((0.1, 0.2, 0.3), Quaternion.identity())
     profiles = plan_pose_axes(pose, pose, lin, ang)
-    assert all(p.segments == () for p in profiles)
+    assert [p.duration for p in profiles] == [0.0] * 7
+    assert [p.segments[0].start.x for p in profiles] == pose.as_array().tolist()
+    assert pose_at(profiles, 0.0) == pose
+    assert quaternion_norm_drift(profiles) == 0.0
 
 
 def test_pure_translation_holds_orientation(lin, ang):

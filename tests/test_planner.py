@@ -10,7 +10,7 @@ from softmotion import (InfeasibleBoundary, KinematicState, MotionType,
                         classify, critical_length, mirror_problem,
                         plan_min_time_1d, stop_time, transition_problem)
 from softmotion import planner, roots
-from softmotion.profiles import integrate_segment
+from softmotion.profiles import CHAIN_TOL, LIMIT_TOL, integrate_segment
 from softmotion.roots import padd, peval
 
 
@@ -441,7 +441,7 @@ def test_valid_cruise_is_never_outrun(lin):
     # a valid cruise that holds vmax for t_c >= 0 ends its side's search, so
     # the templates after it are never solved.  Solve them anyway: one may
     # beat the cruise only by peaking above vmax within _admissible's slack,
-    # and then by at most _BC_TOL (T + 1) / vmax.  D lies just past the
+    # and then by at most LIMIT_TOL (T + 1) / vmax.  D lies just past the
     # cruise's two ramps, where such templates exist, or well beyond them;
     # one draw in ten, near or far, has a boundary speed of exactly +-vmax
     rng = np.random.default_rng(43)
@@ -476,9 +476,9 @@ def test_valid_cruise_is_never_outrun(lin):
                                                                vf, D, lin):
                 outrun[on_vmax] = outrun.get(on_vmax, 0) + 1
                 assert _peak_speed(steps, a0, v0) > vm, (a0, v0, af, vf, D)
-                assert gain <= planner._BC_TOL * (t_cruise + 1.0) / vm
+                assert gain <= LIMIT_TOL * (t_cruise + 1.0) / vm
         dc = critical_length(KinematicState(a0, v0), KinematicState(af, vf), lin)
-        if D > dc + planner._BC_TOL:        # the planner stops at the cruise
+        if D > dc + CHAIN_TOL:        # the planner stops at the cruise
             assert planner._min_time_steps(a0, v0, af, vf, D, lin) == cruise
     assert stopped >= 1000
     assert outrun.get(False, 0) >= 10 and outrun.get(True, 0) >= 1
@@ -494,7 +494,7 @@ def _walk_by_segments(steps, a0, v0):
 
 def _admissible_by_segments(steps, a0, v0, af, vf, D, limits):
     """_admissible, walked with integrate_segment over KinematicStates."""
-    am, vm = limits.amax + planner._BC_TOL, limits.vmax + planner._BC_TOL
+    am, vm = limits.amax + LIMIT_TOL, limits.vmax + LIMIT_TOL
     st = KinematicState(a0, v0, 0.0)
     for jerk, dur in steps:
         if dur < -planner.CLAMP_TOL:
@@ -507,7 +507,7 @@ def _admissible_by_segments(steps, a0, v0, af, vf, D, limits):
         st = integrate_segment(st, jerk, dur)
         if abs(st.a) > am or abs(st.v) > vm:
             return False
-    return max(abs(st.a - af), abs(st.v - vf), abs(st.x - D)) <= planner._BC_TOL
+    return max(abs(st.a - af), abs(st.v - vf), abs(st.x - D)) <= CHAIN_TOL
 
 
 def test_float_walks_match_integrate_segment_bit_for_bit(lin):
