@@ -14,7 +14,7 @@ class InfeasibleDuration(SoftMotionError, ValueError):
 
 
 class SearchBudgetExceeded(SoftMotionError, RuntimeError):
-    """The brute-force search exceeded its node budget (not an infeasibility)."""
+    """The brute-force search exceeded its node or layer budget (not an infeasibility)."""
 
 
 class SolverFailure(SoftMotionError, RuntimeError):

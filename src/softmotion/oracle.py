@@ -29,6 +29,9 @@ from .profiles import KinematicLimits, KinematicState
 
 #: Active frontier rows allowed before the search gives up.
 NODE_CAP = 5_000_000
+#: Layers (dt steps) a search pass may plan for; a longer horizon gives up
+#: before the pass starts.  The test suite and the benchmark plan at most 469.
+LAYER_CAP = 2_000
 
 _PEAK_TOL = 1e-12       # an extreme acceleration this far short of a or af reaches it
 _SQUARE_TOL = 1e-15     # a squared extreme acceleration down to -_SQUARE_TOL is zero
@@ -41,18 +44,24 @@ _NEVER = 1e30           # time of a shape that cannot connect, read back as 0 s
 
 
 def _connect_time_vec(a, v, af, vf, jm, am):
+    """Least time from each (a, v) to (af, vf), position ignored: the faster
+    of the up-peak and the down-valley (a, v) connection, 0 where neither
+    shape connects."""
     a2 = a * a
     af2 = af * af
-    s_up = jm * (vf - v) + 0.5 * (a2 + af2)
+    dvf = vf - v
+    half = 0.5 * (a2 + af2)
+    hold = (2 * am * am - a2 - af2) / (2 * jm)
+    s_up = jm * dvf + half
     apk = np.sqrt(np.maximum(s_up, 0.0))
     up_ok = (s_up >= 0.0) & (apk >= a - _PEAK_TOL) & (apk >= af - _PEAK_TOL)
-    hold_u = ((vf - v) - (2 * am * am - a2 - af2) / (2 * jm)) / am
+    hold_u = (dvf - hold) / am
     t_up = np.where(apk <= am, (2.0 * apk - a - af) / jm,
                     (2.0 * am - a - af) / jm + np.maximum(hold_u, 0.0))
-    s_dn = -jm * (vf - v) + 0.5 * (a2 + af2)
+    s_dn = -jm * dvf + half
     avl = -np.sqrt(np.maximum(s_dn, 0.0))
     dn_ok = (s_dn >= 0.0) & (avl <= a + _PEAK_TOL) & (avl <= af + _PEAK_TOL)
-    hold_d = ((v - vf) - (2 * am * am - a2 - af2) / (2 * jm)) / am
+    hold_d = (-dvf - hold) / am     # -(vf - v) is v - vf exactly
     t_dn = np.where(avl >= -am, (a + af - 2.0 * avl) / jm,
                     (a + af + 2.0 * am) / jm + np.maximum(hold_d, 0.0))
     t = np.minimum(np.where(up_ok, t_up, _NEVER), np.where(dn_ok, t_dn, _NEVER))
@@ -120,8 +129,10 @@ def _segment_meets_box(v1, x1, v2, x2, vf, xf, tol_v, tol_x) -> bool:
     return bool((lo <= hi + _OVERLAP_TOL).any())
 
 
-#: Rows per block in _successors: short enough that the many temporaries
-#: of _connect_time_vec stay in cache.
+#: Rows per block in _successors.  Each _connect_time_vec call has a fixed
+#: cost, so smaller blocks lose: one oracle_verify round (seed 1, one 2-CPU
+#: x86-64 machine) took 1.90 s at 2048 rows, 1.60 s at 4096, 1.41 s at 8192
+#: and 1.40 s at 16384.
 _BLOCK = 8192
 
 
@@ -138,17 +149,16 @@ def _successors(m, v, x, a, t_next, a0, qa, af, vf, D, dt, t_ub, limits,
     jm, am, vm = limits.jmax, limits.amax, limits.vmax
     dv = 0.5 * jm * dt * dt
     d6 = jm * dt ** 3 / 6.0
-    out_m, out_v, out_x = [], [], []
-    for step in (-1, 0, 1):
-        for s in range(0, len(m), _BLOCK):
-            blk = slice(s, s + _BLOCK)
-            mp, vp, xp, ap = m[blk], v[blk], x[blk], a[blk]
+    kept = ([], [], [])     # (m, v, x) of each block, per jerk choice
+    for s in range(0, len(m), _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        mp, vp, xp, ap = m[blk], v[blk], x[blk], a[blk]
+        v_drift = vp + ap * dt
+        x_drift = xp + (vp * dt + 0.5 * ap * dt * dt)
+        for step in (-1, 0, 1):
             m2 = mp + step
-            v2 = vp + ap * dt
-            x2 = xp + (vp * dt + 0.5 * ap * dt * dt)
-            if step:
-                v2 += step * dv
-                x2 += step * d6
+            v2 = v_drift + step * dv if step else v_drift
+            x2 = x_drift + step * d6 if step else x_drift
             a2 = a0 + m2 * qa
             xgap = np.maximum(np.abs(D - x2) - tol_x, 0.0)
             keep = ((np.abs(a2) <= am + _LIMIT_SLACK) & (np.abs(v2) <= vm + _LIMIT_SLACK)
@@ -156,29 +166,48 @@ def _successors(m, v, x, a, t_next, a0, qa, af, vf, D, dt, t_ub, limits,
                     & (t_next + xgap / vm <= t_ub)
                     & (t_next + (_connect_time_vec(a2, v2, af, vf, jm, am) - 2 * dt)
                        <= t_ub))
-            out_m.append(m2[keep])
-            out_v.append(v2[keep])
-            out_x.append(x2[keep])
-    return np.concatenate(out_m), np.concatenate(out_v), np.concatenate(out_x)
+            kept[step + 1].append((m2[keep], v2[keep], x2[keep]))
+    # every -jmax row first, then every 0 row, then every +jmax row
+    return tuple(np.concatenate(col) for col in zip(*kept[0], *kept[1], *kept[2]))
+
+
+def _cell_key(m, v, wv):
+    """Key of the (acceleration index, velocity bin of width wv) cell of
+    each row: m + 2**20 above bit 27, the bin + 2**26 below it."""
+    vb = np.floor(v / wv).astype(np.int64)
+    return (m + (1 << 20)) * (1 << 27) + (vb + (1 << 26))
 
 
 def _cell_extremes(key, x):
     """Indices of the least-x row (first of equals) and the greatest-x row
     (last of equals) of every key, in key order, each pair as (least, greatest).
 
-    Complex numbers sort by real part, then imaginary part, so one stable
-    sort of key + 1j*x orders the rows exactly as np.lexsort((x, key)) but
-    faster: the rows arrive as three nearly key-sorted runs.  The key stays
-    below 2**53, so it is exact as a float.
+    A key packs the acceleration index above bit 27 and the velocity bin
+    below it.  Numbered row by row, the cells of the bounding box of the
+    occupied (index, bin) pairs keep key order.  Four scatters over that
+    box (np.minimum.at, np.maximum.at) take each cell's least and greatest
+    x, then the first row at its least and the last row at its greatest:
+    linear in the rows and the box, with no sort.  -0.0 == 0.0, so ties
+    between them resolve by arrival order too, as in np.lexsort((x, key)).
     """
-    z = np.empty(len(key), dtype=np.complex128)
-    z.real = key
-    z.imag = x
-    order = np.argsort(z, kind="stable")
-    ks = key[order]
-    first = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    last = np.r_[first[1:], len(ks)] - 1
-    return order[np.stack([first, last], axis=1).ravel()]
+    m = key >> 27
+    vb = key & ((1 << 27) - 1)
+    m_lo, vb_lo = m.min(), vb.min()
+    width = vb.max() - vb_lo + 1
+    cell = (m - m_lo) * width + (vb - vb_lo)
+    size = (m.max() - m_lo + 1) * width
+    lo = np.full(size, np.inf)
+    hi = np.full(size, -np.inf)
+    np.minimum.at(lo, cell, x)
+    np.maximum.at(hi, cell, x)
+    n = len(key)
+    rows = np.arange(n)
+    first = np.full(size, n)
+    last = np.full(size, -1)
+    np.minimum.at(first, cell, np.where(x == lo[cell], rows, n))
+    np.maximum.at(last, cell, np.where(x == hi[cell], rows, -1))
+    occupied = np.flatnonzero(first < n)
+    return np.stack([first[occupied], last[occupied]], axis=1).ravel()
 
 
 def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
@@ -191,6 +220,9 @@ def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
     margin = vm * (vm / am + am / jm) / 2 + 0.15 * vm
     xlo_b, xhi_b = min(0.0, D) - margin, max(0.0, D) + margin
     k_max = int(math.ceil(t_ub / dt)) + 2
+    if k_max > LAYER_CAP:
+        raise SearchBudgetExceeded(
+            f"oracle horizon of {k_max} steps exceeds the layer cap {LAYER_CAP}")
 
     m = np.zeros(2, dtype=np.int64)
     v = np.array([v0, v0])
@@ -208,9 +240,7 @@ def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
                                  t_ub, limits, xlo_b, xhi_b, tol_x)
         if len(m2) == 0:
             return None
-        vb = np.floor(v2 / wv).astype(np.int64)
-        key = (m2 + (1 << 20)) * (1 << 27) + (vb + (1 << 26))
-        pick = _cell_extremes(key, x2)
+        pick = _cell_extremes(_cell_key(m2, v2, wv), x2)
         m, v, x = m2[pick], v2[pick], x2[pick]
         if len(m) > node_cap:
             raise SearchBudgetExceeded(
@@ -226,9 +256,11 @@ def brute_force_min_time(init: KinematicState, final: KinematicState,
     The displacement is final.x - init.x.  A cheap coarse pass (larger
     step) first tightens the search horizon; the fine pass then prunes
     every state whose optimistic time to go overshoots it.  Desk-scale
-    instances only; exceeding the node cap raises SearchBudgetExceeded,
-    which is distinct from plain infeasibility, and finding no trajectory
-    within the widened horizon raises SolverFailure.
+    instances only: a displacement beyond LAYER_CAP (2 000) steps at vmax,
+    a pass whose horizon spans more than LAYER_CAP steps of its dt, or a
+    frontier past the node cap raises SearchBudgetExceeded, which is
+    distinct from plain infeasibility, and finding no trajectory within the
+    widened horizon raises SolverFailure.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be > 0")
@@ -236,6 +268,11 @@ def brute_force_min_time(init: KinematicState, final: KinematicState,
     a0, v0 = init.a, init.v
     af, vf = final.a, final.v
     D = final.x - init.x
+    if abs(D) > LAYER_CAP * vm * dt:
+        # even at vmax no pass within the cap reaches D: refuse before the
+        # coarse pass, whose step would grow with D
+        raise SearchBudgetExceeded(
+            f"oracle displacement {D} takes more steps than the layer cap {LAYER_CAP}")
     ts0, s0 = _stop_time_sweep(a0, v0, jm, am)
     tsf, sf = _stop_time_sweep(-af, vf, jm, am)
     t_ub0 = ts0 + tsf + abs(D - s0 - sf) / vm + 2.0 * (vm / am + am / jm)

@@ -320,6 +320,14 @@ def test_oracle_subcommand():
     assert float(res.stdout.strip()) == pytest.approx(0.8, abs=0.008)
 
 
+def test_oracle_over_an_oversized_horizon_exits_3():
+    # 1e6 m at dt = 10 ms would take about 7e8 layers: refused before it starts
+    res = run_cli(["oracle", "--init", "0,0", "--final", "0,0",
+                   "--displacement", "1e6", "--dt", "0.01"], timeout=60)
+    assert res.returncode == 3
+    assert "layer cap" in res.stderr
+
+
 def test_output_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
