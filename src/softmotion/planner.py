@@ -138,30 +138,35 @@ def connect_steps(a0: float, v0: float, af: float, vf: float,
     shape.  At most one of the two shapes is valid away from degeneracy.
     """
     j, am = limits.jmax, limits.amax
-    cands: list[Steps] = []
+    best: Steps | None = None
+    best_total = 0.0
     half_sq = 0.5 * (a0 * a0 + af * af)
     for s in (1.0, -1.0):
         # jerk s*J out to the extreme acceleration s*r, then -s*J back to af;
         # written with s*x - s*y, which is y - x bit for bit (signed zeros too)
         sq = s * j * (vf - v0) + half_sq
-        if sq >= -_SQUARE_TOL:
-            r = math.sqrt(max(sq, 0.0))
-            sa0, saf = s * a0, s * af
-            if r >= sa0 - _PEAK_TOL and r >= saf - _PEAK_TOL:
-                if r <= am:
-                    cands.append([(s * j, (r - sa0) / j), (-s * j, (r - saf) / j)])
-                else:      # clamped at s*amax with a plateau
-                    hold = ((s * vf - s * v0)
-                            - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
-                    cands.append([(s * j, (am - sa0) / j), (0.0, hold),
-                                  (-s * j, (am - saf) / j)])
-    best: Steps | None = None
-    for steps in cands:
-        if any(t < -CLAMP_TOL for _, t in steps):
+        if not sq >= -_SQUARE_TOL:      # a NaN skips the shape too
             continue
-        steps = [(jj, max(t, 0.0)) for jj, t in steps]
-        if best is None or steps_duration(steps) < steps_duration(best):
-            best = steps
+        r = math.sqrt(max(sq, 0.0))
+        sa0, saf = s * a0, s * af
+        if not (r >= sa0 - _PEAK_TOL and r >= saf - _PEAK_TOL):
+            continue
+        if r <= am:
+            up, hold, down = (r - sa0) / j, 0.0, (r - saf) / j
+        else:      # clamped at s*amax with a plateau
+            up, down = (am - sa0) / j, (am - saf) / j
+            hold = ((s * vf - s * v0)
+                    - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
+        if up < -CLAMP_TOL or hold < -CLAMP_TOL or down < -CLAMP_TOL:
+            continue
+        up, hold, down = max(up, 0.0), max(hold, 0.0), max(down, 0.0)
+        # steps_duration of the steps: a zero hold adds +0.0 to a sum that
+        # is never -0.0, so the two-step total keeps its bits
+        total = 0.0 + up + hold + down
+        if best is None or total < best_total:
+            best = ([(s * j, up), (-s * j, down)] if r <= am
+                    else [(s * j, up), (0.0, hold), (-s * j, down)])
+            best_total = total
     if best is None:
         raise InfeasibleBoundary(
             f"no phase-plane connection from (a={a0}, v={v0}) to (a={af}, v={vf})")

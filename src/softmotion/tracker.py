@@ -10,10 +10,13 @@ the remainder of the previous ramp, so a constant reference is reached in
 minimal time and then held exactly.
 
 Because the plan is always the direct connection, a tick never builds a
-profile: it takes the connection's (jerk, duration) steps once and
-integrates the state to the end of the tick in closed form.  The result
-has the same bits as planning the critical-length motion with
-``plan_min_time_1d`` and evaluating it at ``dt``.
+profile: it takes the connection's (jerk, duration) steps once and walks
+(a, v, x) through them as plain floats with ``profiles.cubic`` up to the
+end of the tick, building one checked ``KinematicState`` per axis: the one
+it returns.  cubic never makes a non-finite value finite again, so a
+non-finite step on the way still raises ValueError when that state is
+built.  The result has the same bits as planning the critical-length
+motion with ``plan_min_time_1d`` and evaluating it at ``dt``.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .orientation import (NORM_FLOOR, Pose, Quaternion, Twist, omega_to_qdot,
                           qdot_to_omega)
 from .planner import check_boundary_state, connect_steps
 from .profiles import (CHAIN_TOL, DROP_DURATION, KinematicLimits,
-                       KinematicState, integrate_segment)
+                       KinematicState, cubic)
 # not called here; perfbench's tracer patches these names on this module
 from .planner import critical_length, plan_min_time_1d  # noqa: F401
 from .profiles import evaluate  # noqa: F401
@@ -50,6 +53,8 @@ class OnlineTracker:
             limits = [limits] * n_axes
         self.limits: list[KinematicLimits] = list(limits)
         n = len(self.limits)
+        if n_axes is not None and n_axes != n:
+            raise ValueError(f"n_axes={n_axes} but {n} axis limits are given")
         if states is None:
             states = [KinematicState() for _ in range(n)]
         if len(states) != n:
@@ -59,12 +64,18 @@ class OnlineTracker:
         self.time = 0.0
 
     def tick(self, v_ref) -> list[KinematicState]:
-        """Advance all axes by one tick toward the reference velocities."""
+        """Advance all axes by one tick toward the reference velocities.
+
+        A non-finite reference raises ValueError and leaves every state as
+        it was.
+        """
         refs = [float(r) for r in v_ref]
         if len(refs) != len(self.states):
             raise ValueError("one reference per axis is required")
         new_states = []
         for state, lim, ref in zip(self.states, self.limits, refs):
+            if not math.isfinite(ref):
+                raise ValueError(f"non-finite reference velocity {ref}")
             ref = max(-lim.vmax, min(lim.vmax, ref))
             new_states.append(self._tick_axis(state, lim, ref))
         self.states = new_states
@@ -78,17 +89,18 @@ class OnlineTracker:
         check_boundary_state(state, lim, outgoing=False)
         dt = self.dt
         t = 0.0
+        a, v, x = state.a, state.v, state.x
         # make_profile's segments, walked as evaluate would at t = dt: a tick
         # ending on a boundary resolves to the later segment
-        for jerk, dur in connect_steps(state.a, state.v, 0.0, ref, lim):
+        for jerk, dur in connect_steps(a, v, 0.0, ref, lim):
             if dur < DROP_DURATION:
                 continue
             if t + dur > dt:
-                return integrate_segment(state, jerk, dt - t)
-            state = integrate_segment(state, jerk, dur)
+                return KinematicState(*cubic(a, v, x, jerk, dt - t))
+            a, v, x = cubic(a, v, x, jerk, dur)
             t += dur
         # landed exactly on the reference: coast the rest of the tick
-        return KinematicState(0.0, ref, state.x + ref * (dt - t))
+        return KinematicState(0.0, ref, x + ref * (dt - t))
 
 
 class PoseTracker:
@@ -156,6 +168,14 @@ class PoseTracker:
         return all(abs(a - b) <= tol for a, b in zip(self.twist().w, w))
 
     def tick(self, twist: Twist) -> Pose:
+        """Advance one tick toward the twist; the pose reached is returned.
+
+        A non-finite twist component raises ValueError before any state,
+        ``norm_drift`` included, changes.
+        """
+        for c in (*twist.v, *twist.w):
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite twist component {c}")
         states = self._inner.states
         raw = [s.x for s in states[3:]]
         nrm = float(np.linalg.norm(raw))

@@ -661,3 +661,32 @@ def test_connect_steps_matches_two_branch_form_bit_for_bit(lin):
         assert [(float(jj).hex(), float(t).hex()) for jj, t in got] == \
             [(float(jj).hex(), float(t).hex()) for jj, t in want], (a0, v0, af, vf)
     assert 0 < raised < 20000
+
+
+def test_connect_steps_on_non_finite_inputs_matches_two_branch_form(lin, ang):
+    # NaN and +-inf in each of a0, v0, af, vf, on top of feasible and edge
+    # boundary values: the same steps bit for bit, or the same exception type
+    rng = np.random.default_rng(29)
+    bases = [(0.0, 0.0, 0.0, 0.0), (0.3, 0.0, -0.3, 0.15), (-0.1, -0.15, 0.0, 0.1)]
+    for lim in (lin, ang):
+        bases += [(*random_boundary(rng, lim), *random_boundary(rng, lim, True))
+                  for _ in range(20)]
+    outcomes = set()
+    for lim in (lin, ang):
+        for base in bases:
+            for i in range(4):
+                for bad in (math.nan, math.inf, -math.inf):
+                    args = list(base)
+                    args[i] = bad
+                    try:
+                        want = _connect_steps_two_branch(*args, lim)
+                    except Exception as exc:  # noqa: BLE001 - the type is compared
+                        with pytest.raises(type(exc)):
+                            planner.connect_steps(*args, lim)
+                        outcomes.add(type(exc).__name__)
+                        continue
+                    got = planner.connect_steps(*args, lim)
+                    assert [(jj.hex(), t.hex()) for jj, t in got] == \
+                        [(jj.hex(), t.hex()) for jj, t in want], args
+                    outcomes.add("steps")
+    assert outcomes == {"steps", "InfeasibleBoundary"}

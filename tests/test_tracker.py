@@ -1,3 +1,5 @@
+import hashlib
+import math
 import struct
 
 import numpy as np
@@ -43,6 +45,84 @@ def _assert_closed_form_tick(state, lim, ref, dt):
 def test_rejects_a_bad_tick_period(lin, dt):
     with pytest.raises(ValueError, match="tick period must be > 0"):
         OnlineTracker(lin, n_axes=1, dt=dt)
+
+
+def test_rejects_an_axis_count_that_differs_from_the_limits(lin, ang):
+    with pytest.raises(ValueError, match="n_axes=5"):
+        OnlineTracker([lin, ang], n_axes=5)
+    with pytest.raises(ValueError, match="n_axes=1"):
+        OnlineTracker([lin, ang], n_axes=1)
+    assert len(OnlineTracker([lin, ang], n_axes=2).tick([0.1, -0.1])) == 2
+    assert len(OnlineTracker([lin, ang]).tick([0.1, -0.1])) == 2
+
+
+def _all_bits(states):
+    return b"".join(_bits(s) for s in states)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_reference_raises_and_changes_no_state(lin, bad):
+    # max(-vmax, min(vmax, nan)) is vmax: unchecked, a NaN drove the axis
+    trk = OnlineTracker(lin, n_axes=1)
+    with pytest.raises(ValueError, match="non-finite reference"):
+        trk.tick([bad])
+    assert trk.states == [KinematicState()] and trk.time == 0.0
+    trk = OnlineTracker(lin, n_axes=3)
+    for _ in range(20):
+        trk.tick([0.1, -0.05, 0.12])
+    before, time = _all_bits(trk.states), trk.time
+    for i in range(3):
+        refs = [0.1, -0.05, 0.12]
+        refs[i] = bad
+        with pytest.raises(ValueError, match="non-finite reference"):
+            trk.tick(refs)
+        assert _all_bits(trk.states) == before and trk.time == time
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_twist_raises_and_changes_no_state(lin, ang, bad):
+    # unchecked, a NaN in v moved x, and one in w made every quaternion rate NaN
+    trk = PoseTracker(lin, ang, dt=0.01)
+    good = Twist((0.1, -0.05, 0.02), (0.05, -0.1, 0.12))
+    for _ in range(50):
+        trk.tick(good)
+    # the raw quaternion is off the unit sphere, so a renormalization shows
+    assert math.fsum(s.x * s.x for s in trk._inner.states[3:]) != 1.0
+    before = _all_bits(trk._inner.states)
+    drift, time = trk.norm_drift, trk.time
+    for field in ("v", "w"):
+        for i in range(3):
+            v, w = list(good.v), list(good.w)
+            (v if field == "v" else w)[i] = bad
+            with pytest.raises(ValueError, match="non-finite twist"):
+                trk.tick(Twist(tuple(v), tuple(w)))
+            assert _all_bits(trk._inner.states) == before
+            assert trk.norm_drift == drift and trk.time == time
+    trk.tick(good)
+    assert _all_bits(trk._inner.states) != before
+
+
+def test_pose_tracker_states_are_pinned(lin, ang):
+    # a seeded stream of three 200-tick holds: the second clamps x beyond
+    # vmax, and every w is nonzero, so the quaternion axes replan each tick.
+    # The digest of all seven raw states, tick by tick, is the planned tick's
+    rng = np.random.default_rng(24)
+    trk = PoseTracker(lin, ang, dt=0.01)
+    digest = hashlib.sha256()
+    for k in range(3):
+        v = rng.uniform(-0.12, 0.12, 3)
+        if k == 1:
+            v[0] = 0.4
+        w = rng.uniform(-0.08, 0.08, 3)
+        twist = Twist(tuple(v.tolist()), tuple(w.tolist()))
+        for _ in range(200):
+            trk.tick(twist)
+            for s in trk._inner.states:
+                digest.update(f"{s.a.hex()} {s.v.hex()} {s.x.hex()};".encode())
+        if k == 1:
+            assert trk._inner.states[0].v == lin.vmax
+    assert digest.hexdigest() == \
+        "807708d44dba8749b534f6d0d06436cdc7c3f738ad4c39f1050441e0ea47578d"
 
 
 def test_at_rest_zero_reference_stays_put(lin):
