@@ -23,8 +23,7 @@ from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
                        KinematicState, LimitReport, LimitViolation,
                        check_limits, concat_profiles, evaluate,
                        integrate_segment, make_profile, sample,
-                       sample_times, scale_profile, shift_profile,
-                       slice_profile)
+                       sample_times, scale_profile, slice_profile)
 from .ptp import (PtpTimes, accel_plateau_threshold, plan_ptp_1d,
                   ptp_saturation_threshold, ptp_times)
 from .tracker import OnlineTracker, PoseTracker
@@ -50,6 +49,6 @@ __all__ = [
     "plan_waypoint_path_detailed", "pose_at", "ptp_saturation_threshold",
     "ptp_times", "qdot_to_omega", "qr_matrix", "quaternion_norm_drift",
     "sample", "sample_times", "scale_limits_for_duration", "scale_profile",
-    "shift_profile", "slice_profile", "stop_time",
+    "slice_profile", "stop_time",
     "transition_problem",
 ]

@@ -8,7 +8,7 @@ Waypoints file: one point per line, comma separated, either ``x,y,z`` or
 ``x,y,z,qn,qi,qj,qk``; all lines must share the same width.
 
 Trajectory CSV: header ``t`` then ``<axis>_pos,<axis>_vel,<axis>_acc,
-<axis>_jerk`` per axis; samples on the grid t0 + k*dt plus the exact final
+<axis>_jerk`` per axis; samples on the grid k*dt plus the exact final
 time.  All numbers are serialized with 9 significant digits (``fmt``), so
 output is byte-identical across runs.  Rows are sampled in blocks of grid
 instants: the axes' segment tables are built once per write, every block
@@ -230,7 +230,7 @@ def write_trajectory_csv(stream: io.TextIOBase, profiles: list[AxisProfile],
     if len(profiles) != len(names):
         raise ValueError("one name per axis profile is required")
     tables = segment_tables(profiles)
-    grid = sample_times(max(profiles, key=lambda p: p.end_time), dt)
+    grid = sample_times(max(profiles, key=lambda p: p.duration), dt)
     header = ["t"]
     for name in names:
         header += [f"{name}_pos", f"{name}_vel", f"{name}_acc", f"{name}_jerk"]

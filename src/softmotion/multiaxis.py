@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from .errors import SolverFailure
-from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
-                       KinematicState, check_limits, scale_profile)
-from .ptp import PtpTimes, plan_ptp_1d, ptp_times
+from .profiles import AxisProfile, KinematicLimits, check_limits, scale_profile
+from .ptp import PtpTimes, hold, plan_ptp_1d, ptp_times
 
 #: Segment lengths and direction cosines below this are zero.
 NULL_TOL = 1e-15
@@ -57,12 +56,15 @@ def _scalar_problem(p0, pf, limits: KinematicLimits):
 
     The scalar progress profile runs along the segment length under the
     limits projected onto the dominant axis.  Coincident endpoints give a
-    length of 0 and no direction.
+    length of 0 and no direction.  A non-finite coordinate raises
+    ValueError.
     """
     p0 = np.asarray(p0, dtype=float)
     pf = np.asarray(pf, dtype=float)
     if p0.shape != pf.shape or p0.ndim != 1 or p0.size < 1:
         raise ValueError("p0 and pf must be 1-D vectors of equal dimension")
+    if not (np.isfinite(p0).all() and np.isfinite(pf).all()):
+        raise ValueError(f"non-finite endpoint: p0={p0.tolist()}, pf={pf.tolist()}")
     delta = pf - p0
     length = float(np.linalg.norm(delta))
     if length < NULL_TOL:
@@ -99,7 +101,7 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
     p0, length, unit, scalar_limits = _scalar_problem(p0, pf, limits)
     if unit is None:
         rest = 0.0 if duration is None else duration
-        return [_hold(float(x), rest) for x in p0], PtpTimes(0.0, 0.0, rest)
+        return [hold(float(x), rest) for x in p0], PtpTimes(0.0, 0.0, rest)
     times = ptp_times(length, scalar_limits)
     if duration is not None and duration != times.total:
         scalar_limits = scale_limits_for_duration(scalar_limits, times.total,
@@ -109,7 +111,7 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
     profiles = []
     for i, u in enumerate(unit):
         if abs(u) < NULL_TOL:
-            profiles.append(_hold(float(p0[i]), scalar.duration))
+            profiles.append(hold(float(p0[i]), scalar.duration))
         else:
             profiles.append(scale_profile(scalar, float(u), x_offset=float(p0[i])))
     for i, prof in enumerate(profiles):
@@ -119,9 +121,3 @@ def plan_ptp_nd_with_times(p0, pf, limits: KinematicLimits,
             raise SolverFailure(f"axis {i} reaches {bad.quantity} {bad.value!r} "
                                 f"at t={bad.time:.6g}, above its limit {bad.bound!r}")
     return profiles, times
-
-
-def _hold(x: float, duration: float) -> AxisProfile:
-    """An axis at rest at x for duration seconds: one zero-jerk segment."""
-    return AxisProfile(segments=(CubicSegment(duration=duration, jerk=0.0,
-                                              start=KinematicState(0.0, 0.0, x)),))

@@ -101,7 +101,7 @@ class Twist:
 
 def _check_unit(orient: Quaternion) -> None:
     nrm = math.hypot(orient.n, *orient.q)   # a tolerance check: no numpy needed
-    if abs(nrm - 1.0) > _UNIT_TOL:
+    if not abs(nrm - 1.0) <= _UNIT_TOL:     # a nan norm fails too
         raise ValueError(f"quaternion norm {nrm} deviates from 1 beyond {_UNIT_TOL}")
 
 
@@ -186,7 +186,7 @@ def pose_at(profiles: list[AxisProfile], t: float) -> Pose:
     """Sampled pose at time t; the quaternion is renormalized."""
     if len(profiles) != 7:
         raise ValueError("pose sampling needs 7 axis profiles")
-    vals = [evaluate(p, min(max(t, p.t0), p.end_time))[0].x for p in profiles]
+    vals = [evaluate(p, min(max(t, 0.0), p.duration))[0].x for p in profiles]
     quat = Quaternion.from_array(vals[3:]).normalized()
     return Pose((vals[0], vals[1], vals[2]), quat)
 

@@ -125,14 +125,14 @@ def cubic(a0, v0, x0, jerk, dt):
 
 @dataclass(frozen=True)
 class AxisProfile:
-    """Ordered run of constant-jerk segments for one axis, starting at t0.
+    """Ordered run of constant-jerk segments for one axis, from t = 0.
 
     Immutable after construction; safe to evaluate concurrently.  Segment
     boundary states chain continuously (the builder guarantees it, and
-    ``validate_chaining`` can re-check within CHAIN_TOL).
+    ``validate_chaining`` can re-check within CHAIN_TOL).  Profiles chain
+    by joining segments (``concat_profiles``), not on a shared clock.
     """
 
-    t0: float = 0.0
     segments: tuple[CubicSegment, ...] = ()
 
     @property
@@ -142,10 +142,6 @@ class AxisProfile:
         for s in self.segments:
             total += s.duration
         return total
-
-    @property
-    def end_time(self) -> float:
-        return self.t0 + self.duration
 
     @property
     def start_state(self) -> KinematicState:
@@ -160,8 +156,9 @@ class AxisProfile:
         return self.segments[-1].end
 
     def boundaries(self) -> list[float]:
-        """Absolute times of all segment boundaries, first to last."""
-        ts = [self.t0]
+        """Times of all segment boundaries, 0.0 first; the last is the duration
+        bit for bit (the same sum)."""
+        ts = [0.0]
         for s in self.segments:
             ts.append(ts[-1] + s.duration)
         return ts
@@ -178,7 +175,7 @@ class AxisProfile:
 
 
 def evaluate(profile: AxisProfile, t: float) -> tuple[KinematicState, float]:
-    """State and jerk at absolute time t0 <= t <= end_time.
+    """State and jerk at time 0 <= t <= duration, within CHAIN_TOL.
 
     Boundary instants resolve to the later segment; the profile end returns
     the final boundary state with the last segment's jerk.
@@ -186,9 +183,9 @@ def evaluate(profile: AxisProfile, t: float) -> tuple[KinematicState, float]:
     if not profile.segments:
         raise ValueError("cannot evaluate an empty profile")
     ts = profile.boundaries()
-    if t < ts[0] - CHAIN_TOL or t > ts[-1] + CHAIN_TOL:
-        raise ValueError(f"t={t} outside profile span [{ts[0]}, {ts[-1]}]")
-    t = min(max(t, ts[0]), ts[-1])
+    if t < -CHAIN_TOL or t > ts[-1] + CHAIN_TOL:
+        raise ValueError(f"t={t} outside profile span [0, {ts[-1]}]")
+    t = min(max(t, 0.0), ts[-1])
     k = bisect_right(ts, t) - 1
     if k >= len(profile.segments):  # exactly at the end
         k = len(profile.segments) - 1
@@ -201,19 +198,18 @@ class SegmentTables(NamedTuple):
 
     Row i of ``bounds`` holds profile i's boundaries, padded with inf to
     one width L; column i*L + k of ``coeffs`` holds (a0, v0, x0, jerk) of
-    its segment k.  ``last`` is each profile's last segment index and
-    ``offsets`` is i*L, both as (m, 1) columns.  ``clamps`` is the pairs
-    (t0, end_time) and (b[0], b[-1]) of (m, 1) columns, in the order the
-    times are held to them; ``span`` is the interval, (largest low end,
-    smallest high end), on which no clamp changes a time.
+    its segment k.  ``last`` is each profile's last segment index,
+    ``offsets`` is i*L and ``ends`` its duration, all three as (m, 1)
+    columns.  ``span`` is the shortest duration: no time in [0, span] is
+    held.
     """
 
     bounds: np.ndarray
     coeffs: np.ndarray
     last: np.ndarray
     offsets: np.ndarray
-    clamps: tuple[tuple[np.ndarray, np.ndarray], ...]
-    span: tuple[float, float]
+    ends: np.ndarray
+    span: float
 
 
 def segment_tables(profiles: list[AxisProfile]) -> SegmentTables:
@@ -224,19 +220,18 @@ def segment_tables(profiles: list[AxisProfile]) -> SegmentTables:
     width = max(len(p.segments) for p in profiles) + 1
     bounds = np.full((m, width), np.inf)
     coeffs = np.zeros((4, m, width))
-    ends = np.empty((4, m, 1))      # t0, end_time, b[0], b[-1]
+    ends = np.empty((m, 1))
     for i, p in enumerate(profiles):
         b = p.boundaries()
         bounds[i, :len(b)] = b
         coeffs[:, i, :len(b) - 1] = np.transpose(
             [(s.start.a, s.start.v, s.start.x, s.jerk) for s in p.segments])
-        ends[:, i, 0] = (p.t0, p.end_time, b[0], b[-1])
+        ends[i, 0] = b[-1]
     last = np.array([[len(p.segments) - 1] for p in profiles])
     return SegmentTables(
         bounds=bounds, coeffs=coeffs.reshape(4, m * width), last=last,
-        offsets=np.arange(m).reshape(m, 1) * width,
-        clamps=((ends[0], ends[1]), (ends[2], ends[3])),
-        span=(float(np.max(ends[0::2])), float(np.min(ends[1::2]))))
+        offsets=np.arange(m).reshape(m, 1) * width, ends=ends,
+        span=float(np.min(ends)))
 
 
 def sample_axes(tables: SegmentTables, ts) -> tuple[np.ndarray, np.ndarray,
@@ -244,25 +239,21 @@ def sample_axes(tables: SegmentTables, ts) -> tuple[np.ndarray, np.ndarray,
     """Position, velocity, acceleration and jerk of every profile at the 1-D
     times ts, each an (m, len(ts)) array.
 
-    Times are first held to [t0, end_time], so instants outside a profile
+    Times are first held to [0, duration], so instants outside a profile
     read its start or final state.  Every value equals, bit for bit, what
     ``evaluate`` returns at the held time.
     """
     t = np.asarray(ts, dtype=float)
     m = len(tables.bounds)
-    if t.size and tables.span[0] <= t.min() and t.max() <= tables.span[1]:
-        # every time lies within every clamp pair: no np.where below would
-        # pick its bound, so the times stay as they are
+    if t.size and 0.0 <= t.min() and t.max() <= tables.span:
+        # every time lies in [0, span]: no np.where below would pick its
+        # bound, so the times stay as they are
         held = np.broadcast_to(t, (m, t.size))
     else:
-        # held to [t0, end_time], then to the boundaries like evaluate (the
-        # two ends can differ by an ulp when t0 != 0); np.where keeps
-        # min(max(t, lo), hi)'s pick between equal values, so signed zeros
-        # match
-        held = t
-        for lo, hi in tables.clamps:
-            held = np.where(lo > held, lo, held)
-            held = np.where(hi < held, hi, held)
+        # held like evaluate's min(max(t, 0.0), duration); np.where keeps
+        # its pick between equal values, so signed zeros match
+        held = np.where(0.0 > t, 0.0, t)
+        held = np.where(tables.ends < held, tables.ends, held)
     k = np.empty((m, t.size), dtype=np.intp)
     for i in range(m):
         k[i] = tables.bounds[i].searchsorted(held[i], "right")
@@ -279,7 +270,7 @@ def sample(profile: AxisProfile, ts) -> tuple[np.ndarray, np.ndarray,
     """Position, velocity, acceleration and jerk arrays at the times ts.
 
     The one-profile case of ``sample_axes``, each array of the shape of ts:
-    times are held to [t0, end_time], and every value equals, bit for bit,
+    times are held to [0, duration], and every value equals, bit for bit,
     what ``evaluate`` returns at the held time.
     """
     t = np.asarray(ts, dtype=float)
@@ -287,8 +278,7 @@ def sample(profile: AxisProfile, ts) -> tuple[np.ndarray, np.ndarray,
                  for col in sample_axes(segment_tables([profile]), t.ravel()))
 
 
-def make_profile(steps, start: KinematicState,
-                 t0: float = 0.0) -> AxisProfile:
+def make_profile(steps, start: KinematicState) -> AxisProfile:
     """Build a profile by integrating (jerk, duration) steps from a start state.
 
     Steps shorter than DROP_DURATION are dropped (their kinematic effect at
@@ -305,16 +295,11 @@ def make_profile(steps, start: KinematicState,
             continue
         segs.append(CubicSegment(duration=dur, jerk=jerk, start=state))
         state = segs[-1].end
-    return AxisProfile(t0=t0, segments=tuple(segs))
-
-
-def shift_profile(profile: AxisProfile, t0: float) -> AxisProfile:
-    """Same motion re-anchored to start at absolute time t0."""
-    return AxisProfile(t0=t0, segments=profile.segments)
+    return AxisProfile(segments=tuple(segs))
 
 
 def slice_profile(profile: AxisProfile, t_lo: float, t_hi: float) -> AxisProfile:
-    """Sub-profile spanning [t_lo, t_hi] of an existing profile."""
+    """The motion of [t_lo, t_hi] of an existing profile, from t = 0."""
     if t_hi < t_lo:
         raise ValueError("t_hi must be >= t_lo")
     state, _ = evaluate(profile, t_lo)
@@ -331,7 +316,7 @@ def slice_profile(profile: AxisProfile, t_lo: float, t_hi: float) -> AxisProfile
             t = upto
         if t >= t_hi - DROP_DURATION:
             break
-    return make_profile(steps, state, t0=t_lo)
+    return make_profile(steps, state)
 
 
 def concat_profiles(parts: list[AxisProfile]) -> AxisProfile:
@@ -347,7 +332,7 @@ def concat_profiles(parts: list[AxisProfile]) -> AxisProfile:
                abs(prev_end.x - nxt.x)) > SEAM_TOL:
             raise ValueError("profiles do not chain continuously")
         segs.extend(p.segments)
-    return AxisProfile(t0=parts[0].t0, segments=tuple(segs))
+    return AxisProfile(segments=tuple(segs))
 
 
 def scale_profile(profile: AxisProfile, r: float, x_offset: float = 0.0) -> AxisProfile:
@@ -360,21 +345,22 @@ def scale_profile(profile: AxisProfile, r: float, x_offset: float = 0.0) -> Axis
             jerk=seg.jerk * r,
             start=KinematicState(a=st.a * r, v=st.v * r, x=st.x * r + x_offset),
         ))
-    return AxisProfile(t0=profile.t0, segments=tuple(segs))
+    return AxisProfile(segments=tuple(segs))
 
 
 def sample_times(profile: AxisProfile, dt: float) -> np.ndarray:
-    """Sampling grid t0 + k*dt below end - GRID_CUT, then the exact end time.
+    """Sampling grid k*dt below duration - GRID_CUT, then the exact duration.
 
     The grid values rise with k, so the instants below the cut are a
     prefix of the candidates; the candidates run two past the estimated
-    cut, which covers any rounding of that estimate.
+    cut, which covers any rounding of that estimate.  An empty profile
+    (duration 0.0) gets the one instant 0.0.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be > 0")
-    end = profile.end_time if profile.segments else profile.t0
+    end = profile.duration
     cut = end - GRID_CUT
-    ts = profile.t0 + np.arange(int((cut - profile.t0) / dt) + 3) * dt
+    ts = np.arange(int(cut / dt) + 3) * dt
     return np.append(ts[ts < cut], end)
 
 
@@ -384,7 +370,7 @@ class LimitViolation:
 
     quantity: str        # "jerk" | "acceleration" | "velocity"
     segment: int
-    time: float          # absolute time of the extremum
+    time: float          # time of the extremum
     value: float
     bound: float
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .profiles import AxisProfile, KinematicLimits, KinematicState, make_profile
+from .profiles import (AxisProfile, CubicSegment, KinematicLimits,
+                       KinematicState, make_profile)
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,26 @@ def ptp_times(distance: float, limits: KinematicLimits) -> PtpTimes:
     return PtpTimes((distance / (2.0 * j)) ** (1.0 / 3.0), 0.0, 0.0)
 
 
+def hold(x: float, duration: float) -> AxisProfile:
+    """An axis at rest at x for duration seconds: one zero-jerk segment."""
+    return AxisProfile(segments=(CubicSegment(duration=duration, jerk=0.0,
+                                              start=KinematicState(0.0, 0.0, x)),))
+
+
 def plan_ptp_1d(distance: float, limits: KinematicLimits,
-                x0: float = 0.0, t0: float = 0.0) -> AxisProfile:
+                x0: float = 0.0) -> AxisProfile:
     """Minimal-time rest-to-rest motion covering a signed distance.
 
     Returns a profile starting at (a=0, v=0, x=x0) and ending exactly at
-    (0, 0, x0 + distance).  Negative distances mirror the positive plan.
-    Zero-length pieces (Ta or Tv at a case boundary) are dropped, so the
-    result has at most seven segments.
+    (0, 0, x0 + distance).  Negative distances mirror the positive plan,
+    and a zero distance is a 0 s hold at x0.  Zero-length pieces (Ta or Tv
+    at a case boundary) are dropped, so the result has at most seven
+    segments.
     """
     if not math.isfinite(distance):
         raise ValueError("distance must be finite")
     if distance == 0.0:
-        return AxisProfile(t0=t0)
+        return hold(x0, 0.0)
     sign = 1.0 if distance > 0.0 else -1.0
     tt = ptp_times(abs(distance), limits)
     jm = sign * limits.jmax
@@ -99,4 +107,4 @@ def plan_ptp_1d(distance: float, limits: KinematicLimits,
         (0.0, tt.tv),
         (-jm, tt.tj), (0.0, tt.ta), (jm, tt.tj),
     ]
-    return make_profile(steps, KinematicState(0.0, 0.0, x0), t0=t0)
+    return make_profile(steps, KinematicState(0.0, 0.0, x0))

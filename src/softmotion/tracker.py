@@ -150,7 +150,8 @@ class PoseTracker:
         return tuple(c * (self._w_max / norm) for c in w)
 
     def settled(self, twist: Twist) -> bool:
-        """True when the tracker holds this twist.
+        """True when the tracker holds this twist; a non-finite twist
+        component raises ValueError, as in ``tick``.
 
         Each position axis sits at zero acceleration and at the clamped
         velocity a tick would track, both within CHAIN_TOL.  The quaternion
@@ -158,6 +159,7 @@ class PoseTracker:
         back from it must be within one tick's change of the rate target,
         |w|^2 dt / 2 (at least CHAIN_TOL), of the scaled reference tracked.
         """
+        _check_finite(twist)
         for state, lim, target in zip(self._inner.states, self._inner.limits,
                                       twist.v):
             target = max(-lim.vmax, min(lim.vmax, target))
@@ -173,9 +175,7 @@ class PoseTracker:
         A non-finite twist component raises ValueError before any state,
         ``norm_drift`` included, changes.
         """
-        for c in (*twist.v, *twist.w):
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite twist component {c}")
+        _check_finite(twist)
         states = self._inner.states
         raw = [s.x for s in states[3:]]
         nrm = float(np.linalg.norm(raw))
@@ -188,3 +188,11 @@ class PoseTracker:
         qdot = omega_to_qdot(Quaternion.from_array(unit), self._held_w(twist.w))
         self._inner.tick(list(twist.v) + qdot.tolist())
         return self.pose()
+
+
+def _check_finite(twist: Twist) -> None:
+    """Raise ValueError on a non-finite twist component (a nan or inf would
+    otherwise clamp to a limit and read as a reference)."""
+    for c in (*twist.v, *twist.w):
+        if not math.isfinite(c):
+            raise ValueError(f"non-finite twist component {c}")

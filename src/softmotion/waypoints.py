@@ -106,5 +106,5 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
 
 def _anchor_state(profile: AxisProfile, t: float) -> KinematicState:
     """Leg state at time t, held to the leg's span."""
-    state, _ = evaluate(profile, min(max(t, profile.t0), profile.end_time))
+    state, _ = evaluate(profile, min(max(t, 0.0), profile.duration))
     return state

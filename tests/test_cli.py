@@ -414,3 +414,18 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
                      "--displacement", "0.01"])
     assert code == 3
     assert "solver failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_a_non_finite_endpoint_exits_2(tmp_path, capsys, bad):
+    out = tmp_path / "traj.csv"
+    wp = tmp_path / "waypoints.txt"
+    wp.write_text(f"0,0,0\n{bad},0,0\n0.1,0.1,0\n")
+    for argv in (["plan-ptp", f"--from=0,0,0,{bad},0,0,0", "--to=0.1,0,0,1,0,0,0"],
+                 ["plan-ptp", f"--from=0,{bad},0", "--to=0.1,0,0"],
+                 ["plan-path", "--waypoints", str(wp)]):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "jmax" not in err
+        assert "non-finite endpoint" in err or "quaternion norm" in err
+        assert not out.exists()

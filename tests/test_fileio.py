@@ -6,7 +6,7 @@ import pytest
 
 from softmotion import (AxisProfile, Pose, Quaternion, cli, evaluate, fileio,
                         plan_pose_axes, plan_ptp_nd, plan_waypoint_path_detailed,
-                        sample_times, shift_profile)
+                        plan_ptp_1d, sample_times)
 from softmotion.fileio import _csv_rows, fmt, write_trajectory_csv
 
 
@@ -14,7 +14,7 @@ def reference_write(stream, profiles, names, dt):
     """The per-value writer (one evaluate and one fmt per value) the block writer replaced."""
     if len(profiles) != len(names):
         raise ValueError("one name per axis profile is required")
-    longest = max(profiles, key=lambda p: p.end_time)
+    longest = max(profiles, key=lambda p: p.duration)
     grid = sample_times(longest, dt)
     header = ["t"]
     for name in names:
@@ -23,7 +23,7 @@ def reference_write(stream, profiles, names, dt):
     for t in grid:
         row = [fmt(t)]
         for prof in profiles:
-            state, jerk = evaluate(prof, min(max(t, prof.t0), prof.end_time))
+            state, jerk = evaluate(prof, min(max(t, 0.0), prof.duration))
             row += [fmt(state.x), fmt(state.v), fmt(state.a), fmt(jerk)]
         stream.write(",".join(row) + "\n")
 
@@ -81,11 +81,11 @@ def test_dt_that_does_not_divide_the_duration(lin):
     assert new == ref
 
 
-def test_axes_with_other_start_and_end_times(lin):
-    # one axis starts late and one ends early: both are held at their ends
+def test_axes_with_other_end_times(lin):
+    # one axis ends early and one is a 0 s hold: both are held at their ends
     profiles = plan_ptp_nd([0.0, 0.0, 0.0], [0.2, 0.1, -0.05], lin)
     short = plan_ptp_nd([0.0], [0.03], lin)[0]
-    profiles = [profiles[0], shift_profile(profiles[1], 0.25), short]
+    profiles = [profiles[0], short, plan_ptp_1d(0.0, lin, x0=-0.05)]
     new, ref = both_writers(profiles, XYZ, 0.003)
     assert new == ref
 
@@ -93,7 +93,7 @@ def test_axes_with_other_start_and_end_times(lin):
 @pytest.mark.parametrize("rows", [2, 255, 256, 257, 512, 513])
 def test_block_edges_match_reference(lin, rows):
     profiles = plan_ptp_nd([0.0, 0.0, 0.0], [0.1, 0.04, -0.02], lin)
-    dt = profiles[0].end_time / (rows - 1.5)
+    dt = profiles[0].duration / (rows - 1.5)
     assert len(sample_times(profiles[0], dt)) == rows
     new, ref = both_writers(profiles, XYZ, dt)
     assert new.count("\n") == rows + 1
@@ -244,35 +244,46 @@ def test_writer_builds_each_axis_table_once(lin, ang, monkeypatch):
 
 
 #: SHA-256 of the README commands' CSVs, fixed before the block writer
-#: existed; a change that alters one byte of them fails here.
+#: existed, and of a path's transition report where one is given; a change
+#: that alters one byte of them fails here.
 PINNED = [
     (["plan-ptp", "--from", "0,0,0,1,0,0,0", "--to", "0.1,0,0,0.966,0,0,0.259",
       "--dt", "0.001"], None,
-     "17f43dc70201f07b5ca4219db705f8d99bc5f6760215709de868bc8dc78f7a7e"),
+     "17f43dc70201f07b5ca4219db705f8d99bc5f6760215709de868bc8dc78f7a7e", None),
     (["plan-path", "--dt", "0.01"], "0,0,0\n0.15,0.15,0\n0.30,0.30,0.15\n",
-     "c9b511ffaee711eb994b947c406d8b3f50a20805914a8391daa91899160f7033"),
+     "c9b511ffaee711eb994b947c406d8b3f50a20805914a8391daa91899160f7033", None),
     # a path whose corners take the slowed, stop-and-dwell and min-time
     # strategies, pinned before the stretching root solver was rewritten
     (["plan-path", "--dt", "0.01"], "0,0,0\n0.15,0.1,0\n0.3,0.1,0.1\n0.2,0.25,0.15\n",
-     "3d8d1817fadcbbb77c0d4ac54e29c91d48c336a119df33427b4ae01d7f5baa28"),
+     "3d8d1817fadcbbb77c0d4ac54e29c91d48c336a119df33427b4ae01d7f5baa28", None),
     # all seven axes move, the end (8.83342489 s) falls off the grid and the
     # 8 835 rows span 35 blocks; pinned before all axes of a block were
     # sampled in one pass
     (["plan-ptp", "--from", "0.02,-0.01,0.03,0.9,0.3,-0.2,0.2449",
       "--to", "0.11,0.05,-0.04,0.95,-0.1,0.2,0.2179", "--dt", "0.001"], None,
-     "fbb101588274e837f85204147e059c59eefe1c8ef3aed3f32240707bc6fc16bc"),
+     "fbb101588274e837f85204147e059c59eefe1c8ef3aed3f32240707bc6fc16bc", None),
+    # a dwell leg and a z axis at rest; the middle legs are sliced from
+    # mid-leg instants and joined
+    (["plan-path", "--dt", "0.01"], "0,0,0\n0.1,0,0\n0.1,0,0\n0.2,0.1,0\n",
+     "a290c7c1d7eda03a019969f8738bc8dcad63b53f545c6404b5ea1bed84d3efa2",
+     "f2e65f0119770603f6878e230e48c6aff728e87e5bec39a092929d344cfde251"),
 ]
 
 
-@pytest.mark.parametrize("argv,waypoints,digest", PINNED,
+@pytest.mark.parametrize("argv,waypoints,digest,report_digest", PINNED,
                          ids=["plan-ptp", "plan-path", "plan-path-stretched",
-                              "plan-ptp-seven-axes"])
-def test_readme_csv_bytes_are_pinned(tmp_path, argv, waypoints, digest):
+                              "plan-ptp-seven-axes", "plan-path-repeated-point"])
+def test_readme_csv_bytes_are_pinned(tmp_path, argv, waypoints, digest, report_digest):
     out = tmp_path / "traj.csv"
+    report = tmp_path / "report.csv"
     argv = argv + ["--out", str(out)]
     if waypoints is not None:
         wp = tmp_path / "wp.txt"
         wp.write_text(waypoints)
         argv += ["--waypoints", str(wp)]
+    if report_digest is not None:
+        argv += ["--report", str(report)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if report_digest is not None:
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest

@@ -113,3 +113,17 @@ def test_straight_line_fails_closed(lin, monkeypatch):
     monkeypatch.setattr(multiaxis, "plan_ptp_1d", planned_under_doubled_limits)
     with pytest.raises(SolverFailure, match="axis 0 reaches"):
         plan_ptp_nd([0.0, 0.0, 0.0], [0.3, 0.1, 0.0], lin)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_endpoint_is_named(lin, bad):
+    # it was blamed on the limits: the projected jmax came out nan
+    for end in range(2):
+        for i in range(3):
+            pts = [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]
+            pts[end][i] = bad
+            for plan in (plan_ptp_nd, plan_ptp_nd_with_times, multiaxis.min_time_nd):
+                with pytest.raises(ValueError, match="non-finite endpoint") as exc:
+                    plan(pts[0], pts[1], lin)
+                assert "jmax" not in str(exc.value)

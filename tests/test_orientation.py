@@ -122,7 +122,7 @@ def test_pose_planner_plans_each_group_once(lin, ang, monkeypatch, goal, slower)
     profiles = plan_pose_axes(pose0, posef, lin, ang)
     assert counts == {"plan_ptp_nd_with_times": 2, "check_limits": 7}
     assert (profiles[3:] if slower == "rotation" else profiles[:3]) == alone
-    assert len({p.end_time for p in profiles}) <= 2     # one duration, to an ulp
+    assert len({p.duration for p in profiles}) <= 2     # one duration, to an ulp
 
 
 def test_hemisphere_handling(lin, ang):
@@ -159,7 +159,7 @@ def reference_norm_drift(profiles, dt):
     ref = max((p for p in quat_profiles if p.segments), key=lambda p: p.duration)
     worst = 0.0
     for t in sample_times(ref, dt):
-        comps = [evaluate(p, min(max(t, p.t0), p.end_time))[0].x for p in quat_profiles]
+        comps = [evaluate(p, min(max(t, 0.0), p.duration))[0].x for p in quat_profiles]
         worst = max(worst, abs(float(np.linalg.norm(comps)) - 1.0))
     return worst
 
@@ -209,3 +209,17 @@ def test_cli_exits_3_on_a_pose_move_that_breaks_a_limit(monkeypatch, tmp_path, c
     # the rotation sets the duration: qk, its dominant component, fails first
     assert capsys.readouterr().err.startswith("error: solver failed: axis 3 reaches jerk")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pose_planner_names_a_non_finite_endpoint(lin, ang, bad):
+    # unchecked, a nan quaternion norm passed the unit check, and either
+    # endpoint raised "jmax must be finite and > 0, got nan"
+    ident = Quaternion.identity()
+    for pose in (Pose((bad, 0.0, 0.0), ident), Pose((0.0, 0.0, 0.0), Quaternion(bad, (0.0, 0.0, 0.0))),
+                 Pose((0.0, 0.0, 0.0), Quaternion(1.0, (0.0, bad, 0.0)))):
+        for pair in ((pose, Pose((0.1, 0.0, 0.0), ident)), (Pose((0.1, 0.0, 0.0), ident), pose)):
+            with pytest.raises(ValueError, match="non-finite endpoint|quaternion norm") as exc:
+                plan_pose_axes(*pair, lin, ang)
+            assert "jmax" not in str(exc.value)

@@ -9,7 +9,7 @@ from softmotion import (AxisProfile, CubicSegment, KinematicState, Pose,
                         concat_profiles, evaluate, integrate_segment,
                         make_profile, plan_min_time_1d, plan_pose_axes,
                         plan_ptp_1d, plan_waypoint_path, sample, sample_times,
-                        shift_profile, slice_profile)
+                        slice_profile)
 from softmotion.profiles import sample_axes, segment_tables
 
 
@@ -82,15 +82,15 @@ def test_profile_chaining(lin):
 
 def test_evaluate_bounds_and_boundaries(lin):
     prof = plan_ptp_1d(0.15, lin)
-    st, _ = evaluate(prof, prof.t0)
+    st, _ = evaluate(prof, 0.0)
     assert st == prof.segments[0].start
-    end, _ = evaluate(prof, prof.end_time)
+    end, _ = evaluate(prof, prof.duration)
     fin = prof.final_state
     assert abs(end.a - fin.a) <= 1e-9
     assert abs(end.v - fin.v) <= 1e-9
     assert abs(end.x - fin.x) <= 1e-9
     with pytest.raises(ValueError):
-        evaluate(prof, prof.end_time + 1.0)
+        evaluate(prof, prof.duration + 1.0)
     with pytest.raises(ValueError):
         evaluate(AxisProfile(), 0.0)
 
@@ -110,7 +110,7 @@ def test_duration_sums_left_to_right():
     # sum() would give 1.0 from Python 3.12 on; the loop gives the same on every version
     prof = make_profile([(0.0, 0.1)] * 10, KinematicState(0.0, 0.1, 0.0))
     assert prof.duration == 0.9999999999999999
-    assert prof.end_time == prof.boundaries()[-1]
+    assert prof.duration == prof.boundaries()[-1]
 
 
 def _seeded_profiles(lin, ang):
@@ -126,18 +126,17 @@ def _seeded_profiles(lin, ang):
                                     lin)
         except SoftMotionError:
             continue
-        out.append(shift_profile(prof, rng.uniform(-3.0, 7.0)) if i % 3 == 0 else prof)
+        out.append(prof)
     for i in range(12):
         q = rng.normal(size=4)
         posef = Pose(tuple(rng.uniform(-0.2, 0.2, 3)),
                      Quaternion.from_array(q / np.linalg.norm(q)))
         pose0 = Pose((0.0, 0.0, 0.0), Quaternion.identity())
-        for prof in plan_pose_axes(pose0, posef, lin, ang):
-            out.append(shift_profile(prof, 1.7) if i % 2 else prof)
+        out += plan_pose_axes(pose0, posef, lin, ang)
     hold = CubicSegment(duration=1.5, jerk=0.0, start=KinematicState(0.0, 0.0, 0.3))
     cruise = CubicSegment(duration=2.0, jerk=0.0, start=KinematicState(0.0, 0.1, -0.05))
-    out += [AxisProfile(segments=(hold,)), AxisProfile(t0=0.4, segments=(cruise,)),
-            plan_ptp_1d(0.6, lin)]
+    out += [AxisProfile(segments=(hold,)), AxisProfile(segments=(cruise,)),
+            plan_ptp_1d(0.6, lin), plan_ptp_1d(0.0, lin, x0=0.3)]
     return out
 
 
@@ -146,16 +145,16 @@ def test_sample_equals_evaluate_bit_for_bit(lin, ang):
     profiles = _seeded_profiles(lin, ang)
     assert len(profiles) >= 250
     for prof in profiles:
-        t0, end = prof.t0, prof.end_time
+        end = prof.duration
         ts = np.concatenate([
             prof.boundaries(),                       # every segment boundary exactly
-            [t0 - 1.0, t0 - 1e-13, end + 1e-13, end + 1.0, np.nextafter(end, 0.0)],
+            [-1.0, -1e-13, -0.0, end + 1e-13, end + 1.0, np.nextafter(end, 0.0)],
             sample_times(prof, 0.0137),
-            rng.uniform(t0, end, 40)])
+            rng.uniform(0.0, end, 40)])
         got = sample(prof, ts)
         ref = [[], [], [], []]
         for t in ts:
-            state, jerk = evaluate(prof, min(max(t, t0), end))
+            state, jerk = evaluate(prof, min(max(t, 0.0), end))
             for col, val in zip(ref, (state.x, state.v, state.a, jerk)):
                 col.append(val)
         for arr, col in zip(got, ref):
@@ -165,18 +164,17 @@ def test_sample_equals_evaluate_bit_for_bit(lin, ang):
 
 
 def _axes_of_every_shape(lin):
-    """Profiles with 1 to many segments, t0 != 0, starting late and ending early."""
+    """Profiles with 1 to many segments and of many durations, 0 s included."""
     hold = CubicSegment(duration=1.5, jerk=0.0, start=KinematicState(0.0, 0.0, 0.3))
     cruise = CubicSegment(duration=2.0, jerk=0.0, start=KinematicState(0.0, -0.1, 0.05))
     path = plan_waypoint_path([[0.0, 0.0, 0.0], [0.15, 0.1, 0.0], [0.3, 0.1, 0.1],
                                [0.2, 0.25, 0.15]], lin)
     dwell = plan_min_time_1d(KinematicState(0.1, -0.05, 0.02),
                              KinematicState(0.0, 0.0, -0.1), lin)
-    axes = [AxisProfile(segments=(hold,)), AxisProfile(t0=0.4, segments=(cruise,)),
-            plan_ptp_1d(0.6, lin), shift_profile(plan_ptp_1d(-0.2, lin), 0.9),
-            plan_ptp_1d(0.03, lin, t0=0.2), shift_profile(dwell, -1.3)]
-    axes += [shift_profile(p, 0.37) for p in path] + path
-    return axes
+    axes = [AxisProfile(segments=(hold,)), AxisProfile(segments=(cruise,)),
+            plan_ptp_1d(0.6, lin), plan_ptp_1d(-0.2, lin), plan_ptp_1d(0.03, lin),
+            dwell, plan_ptp_1d(0.0, lin, x0=0.1)]
+    return axes + path
 
 
 def test_sample_axes_equals_evaluate_bit_for_bit(lin):
@@ -185,27 +183,28 @@ def test_sample_axes_equals_evaluate_bit_for_bit(lin):
     assert max(len(p.segments) for p in axes) > 15       # the joined path
     rng = np.random.default_rng(20)
     edges = np.concatenate([p.boundaries() for p in axes])
-    ends = np.array([(p.t0, p.end_time) for p in axes])
+    ends = np.array([0.0] + [p.duration for p in axes])
     ts = np.concatenate([
         edges,                                  # every boundary of every axis
-        ends.ravel()[:, None] + [-1.0, -1e-13, 1e-13, 1.0],
-        sample_times(max(axes, key=lambda p: p.end_time), 0.0137),
-        rng.uniform(ends.min(), ends.max(), 400),
+        ends[:, None] + [-1.0, -1e-13, 1e-13, 1.0],
+        sample_times(max(axes, key=lambda p: p.duration), 0.0137),
+        rng.uniform(0.0, ends.max(), 400),
         [-0.0, 0.0]], axis=None)
     # blocks of the sorted instants, as the CSV writer samples them, and the
-    # whole set in random order; the path axes alone share a span, and the
-    # blocks within it skip the clamps
+    # whole set in random order; the 0 s hold makes every block of the full
+    # group take the holding branch, while the path axes alone share a span
+    # and the blocks within it skip it
     blocks = np.array_split(np.sort(ts), len(ts) // 16) + [rng.permutation(ts)]
-    for group in (axes, axes[6:]):
+    for group in (axes, axes[7:]):
         tables = segment_tables(group)
         inside = 0
         for block in blocks:
-            inside += tables.span[0] <= block.min() and block.max() <= tables.span[1]
+            inside += 0.0 <= block.min() and block.max() <= tables.span
             got = sample_axes(tables, block)
             for i, prof in enumerate(group):
                 ref = [[], [], [], []]
                 for t in block.tolist():
-                    state, jerk = evaluate(prof, min(max(t, prof.t0), prof.end_time))
+                    state, jerk = evaluate(prof, min(max(t, 0.0), prof.duration))
                     for col, val in zip(ref, (state.x, state.v, state.a, jerk)):
                         col.append(val)
                 for arr, col in zip(got, ref):
@@ -216,11 +215,11 @@ def test_sample_axes_equals_evaluate_bit_for_bit(lin):
 
 
 def test_sample_keeps_the_shape_of_the_times(lin):
-    prof = shift_profile(plan_ptp_1d(0.3, lin), 0.7)
-    ts = np.array([[0.5, 1.0, 1.4], [2.0, 3.0, 9.0]])
+    prof = plan_ptp_1d(0.3, lin)
+    ts = np.array([[-0.2, 0.3, 0.7], [1.3, 2.3, 8.3]])
     got = sample(prof, ts)
     for (r, c), t in np.ndenumerate(ts):
-        state, jerk = evaluate(prof, min(max(t, prof.t0), prof.end_time))
+        state, jerk = evaluate(prof, min(max(t, 0.0), prof.duration))
         assert [arr[r, c] for arr in got] == [state.x, state.v, state.a, jerk]
 
 
@@ -292,46 +291,45 @@ def test_make_profile_drops_noise_segments(lin):
 def loop_sample_times(profile, dt):
     """The Python loop that the array grid of sample_times replaced."""
     ts = []
-    end = profile.end_time if profile.segments else profile.t0
+    end = profile.duration
     k = 0
-    while profile.t0 + k * dt < end - 1e-12:
-        ts.append(profile.t0 + k * dt)
+    while k * dt < end - 1e-12:
+        ts.append(k * dt)
         k += 1
     ts.append(end)
     return ts
 
 
-def _span(t0, end):
-    """A one-segment hold from t0 to end (an empty profile when end == t0)."""
-    if end == t0:
-        return AxisProfile(t0=t0)
-    return AxisProfile(t0=t0, segments=(
-        CubicSegment(duration=end - t0, jerk=0.0, start=KinematicState(0.0, 0.0, 0.0)),))
+def _span(end):
+    """A one-segment hold of end seconds (an empty profile when end == 0)."""
+    if end == 0.0:
+        return AxisProfile()
+    return AxisProfile(segments=(
+        CubicSegment(duration=end, jerk=0.0, start=KinematicState(0.0, 0.0, 0.0)),))
 
 
 def sample_time_cases():
-    """Seeded (t0, dt, end), with the edge cases of the end-1e-12 cut."""
+    """Seeded (dt, end), with the edge cases of the end-1e-12 cut."""
     rng = np.random.default_rng(4711)
-    cases = [(0.0, 0.25, 2.0),            # exact multiple of dt
-             (1.5, 0.1, 1.5 + 0.8),       # t0 != 0, rounded multiple
-             (3.0, 0.01, 3.0),            # empty profile: one row
-             (-2.0, 0.01, -2.0 + 4e-13),  # shorter than the cut: one row
-             (0.7, 0.5, 0.9)]             # dt beyond the end: two rows
+    cases = [(0.25, 2.0),         # exact multiple of dt
+             (0.1, 0.3),          # rounded multiple: 3 * 0.1 > 0.3
+             (0.01, 0.0),         # empty profile: one row
+             (0.01, 4e-13),       # shorter than the cut: one row
+             (0.5, 0.2)]          # dt beyond the end: two rows
     for _ in range(300):
-        t0 = float(rng.choice([0.0, rng.uniform(-5.0, 5.0)]))
         dt = float(rng.choice([0.001, 0.01, 0.0137, rng.uniform(1e-3, 0.2)]))
         k = int(rng.integers(1, 3000))
         # at, just inside and just outside 1e-12 of grid point k, or anywhere
         off = float(rng.choice([0.0, 1e-12, -1e-12, 0.5e-12, -0.5e-12, 2e-12,
                                 rng.uniform(-0.5, 0.5) * dt]))
-        cases.append((t0, dt, t0 + k * dt + off))
+        cases.append((dt, k * dt + off))
     return cases
 
 
 def test_sample_times_matches_the_loop():
     rows = set()
-    for t0, dt, end in sample_time_cases():
-        prof = _span(t0, end)
+    for dt, end in sample_time_cases():
+        prof = _span(end)
         got = sample_times(prof, dt)
         assert isinstance(got, np.ndarray) and got.dtype == np.float64
         ref = loop_sample_times(prof, dt)
@@ -343,4 +341,14 @@ def test_sample_times_matches_the_loop():
 @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
 def test_sample_times_rejects_a_bad_period(dt):
     with pytest.raises(ValueError, match="dt must be > 0"):
-        sample_times(_span(0.0, 1.0), dt)
+        sample_times(_span(1.0), dt)
+
+
+def test_every_exported_name_resolves():
+    import softmotion
+    assert len(set(softmotion.__all__)) == len(softmotion.__all__)
+    for name in softmotion.__all__:
+        assert getattr(softmotion, name) is not None, name
+    namespace = {}
+    exec("from softmotion import *", namespace)
+    assert set(softmotion.__all__) <= set(namespace)

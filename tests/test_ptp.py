@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from softmotion import (KinematicLimits, KinematicState, brute_force_min_time,
-                        check_limits, evaluate, plan_ptp_1d,
+                        check_limits, evaluate, plan_ptp_1d, plan_ptp_nd,
                         ptp_saturation_threshold, ptp_times)
 
 
@@ -15,10 +15,14 @@ def test_times_reach_both_plateaus(lin):
     assert plan_ptp_1d(0.15, lin).duration == pytest.approx(11.0 / 6.0, abs=1e-12)
 
 
-def test_zero_distance_gives_empty_profile(lin):
-    prof = plan_ptp_1d(0.0, lin)
-    assert prof.segments == ()
-    assert prof.duration == 0.0
+def test_zero_distance_gives_a_hold(lin):
+    # a 0 s hold at x0, like plan_ptp_nd's for coincident endpoints: it has
+    # the start and final states the docstring promises
+    for x0 in (0.0, -0.25):
+        prof = plan_ptp_1d(0.0, lin, x0=x0)
+        assert prof == plan_ptp_nd([x0], [x0], lin)[0]
+        assert prof.duration == 0.0
+        assert prof.start_state == prof.final_state == KinematicState(0.0, 0.0, x0)
 
 
 def test_pure_jerk_case(lin):

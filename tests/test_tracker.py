@@ -24,7 +24,7 @@ def reference_tick_axis(state, lim, ref, dt):
     if total <= dt:
         end = profile.final_state if profile.segments else state
         return KinematicState(0.0, ref, end.x + ref * (dt - total))
-    return evaluate(profile, profile.t0 + dt)[0]
+    return evaluate(profile, dt)[0]
 
 
 def _bits(state):
@@ -81,7 +81,8 @@ def test_a_non_finite_reference_raises_and_changes_no_state(lin, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_twist_raises_and_changes_no_state(lin, ang, bad):
-    # unchecked, a NaN in v moved x, and one in w made every quaternion rate NaN
+    # unchecked, a NaN in v moved x, and one in w made every quaternion rate
+    # NaN; settled clamped a NaN or +inf in v to vmax and could answer True
     trk = PoseTracker(lin, ang, dt=0.01)
     good = Twist((0.1, -0.05, 0.02), (0.05, -0.1, 0.12))
     for _ in range(50):
@@ -94,8 +95,9 @@ def test_a_non_finite_twist_raises_and_changes_no_state(lin, ang, bad):
         for i in range(3):
             v, w = list(good.v), list(good.w)
             (v if field == "v" else w)[i] = bad
-            with pytest.raises(ValueError, match="non-finite twist"):
-                trk.tick(Twist(tuple(v), tuple(w)))
+            for call in (trk.tick, trk.settled):
+                with pytest.raises(ValueError, match="non-finite twist"):
+                    call(Twist(tuple(v), tuple(w)))
             assert _all_bits(trk._inner.states) == before
             assert trk.norm_drift == drift and trk.time == time
     trk.tick(good)
@@ -235,6 +237,9 @@ def test_pose_tracker_settles_on_a_held_twist(lin, ang):
         tracker.tick(twist)
     assert tracker.settled(twist)
     assert tracker.twist().v[0] == pytest.approx(lin.vmax, abs=1e-9)
+    for bad in (math.nan, math.inf):        # both would clamp to vmax
+        with pytest.raises(ValueError, match="non-finite twist"):
+            tracker.settled(Twist((bad, -0.05, 0.0), (0.0, 0.0, 0.0)))
     assert not tracker.settled(Twist((0.0, -0.05, 0.0), (0.0, 0.0, 0.0)))
     assert not tracker.settled(Twist((0.4, -0.05, 0.0), (0.0, 0.0, 0.1)))
     # under rotation the quaternion rate turns with the orientation; the
