@@ -332,7 +332,7 @@ def plan_for_duration(problem: TransitionProblem, t_imp: float) -> AxisProfile:
     """
     stop = abs(t_imp - problem.t_opt) > TIME_TOL and t_imp >= problem.t_stop - TIME_TOL
     profile = stop_time(problem, t_imp) if stop else plan_slowing_velocity(problem, t_imp)
-    end = profile.final_state if profile.segments else problem.init
+    end = profile.final_state
     if (abs(end.x - problem.init.x - problem.displacement) > CHAIN_TOL
             or not check_limits(profile, problem.limits).ok):
         raise SolverFailure(f"profile of duration {t_imp} breaks a limit or misses D")

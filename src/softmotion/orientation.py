@@ -105,17 +105,20 @@ def _check_unit(orient: Quaternion) -> None:
         raise ValueError(f"quaternion norm {nrm} deviates from 1 beyond {_UNIT_TOL}")
 
 
-def omega_to_qdot(orient: Quaternion, w) -> np.ndarray:
+def omega_to_qdot(orient: Quaternion, w) -> tuple[float, float, float, float]:
     """Quaternion rate of a unit orientation rotating at angular velocity w.
 
     Computed as half the quaternion product of the pure quaternion (0, w)
     with the current orientation; the result is orthogonal to the
-    orientation, so the unit norm is preserved to first order.
+    orientation, so the unit norm is preserved to first order.  The rate
+    comes back as four floats (n, i, j, k), each 0.5 times a component of
+    the product: the bits numpy's 0.5 * array would give, with no array.
     """
     _check_unit(orient)
     wx, wy, wz = (float(c) for c in w)
-    pure = Quaternion(0.0, (wx, wy, wz))
-    return 0.5 * pure.multiply(orient).as_array()
+    prod = Quaternion(0.0, (wx, wy, wz)).multiply(orient)
+    i, j, k = prod.q
+    return (0.5 * prod.n, 0.5 * i, 0.5 * j, 0.5 * k)
 
 
 def qr_matrix(orient: Quaternion) -> np.ndarray:

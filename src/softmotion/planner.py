@@ -373,7 +373,7 @@ def plan_min_time_1d(init: KinematicState, final: KinematicState,
     D = final.x - init.x
     steps = _min_time_steps(init.a, init.v, final.a, final.v, D, limits)
     profile = make_profile(steps, init)
-    end = profile.final_state if profile.segments else init
+    end = profile.final_state
     err = max(abs(end.a - final.a), abs(end.v - final.v), abs(end.x - final.x))
     if err > CHAIN_TOL:
         raise SolverFailure(f"planner failed to meet boundary ({err:.2e})")

@@ -283,6 +283,7 @@ def make_profile(steps, start: KinematicState) -> AxisProfile:
 
     Steps shorter than DROP_DURATION are dropped (their kinematic effect at
     that scale is below double-precision resolution for second-scale moves).
+    When every step drops, the profile is a 0 s hold at ``start``.
     """
     segs = []
     state = start
@@ -295,6 +296,8 @@ def make_profile(steps, start: KinematicState) -> AxisProfile:
             continue
         segs.append(CubicSegment(duration=dur, jerk=jerk, start=state))
         state = segs[-1].end
+    if not segs:
+        segs.append(CubicSegment(duration=0.0, jerk=0.0, start=start))
     return AxisProfile(segments=tuple(segs))
 
 
@@ -320,19 +323,23 @@ def slice_profile(profile: AxisProfile, t_lo: float, t_hi: float) -> AxisProfile
 
 
 def concat_profiles(parts: list[AxisProfile]) -> AxisProfile:
-    """Chain profiles end to start; each part must begin where the previous ends."""
-    parts = [p for p in parts if p.segments]
+    """Chain profiles end to start; each part must begin where the previous ends.
+
+    A 0 s part must chain too, but adds no segment, unless every part is
+    0 s: then the chain is the first part.
+    """
     if not parts:
         return AxisProfile()
-    segs = list(parts[0].segments)
-    for p in parts[1:]:
-        prev_end = segs[-1].end
-        nxt = p.start_state
-        if max(abs(prev_end.a - nxt.a), abs(prev_end.v - nxt.v),
-               abs(prev_end.x - nxt.x)) > SEAM_TOL:
+    for prev, nxt in zip(parts, parts[1:]):
+        end, start = prev.final_state, nxt.start_state
+        if max(abs(end.a - start.a), abs(end.v - start.v),
+               abs(end.x - start.x)) > SEAM_TOL:
             raise ValueError("profiles do not chain continuously")
-        segs.extend(p.segments)
-    return AxisProfile(segments=tuple(segs))
+    segs = []
+    for p in parts:
+        if p.duration > 0.0:
+            segs.extend(p.segments)
+    return AxisProfile(segments=tuple(segs)) if segs else parts[0]
 
 
 def scale_profile(profile: AxisProfile, r: float, x_offset: float = 0.0) -> AxisProfile:

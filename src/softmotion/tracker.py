@@ -17,6 +17,12 @@ it returns.  cubic never makes a non-finite value finite again, so a
 non-finite step on the way still raises ValueError when that state is
 built.  The result has the same bits as planning the critical-length
 motion with ``plan_min_time_1d`` and evaluating it at ``dt``.
+
+``PoseTracker`` takes one quaternion norm a tick, with ``np.linalg.norm``:
+the unit quaternion that ends one tick's pose starts the next, with no
+rebuilt states and no numpy array on the way.  The norm stays numpy's
+because the pose is pinned to the bits of ``q / np.linalg.norm(q)``;
+``math.hypot`` rounds some near-unit 4-vectors differently.
 """
 from __future__ import annotations
 
@@ -69,27 +75,36 @@ class OnlineTracker:
         A non-finite reference raises ValueError and leaves every state as
         it was.
         """
+        self._advance(v_ref, [s.x for s in self.states])
+        return list(self.states)
+
+    def _advance(self, v_ref, positions) -> None:
+        """Tick every axis from its (a, v) and positions[i] in place of its x.
+
+        A position may differ from the state's x only where a caller moved
+        it without changing a or v (PoseTracker's renormalized quaternion).
+        """
         refs = [float(r) for r in v_ref]
         if len(refs) != len(self.states):
             raise ValueError("one reference per axis is required")
         new_states = []
-        for state, lim, ref in zip(self.states, self.limits, refs):
+        for state, x, lim, ref in zip(self.states, positions, self.limits, refs):
             if not math.isfinite(ref):
                 raise ValueError(f"non-finite reference velocity {ref}")
             ref = max(-lim.vmax, min(lim.vmax, ref))
-            new_states.append(self._tick_axis(state, lim, ref))
+            new_states.append(self._tick_axis(state, x, lim, ref))
         self.states = new_states
         self.time += self.dt
-        return list(self.states)
 
-    def _tick_axis(self, state: KinematicState, lim: KinematicLimits,
+    def _tick_axis(self, state: KinematicState, x: float, lim: KinematicLimits,
                    ref: float) -> KinematicState:
+        """One axis' tick from (state.a, state.v, x)."""
         if state.a == 0.0 and state.v == ref:
-            return KinematicState(0.0, ref, state.x + ref * self.dt)
-        check_boundary_state(state, lim, outgoing=False)
+            return KinematicState(0.0, ref, x + ref * self.dt)
+        check_boundary_state(state, lim, outgoing=False)     # reads a and v only
         dt = self.dt
         t = 0.0
-        a, v, x = state.a, state.v, state.x
+        a, v = state.a, state.v
         # make_profile's segments, walked as evaluate would at t = dt: a tick
         # ending on a boundary resolves to the later segment
         for jerk, dur in connect_steps(a, v, 0.0, ref, lim):
@@ -109,11 +124,19 @@ class PoseTracker:
     Position axes track the linear velocity reference directly; the
     quaternion axes track the quaternion rate derived from the angular
     reference, scaled down to the angular vmax along its own axis, and the
-    current orientation.  Each tick first puts the
-    quaternion positions back on the unit sphere (their rates and
-    accelerations are left alone), so ``norm_drift``, the largest
-    |norm - 1| seen at the start of a tick, measures the drift of a single
-    tick.  The orientation exposed to the caller is renormalized.
+    current orientation.  Each tick starts from the quaternion positions
+    put back on the unit sphere (their rates and accelerations are left
+    alone), so ``norm_drift``, the largest |norm - 1| seen at the start of
+    a tick, measures the drift of a single tick.  The orientation exposed
+    to the caller is renormalized.
+
+    The raw quaternion is normalized once per tick: the unit quaternion
+    that ends a tick's pose is the one the next tick starts from, and
+    ``pose``, ``twist`` and ``settled`` read it too.  The norm is
+    ``np.linalg.norm``, whose bits are those of ``q / np.linalg.norm(q)``
+    and ``Quaternion.normalized``; a plain-float norm such as ``math.hypot``
+    rounds differently on some near-unit 4-vectors, and would change every
+    pose and state that follows.
     """
 
     def __init__(self, limits_linear: KinematicLimits,
@@ -127,20 +150,36 @@ class PoseTracker:
                                     states=states, dt=dt)
         self.norm_drift = 0.0
         self._w_max = limits_angular.vmax
+        # (states list, norm, unit quaternion) of the last normalization; keyed
+        # on the list's identity, since every tick replaces the list
+        self._normalized: tuple = (None, 0.0, None)
 
     @property
     def time(self) -> float:
         return self._inner.time
 
+    def _orientation(self) -> tuple[float, Quaternion]:
+        """(norm, unit quaternion) of the raw quaternion states."""
+        states = self._inner.states
+        if self._normalized[0] is not states:
+            raw = [s.x for s in states[3:]]
+            nrm = float(np.linalg.norm(raw))
+            if nrm < NORM_FLOOR:
+                raise ValueError("cannot normalize a near-zero quaternion")
+            n, i, j, k = (c / nrm for c in raw)  # the bits of Quaternion.normalized()
+            self._normalized = (states, nrm, Quaternion(n, (i, j, k)))
+        return self._normalized[1], self._normalized[2]
+
     def pose(self) -> Pose:
-        vals = [s.x for s in self._inner.states]
-        return Pose((vals[0], vals[1], vals[2]),
-                    Quaternion.from_array(vals[3:]).normalized())
+        x, y, z = (s.x for s in self._inner.states[:3])
+        return Pose((x, y, z), self._orientation()[1])
 
     def twist(self) -> Twist:
-        vals = [s.v for s in self._inner.states]
-        w, _ = qdot_to_omega(self.pose().orient, np.array(vals[3:]))
-        return Twist((vals[0], vals[1], vals[2]), tuple(float(c) for c in w))
+        states = self._inner.states
+        w, _ = qdot_to_omega(self._orientation()[1],
+                             np.array([s.v for s in states[3:]]))
+        return Twist((states[0].v, states[1].v, states[2].v),
+                     tuple(float(c) for c in w))
 
     def _held_w(self, w):
         """The angular reference a tick tracks: w scaled to |w| <= vmax."""
@@ -176,17 +215,11 @@ class PoseTracker:
         ``norm_drift`` included, changes.
         """
         _check_finite(twist)
-        states = self._inner.states
-        raw = [s.x for s in states[3:]]
-        nrm = float(np.linalg.norm(raw))
-        if nrm < NORM_FLOOR:
-            raise ValueError("cannot normalize a near-zero quaternion")
+        nrm, orient = self._orientation()
         self.norm_drift = max(self.norm_drift, abs(nrm - 1.0))
-        unit = [c / nrm for c in raw]      # the bits of Quaternion.normalized()
-        self._inner.states = states[:3] + [
-            KinematicState(s.a, s.v, c) for s, c in zip(states[3:], unit)]
-        qdot = omega_to_qdot(Quaternion.from_array(unit), self._held_w(twist.w))
-        self._inner.tick(list(twist.v) + qdot.tolist())
+        qdot = omega_to_qdot(orient, self._held_w(twist.w))
+        x, y, z = (s.x for s in self._inner.states[:3])
+        self._inner._advance((*twist.v, *qdot), (x, y, z, orient.n, *orient.q))
         return self.pose()
 
 

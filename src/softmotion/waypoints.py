@@ -98,9 +98,7 @@ def plan_waypoint_path_detailed(points, limits: KinematicLimits,
             profile = concat_profiles(pieces)
         except ValueError as exc:      # a seam missed: the planners' fault, not the input's
             raise SolverFailure(f"axis {ax}: {exc}") from exc
-        # every piece is empty only on a path that never moves: it rests in
-        # the first leg's 0 s hold
-        out.append(profile if profile.segments else legs[0][ax])
+        out.append(profile)
     return out, summaries
 
 

@@ -32,7 +32,9 @@ def test_stop_time_trivial(lin):
     prob = transition_problem(0.0, 0.0, 0.0, lin)
     prof = stop_time(prob)
     assert prob.t_stop == 0.0
-    assert prof.segments == ()
+    # an axis that neither moves nor stops is a 0 s hold at its start
+    assert prof.duration == 0.0 and len(prof.segments) == 1
+    assert prof.start_state == prof.final_state == prob.init
 
 
 def test_stop_time_cruise_case(lin):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -273,6 +274,26 @@ def test_track_streams_like_the_collected_loop(monkeypatch, capsys, text):
     got = capsys.readouterr()
     assert got.out == expected.out
     assert got.err == expected.err
+
+
+def test_track_stdout_is_pinned(monkeypatch, capsys):
+    # a seeded stream of four references 0.4 s apart, every w nonzero, so the
+    # quaternion axes replan each tick and each row reads pose and twist back;
+    # the digest of the whole stdout was taken before PoseTracker cached its
+    # unit quaternion
+    rng = np.random.default_rng(26)
+    lines = []
+    for k in range(4):
+        v = rng.uniform(-0.12, 0.12, 3)
+        w = rng.uniform(-0.08, 0.08, 3)
+        lines.append(" ".join(repr(float(c)) for c in (0.4 * k, *v, *w)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert cli.main(["track", "--tick", "0.01"]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert len(got.out.splitlines()) > 160
+    assert hashlib.sha256(got.out.encode()).hexdigest() == \
+        "aca4fff8d824336ad4c4f0ffb114bbbfd97e7eeabe1be564ea040009dfe371f0"
 
 
 @pytest.mark.parametrize("text, settles", [

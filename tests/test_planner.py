@@ -7,7 +7,7 @@ import pytest
 from conftest import random_boundary
 from softmotion import (InfeasibleBoundary, KinematicState, MotionType,
                         SolverFailure, brute_force_min_time, check_limits,
-                        classify, critical_length, mirror_problem,
+                        classify, critical_length, evaluate, mirror_problem,
                         plan_min_time_1d, stop_time, transition_problem)
 from softmotion import planner, roots
 from softmotion.profiles import CHAIN_TOL, LIMIT_TOL, integrate_segment
@@ -66,9 +66,12 @@ def test_plan_examples(lin):
     assert len(cruise.segments) == 1
     assert cruise.segments[0].jerk == 0.0
 
-    empty = plan_min_time_1d(KinematicState(0, 0.1, 0.3),
-                             KinematicState(0, 0.1, 0.3), lin)
-    assert empty.segments == ()
+    # equal states: a 0 s hold that meets both, evaluable like any plan
+    same = KinematicState(0, 0.1, 0.3)
+    hold = plan_min_time_1d(same, same, lin)
+    assert hold.duration == 0.0 and len(hold.segments) == 1
+    assert hold.start_state == hold.final_state == same
+    assert evaluate(hold, 0.0) == (same, 0.0)
 
     ramp = plan_min_time_1d(KinematicState(0, 0, 0),
                             KinematicState(0, 0.15, 0.0625), lin)

@@ -280,12 +280,31 @@ def test_slice_concat(lin):
         a, _ = evaluate(prof, t)
         b, _ = evaluate(whole, t)
         assert a.x == pytest.approx(b.x, abs=1e-12)
+    # 0 s slices are 0 s holds, which the chain drops: a trailing one would
+    # end the profile on jerk 0 in place of its last segment's jerk
+    first = slice_profile(prof, 0.0, 0.0)
+    middle = slice_profile(prof, mid, mid)
+    last = slice_profile(prof, prof.duration, prof.duration)
+    assert first.duration == middle.duration == last.duration == 0.0
+    padded = concat_profiles([first, left, middle, right, last])
+    assert padded.segments == whole.segments
+    assert evaluate(padded, padded.duration)[1] == prof.segments[-1].jerk != 0.0
+    # unless every part is 0 s: then the chain is the first of them
+    assert concat_profiles([first, first]).segments == first.segments
+    # a 0 s part still has to chain
+    with pytest.raises(ValueError, match="do not chain"):
+        concat_profiles([left, first, right])
 
 
 def test_make_profile_drops_noise_segments(lin):
     prof = make_profile([(0.9, 0.1), (0.0, 1e-14), (-0.9, 0.1)],
                         KinematicState(0, 0, 0))
     assert len(prof.segments) == 2
+    # every step dropped: a 0 s hold at the start state
+    start = KinematicState(0.1, 0.05, 0.2)
+    for steps in ([], [(0.9, 1e-14), (0.0, -1e-10)]):
+        assert make_profile(steps, start).segments == (
+            CubicSegment(duration=0.0, jerk=0.0, start=start),)
 
 
 def loop_sample_times(profile, dt):

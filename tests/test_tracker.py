@@ -7,7 +7,8 @@ import pytest
 from conftest import random_boundary
 
 from softmotion import (InfeasibleBoundary, KinematicLimits, KinematicState,
-                        OnlineTracker, PoseTracker, Twist, tracker)
+                        OnlineTracker, PoseTracker, Quaternion, Twist,
+                        omega_to_qdot, qdot_to_omega, tracker)
 from softmotion.planner import connect_steps, critical_length, plan_min_time_1d
 from softmotion.profiles import DROP_DURATION, evaluate
 
@@ -125,6 +126,124 @@ def test_pose_tracker_states_are_pinned(lin, ang):
             assert trk._inner.states[0].v == lin.vmax
     assert digest.hexdigest() == \
         "807708d44dba8749b534f6d0d06436cdc7c3f738ad4c39f1050441e0ea47578d"
+
+
+def _seeded_twists(seed, holds=3, ticks=120):
+    """Held twists with every w nonzero; the second hold clamps x and w."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(holds):
+        v = rng.uniform(-0.12, 0.12, 3)
+        w = rng.uniform(-0.08, 0.08, 3)
+        if k == 1:
+            v[0] = 0.4
+            w *= 3.0
+        out += [Twist(tuple(v.tolist()), tuple(w.tolist()))] * ticks
+    return out
+
+
+def _hex(values):
+    return [float(c).hex() for c in values]
+
+
+def _fresh_pose_and_twist(trk):
+    """Pose and twist computed from the raw states alone, as the tracker did
+    before it kept its unit quaternion between calls."""
+    states = trk._inner.states
+    orient = Quaternion.from_array([s.x for s in states[3:]]).normalized()
+    w, _ = qdot_to_omega(orient, np.array([s.v for s in states[3:]]))
+    return ([s.x for s in states[:3]] + orient.as_array().tolist(),
+            [s.v for s in states[:3]] + w.tolist())
+
+
+def test_each_tick_returns_the_normalized_raw_pose(lin, ang):
+    # the bits of q / np.linalg.norm(q) over the inner raw states, which is
+    # how the benchmark checks the last pose of a stream
+    trk = PoseTracker(lin, ang, dt=0.01)
+    for twist in _seeded_twists(26):
+        pose = trk.tick(twist)
+        states = trk._inner.states
+        q = np.array([s.x for s in states[3:]])
+        expected = [s.x for s in states[:3]] + (q / np.linalg.norm(q)).tolist()
+        assert _hex(pose.as_array()) == _hex(expected)
+
+
+def test_pose_and_twist_between_ticks_match_fresh_values(lin, ang):
+    trk = PoseTracker(lin, ang, dt=0.01)
+    for k, twist in enumerate(_seeded_twists(27)):
+        trk.tick(twist)
+        if k % 7 == 0:
+            trk.settled(twist)
+        pose, tw = _fresh_pose_and_twist(trk)
+        for _ in range(2):
+            assert _hex(trk.pose().as_array()) == _hex(pose)
+            got = trk.twist()
+            assert _hex(got.v + got.w) == _hex(tw)
+    # states replaced from outside are read afresh, even when they compare
+    # equal to the last ones: -0.0 == 0.0, but the unit quaternion keeps
+    # the sign of the zero
+    trk = PoseTracker(lin, ang, dt=0.01)
+    assert math.copysign(1.0, trk.pose().orient.q[0]) == 1.0
+    trk._inner.states = trk._inner.states[:4] + [
+        KinematicState(0.0, 0.0, -0.0)] + trk._inner.states[5:]
+    assert math.copysign(1.0, trk.pose().orient.q[0]) == -1.0
+    states = list(trk._inner.states)
+    states[3] = KinematicState(0.0, 0.0, 0.6)
+    states[6] = KinematicState(0.0, 0.0, 0.8)
+    trk._inner.states = states
+    assert _hex(trk.pose().as_array()) == _hex(_fresh_pose_and_twist(trk)[0])
+
+
+def test_a_rejected_tick_leaves_no_trace(lin, ang):
+    # a twist rejected for a non-finite component, at any point of a stream,
+    # changes none of the bits the following good ticks produce
+    twists = _seeded_twists(28, ticks=60)
+    clean = PoseTracker(lin, ang, dt=0.01)
+    trk = PoseTracker(lin, ang, dt=0.01)
+    for k, twist in enumerate(twists):
+        if k % 13 == 5:
+            trk.pose()
+            with pytest.raises(ValueError, match="non-finite twist"):
+                trk.tick(Twist(twist.v, (twist.w[0], math.nan, twist.w[2])))
+        assert _hex(trk.tick(twist).as_array()) == \
+            _hex(clean.tick(twist).as_array())
+        assert _all_bits(trk._inner.states) == _all_bits(clean._inner.states)
+        assert trk.norm_drift.hex() == clean.norm_drift.hex()
+        assert trk.time == clean.time
+
+
+def test_a_track_row_takes_one_norm(lin, ang, monkeypatch):
+    # tick, twist and settled, as softmotion track calls them each row
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(x, *args, **kwargs):
+        calls.append(1)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    trk = PoseTracker(lin, ang, dt=0.01)
+    trk.pose()                      # the start pose, normalized once
+    for twist in _seeded_twists(29, ticks=40):
+        calls.clear()
+        trk.tick(twist)
+        trk.twist()
+        trk.settled(twist)
+        trk.pose()
+        assert len(calls) == 1
+
+
+def test_omega_to_qdot_returns_the_array_bits_as_floats():
+    rng = np.random.default_rng(30)
+    for _ in range(500):
+        q = rng.normal(size=4)
+        orient = Quaternion.from_array(q / np.linalg.norm(q))
+        w = tuple(rng.uniform(-0.2, 0.2, 3).tolist())
+        rate = omega_to_qdot(orient, w)
+        assert type(rate) is tuple and len(rate) == 4
+        assert all(type(c) is float for c in rate)
+        pure = Quaternion(0.0, w)
+        assert _hex(rate) == _hex(0.5 * pure.multiply(orient).as_array())
 
 
 def test_at_rest_zero_reference_stays_put(lin):
