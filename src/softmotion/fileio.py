@@ -222,10 +222,7 @@ def write_trajectory_csv(stream: io.TextIOBase, profiles: list[AxisProfile],
                          names: list[str], dt: float) -> None:
     """Sampled trajectory table; one row per grid instant.
 
-    The grid is sample_times of the axis that ends last.  Every axis needs
-    a profile with segments (an axis at rest is a hold, as the planners
-    return it); an empty profile raises ValueError before anything is
-    written.
+    The grid is sample_times of the axis that ends last.
     """
     if len(profiles) != len(names):
         raise ValueError("one name per axis profile is required")

@@ -7,7 +7,10 @@ extreme positions are kept.  Because the reachable set of a linear system
 at fixed time is convex, every position between the two retained exact
 trajectories is continuously reachable, so the goal test checks whether
 the segment between them meets the goal box.  The reported time is the
-first k*dt at which that happens.
+first k*dt at which that happens.  States whose optimistic time to go
+overshoots the horizon are pruned; the costly part of that bound, the
+connection time, is tested only on the two states each cell would keep,
+and on a cell's other states only where one of those two fails.
 
 Tolerances scale with dt (half a jerk step on acceleration, and so on), so
 the answer is not a certified bound: at coarse steps it can fall below the
@@ -129,22 +132,27 @@ def _segment_meets_box(v1, x1, v2, x2, vf, xf, tol_v, tol_x) -> bool:
     return bool((lo <= hi + _OVERLAP_TOL).any())
 
 
-#: Rows per block in _successors.  Each _connect_time_vec call has a fixed
-#: cost, so smaller blocks lose: one oracle_verify round (seed 1, one 2-CPU
-#: x86-64 machine) took 1.90 s at 2048 rows, 1.60 s at 4096, 1.41 s at 8192
-#: and 1.40 s at 16384.
+#: Rows per block in _successors and in the time bound of _cell_extremes.
+#: Each block pays a fixed cost per numpy call, so smaller blocks lose, and
+#: larger ones hold more temporaries at once.  One oracle_verify round
+#: (seed 1, best of 3, one 2-CPU x86-64 machine) took 1.52 s at 2048 rows,
+#: 1.23 s at 4096, 1.17 s at 8192, 1.16 s at 16384 and 1.18 s at 32768.
 _BLOCK = 8192
 
 
-def _successors(m, v, x, a, t_next, a0, qa, af, vf, D, dt, t_ub, limits,
+def _successors(m, v, x, a, t_next, a0, qa, D, dt, t_ub, limits,
                 xlo_b, xhi_b, tol_x):
     """Successor rows that stay inside the limits and the box and whose
-    optimistic time to go still fits the horizon: first every row's
-    -jmax successor, then its 0 and then its +jmax successor.
+    distance to go still fits the horizon: first every row's -jmax
+    successor, then its 0 and then its +jmax successor.
 
-    A row passes when t_next + max(connect time - 2*dt, distance / vmax)
-    <= t_ub.  Rounded addition is monotone, so that equals both bounds
-    passing on their own, which is how it is tested here.
+    A row passes when |a| and |v| are within amax and vmax plus
+    _LIMIT_SLACK, x lies in [xlo_b, xhi_b], and t_next + max(|D - x| -
+    tol_x, 0) / vmax <= t_ub.  A row of the next frontier must also pass
+    t_next + (connect time - 2*dt) <= t_ub.  Rounded addition is monotone,
+    so the two time bounds hold together exactly when t_next + max(connect
+    time - 2*dt, distance / vmax) <= t_ub.  _search tests the connection
+    time in _cell_extremes, on the few rows each cell keeps.
     """
     jm, am, vm = limits.jmax, limits.amax, limits.vmax
     dv = 0.5 * jm * dt * dt
@@ -163,9 +171,7 @@ def _successors(m, v, x, a, t_next, a0, qa, af, vf, D, dt, t_ub, limits,
             xgap = np.maximum(np.abs(D - x2) - tol_x, 0.0)
             keep = ((np.abs(a2) <= am + _LIMIT_SLACK) & (np.abs(v2) <= vm + _LIMIT_SLACK)
                     & (x2 >= xlo_b) & (x2 <= xhi_b)
-                    & (t_next + xgap / vm <= t_ub)
-                    & (t_next + (_connect_time_vec(a2, v2, af, vf, jm, am) - 2 * dt)
-                       <= t_ub))
+                    & (t_next + xgap / vm <= t_ub))
             kept[step + 1].append((m2[keep], v2[keep], x2[keep]))
     # every -jmax row first, then every 0 row, then every +jmax row
     return tuple(np.concatenate(col) for col in zip(*kept[0], *kept[1], *kept[2]))
@@ -178,9 +184,10 @@ def _cell_key(m, v, wv):
     return (m + (1 << 20)) * (1 << 27) + (vb + (1 << 26))
 
 
-def _cell_extremes(key, x):
+def _cell_extremes(key, x, keep):
     """Indices of the least-x row (first of equals) and the greatest-x row
-    (last of equals) of every key, in key order, each pair as (least, greatest).
+    (last of equals) of every key, in key order, each pair as (least, greatest),
+    over the rows that keep passes.
 
     A key packs the acceleration index above bit 27 and the velocity bin
     below it.  Numbered row by row, the cells of the bounding box of the
@@ -189,25 +196,62 @@ def _cell_extremes(key, x):
     x, then the first row at its least and the last row at its greatest:
     linear in the rows and the box, with no sort.  -0.0 == 0.0, so ties
     between them resolve by arrival order too, as in np.lexsort((x, key)).
+
+    keep(rows) is a boolean mask over the row indices rows, called in
+    _BLOCK chunks and at first only on the two extremes of each cell over
+    all rows.  Where both pass they are also the extremes over the passing
+    rows, with the same tie-break, since those rows keep their order.
+    Every other cell is emptied and scattered again over its passing rows.
     """
-    m = key >> 27
+    cell = key >> 27                # in place from here: frontiers are large
+    cell -= cell.min()
     vb = key & ((1 << 27) - 1)
-    m_lo, vb_lo = m.min(), vb.min()
-    width = vb.max() - vb_lo + 1
-    cell = (m - m_lo) * width + (vb - vb_lo)
-    size = (m.max() - m_lo + 1) * width
+    vb -= vb.min()
+    width = vb.max() + 1
+    size = (cell.max() + 1) * width
+    cell *= width
+    cell += vb
+    del vb
+    n = len(key)
     lo = np.full(size, np.inf)
     hi = np.full(size, -np.inf)
-    np.minimum.at(lo, cell, x)
-    np.maximum.at(hi, cell, x)
-    n = len(key)
-    rows = np.arange(n)
     first = np.full(size, n)
     last = np.full(size, -1)
-    np.minimum.at(first, cell, np.where(x == lo[cell], rows, n))
-    np.maximum.at(last, cell, np.where(x == hi[cell], rows, -1))
+    _scatter_extremes(lo, hi, first, last, cell, x)
+    occupied = np.flatnonzero(first < n)
+    pick = np.stack([first[occupied], last[occupied]], axis=1).ravel()
+    ok = _passing(keep, pick).reshape(-1, 2).all(axis=1)
+    if ok.all():
+        return pick
+    redo = np.zeros(size, dtype=bool)
+    redo[occupied[~ok]] = True
+    lo[redo], hi[redo], first[redo], last[redo] = np.inf, -np.inf, n, -1
+    rows = np.flatnonzero(redo[cell])
+    rows = rows[_passing(keep, rows)]
+    _scatter_extremes(lo, hi, first, last, cell[rows], x[rows], rows)
     occupied = np.flatnonzero(first < n)
     return np.stack([first[occupied], last[occupied]], axis=1).ravel()
+
+
+def _scatter_extremes(lo, hi, first, last, cell, x, rows=None):
+    """Fold rows in cells cell with positions x into each cell's least and
+    greatest x, its first row at the least and its last row at the
+    greatest.  rows numbers the rows in increasing order (0, 1, ... when
+    None)."""
+    np.minimum.at(lo, cell, x)
+    np.maximum.at(hi, cell, x)
+    at = np.flatnonzero(x == lo[cell])
+    np.minimum.at(first, cell[at], at if rows is None else rows[at])
+    at = np.flatnonzero(x == hi[cell])
+    np.maximum.at(last, cell[at], at if rows is None else rows[at])
+
+
+def _passing(keep, rows):
+    """keep(rows), evaluated in _BLOCK chunks."""
+    ok = np.empty(len(rows), dtype=bool)
+    for s in range(0, len(rows), _BLOCK):
+        ok[s:s + _BLOCK] = keep(rows[s:s + _BLOCK])
+    return ok
 
 
 def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
@@ -236,11 +280,20 @@ def _search(a0, v0, af, vf, D, dt, t_ub, limits, node_cap):
             if _segment_meets_box(v[2 * i], x[2 * i], v[2 * i + 1], x[2 * i + 1],
                                   vf, D, tol_v, tol_x):
                 return k * dt
-        m2, v2, x2 = _successors(m, v, x, a, (k + 1) * dt, a0, qa, af, vf, D, dt,
-                                 t_ub, limits, xlo_b, xhi_b, tol_x)
+        t_next = (k + 1) * dt
+        m2, v2, x2 = _successors(m, v, x, a, t_next, a0, qa, D, dt, t_ub, limits,
+                                 xlo_b, xhi_b, tol_x)
         if len(m2) == 0:
             return None
-        pick = _cell_extremes(_cell_key(m2, v2, wv), x2)
+
+        def in_time(rows):
+            # the connection-time bound of _successors' docstring
+            t_go = _connect_time_vec(a0 + m2[rows] * qa, v2[rows], af, vf, jm, am)
+            return t_next + (t_go - 2 * dt) <= t_ub
+
+        pick = _cell_extremes(_cell_key(m2, v2, wv), x2, in_time)
+        if len(pick) == 0:
+            return None
         m, v, x = m2[pick], v2[pick], x2[pick]
         if len(m) > node_cap:
             raise SearchBudgetExceeded(

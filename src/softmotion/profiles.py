@@ -131,9 +131,14 @@ class AxisProfile:
     boundary states chain continuously (the builder guarantees it, and
     ``validate_chaining`` can re-check within CHAIN_TOL).  Profiles chain
     by joining segments (``concat_profiles``), not on a shared clock.
+    Every profile has at least one segment: an axis at rest is a 0 s hold.
     """
 
-    segments: tuple[CubicSegment, ...] = ()
+    segments: tuple[CubicSegment, ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("a profile needs at least one segment")
 
     @property
     def duration(self) -> float:
@@ -145,14 +150,10 @@ class AxisProfile:
 
     @property
     def start_state(self) -> KinematicState:
-        if not self.segments:
-            raise ValueError("empty profile has no states")
         return self.segments[0].start
 
     @property
     def final_state(self) -> KinematicState:
-        if not self.segments:
-            raise ValueError("empty profile has no states")
         return self.segments[-1].end
 
     def boundaries(self) -> list[float]:
@@ -180,8 +181,6 @@ def evaluate(profile: AxisProfile, t: float) -> tuple[KinematicState, float]:
     Boundary instants resolve to the later segment; the profile end returns
     the final boundary state with the last segment's jerk.
     """
-    if not profile.segments:
-        raise ValueError("cannot evaluate an empty profile")
     ts = profile.boundaries()
     if t < -CHAIN_TOL or t > ts[-1] + CHAIN_TOL:
         raise ValueError(f"t={t} outside profile span [0, {ts[-1]}]")
@@ -214,8 +213,6 @@ class SegmentTables(NamedTuple):
 
 def segment_tables(profiles: list[AxisProfile]) -> SegmentTables:
     """The tables ``sample_axes`` reads, built once for a list of profiles."""
-    if not all(p.segments for p in profiles):
-        raise ValueError("cannot sample an empty profile")
     m = len(profiles)
     width = max(len(p.segments) for p in profiles) + 1
     bounds = np.full((m, width), np.inf)
@@ -329,7 +326,7 @@ def concat_profiles(parts: list[AxisProfile]) -> AxisProfile:
     0 s: then the chain is the first part.
     """
     if not parts:
-        return AxisProfile()
+        raise ValueError("no profiles to chain")
     for prev, nxt in zip(parts, parts[1:]):
         end, start = prev.final_state, nxt.start_state
         if max(abs(end.a - start.a), abs(end.v - start.v),
@@ -360,8 +357,8 @@ def sample_times(profile: AxisProfile, dt: float) -> np.ndarray:
 
     The grid values rise with k, so the instants below the cut are a
     prefix of the candidates; the candidates run two past the estimated
-    cut, which covers any rounding of that estimate.  An empty profile
-    (duration 0.0) gets the one instant 0.0.
+    cut, which covers any rounding of that estimate.  A 0 s profile gets
+    the one instant 0.0.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be > 0")

@@ -206,15 +206,6 @@ def test_writer_needs_only_write(lin):
     assert "".join(out.parts) == new == ref
 
 
-def test_writer_rejects_an_empty_profile(lin):
-    # an axis at rest is a hold; an empty profile has no position to write
-    profiles = [AxisProfile(), *plan_ptp_nd([0.0], [0.1], lin), AxisProfile()]
-    out = io.StringIO()
-    with pytest.raises(ValueError):
-        write_trajectory_csv(out, profiles, XYZ, 0.01)
-    assert out.getvalue() == ""
-
-
 def test_writer_builds_each_axis_table_once(lin, ang, monkeypatch):
     # a pose move of 7 axes over 3 blocks, and a line whose z axis holds
     pose0 = Pose((0.0, 0.0, 0.0), Quaternion.identity())

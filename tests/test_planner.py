@@ -186,9 +186,7 @@ def test_short_transitions_match_oracle(lin):
 def _assert_contract(prof, init, final, lin):
     """Within every limit, and both boundary states met to 1e-9."""
     assert check_limits(prof, lin).ok
-    start = prof.start_state if prof.segments else init
-    end = prof.final_state if prof.segments else init
-    for want, got in ((init, start), (final, end)):
+    for want, got in ((init, prof.start_state), (final, prof.final_state)):
         assert max(abs(got.a - want.a), abs(got.v - want.v),
                    abs(got.x - want.x)) <= 1e-9
 

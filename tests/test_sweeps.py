@@ -49,9 +49,6 @@ def test_corner_transitions_meet_time_displacement_and_limits(axes):
     t_imp, profiles = impose_common_time(problems)
     assert t_imp >= max(p.t_opt for p in problems) - 1e-9
     for prof, prob in zip(profiles, problems):
-        if not prof.segments:   # every segment below DROP_DURATION
-            assert t_imp <= 1e-6 and abs(prob.displacement) <= 1e-9
-            continue
         assert check_limits(prof, LIN).ok
         assert abs(prof.duration - t_imp) <= 1e-6
         end = prof.final_state
@@ -84,7 +81,7 @@ def test_1d_plans_keep_limits_and_meet_boundaries(problem):
     final = KinematicState(final.a, final.v, dc + off)
     prof = plan_min_time_1d(init, final, LIN)
     assert check_limits(prof, LIN).ok
-    end = prof.final_state if prof.segments else init
+    end = prof.final_state
     assert max(abs(end.a - final.a), abs(end.v - final.v),
                abs(end.x - final.x)) <= 1e-9
 
@@ -106,9 +103,6 @@ PATHS = st.builds(
 @given(PATHS)
 def test_waypoint_paths_are_continuous_and_rest_at_both_ends(points):
     for ax, prof in enumerate(plan_waypoint_path(points, LIN)):
-        if not prof.segments:   # every step of the axis below DROP_DURATION
-            assert all(abs(p[ax] - points[0][ax]) <= 1e-9 for p in points)
-            continue
         assert check_limits(prof, LIN).ok
         assert seam_discontinuity(prof) <= 1e-9
         start, end = prof.start_state, prof.final_state

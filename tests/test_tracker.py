@@ -23,8 +23,7 @@ def reference_tick_axis(state, lim, ref, dt):
     profile = plan_min_time_1d(state, KinematicState(0.0, ref, target_x), lim)
     total = profile.duration
     if total <= dt:
-        end = profile.final_state if profile.segments else state
-        return KinematicState(0.0, ref, end.x + ref * (dt - total))
+        return KinematicState(0.0, ref, profile.final_state.x + ref * (dt - total))
     return evaluate(profile, dt)[0]
 
 
