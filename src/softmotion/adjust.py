@@ -18,17 +18,22 @@ run: a maximal interval of cruise velocities of one sign with t_c >= 0.  A
 run meets every duration between those at its ends exactly once, and T
 grows without bound where a run reaches vc = 0.
 
-``transition_problem`` solves an axis once: the minimal-time profile, the
-halt and restart legs, and the exact run ends.  Everything after it only
-reads the problem, and each interval end is a duration the slowing search
-builds.  Between the cuts v0, vf and v +- amax^2/jmax one unknown makes vc
-and each sqrt(|vc - v|) rational, so each run end and crossing T(vc) = t_imp
-is a root of one polynomial of degree 2, 4 or 6, moved to the float by ``_snap``.
+``transition_problem`` plans an axis once: the minimal-time profile and the
+halt and restart legs.  The exact run ends are solved on the first read of
+``TransitionProblem.runs``, at most once per problem; only a duration
+strictly between t_opt and t_stop needs them, and ``impose_common_time``
+reads them only on the axes where they can change its answer.  Everything
+else only reads the problem, and each interval end is a duration the
+slowing search builds.  Between the cuts v0, vf and v +- amax^2/jmax one
+unknown makes vc and each sqrt(|vc - v|) rational, so each run end and
+crossing T(vc) = t_imp is a root of one polynomial of degree 2, 4 or 6,
+moved to the float by ``_snap``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InfeasibleDuration, SolverFailure
 from .planner import (critical_length, cruise_steps, plan_min_time_1d,
@@ -54,9 +59,10 @@ class TransitionProblem:
     Both boundary accelerations are zero.  ``displacement`` equals
     final.x - init.x and is kept explicit because it is the quantity the
     slowing search preserves.  Build it with ``transition_problem``, which
-    plans the minimal-time profile (duration ``t_opt``), the ``halt`` and
-    ``restart`` legs (together ``t_stop``) and the ``runs`` of cruise
-    velocities, each a ``(vc_lo, vc_hi)`` pair.
+    plans the minimal-time profile (duration ``t_opt``) and the ``halt`` and
+    ``restart`` legs (together ``t_stop``).  The ``runs`` of cruise
+    velocities, each a ``(vc_lo, vc_hi)`` pair, are solved on first read and
+    kept; they take no part in equality, hashing or ``repr``.
     """
 
     init: KinematicState
@@ -66,7 +72,6 @@ class TransitionProblem:
     min_time: AxisProfile
     halt: AxisProfile
     restart: AxisProfile
-    runs: tuple[tuple[float, float], ...] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if abs(self.init.a) > CHAIN_TOL or abs(self.final.a) > CHAIN_TOL:
@@ -82,10 +87,15 @@ class TransitionProblem:
     def t_stop(self) -> float:
         return self.halt.duration + self.restart.duration
 
+    @cached_property
+    def runs(self) -> tuple[tuple[float, float], ...]:
+        """The runs of cruise velocities, solved by ``_feasible_runs`` once."""
+        return _feasible_runs(self)
+
 
 def transition_problem(v0: float, vf: float, displacement: float,
                        limits: KinematicLimits, x0: float = 0.0) -> TransitionProblem:
-    """Plan one axis transition and find its runs of cruise velocities."""
+    """Plan one axis transition; its runs wait for their first read."""
     init = KinematicState(0.0, v0, x0)
     final = KinematicState(0.0, vf, x0 + displacement)
     min_time = plan_min_time_1d(init, final, limits)
@@ -93,9 +103,7 @@ def transition_problem(v0: float, vf: float, displacement: float,
     stop = KinematicState(0.0, 0.0, init.x + sweep_stop)   # the natural standstill
     halt = plan_min_time_1d(init, stop, limits)
     restart = plan_min_time_1d(stop, final, limits)
-    problem = TransitionProblem(init, final, displacement, limits, min_time,
-                                halt, restart, runs=())
-    return replace(problem, runs=_feasible_runs(problem))
+    return TransitionProblem(init, final, displacement, limits, min_time, halt, restart)
 
 
 def stop_time(problem: TransitionProblem, t_imp: float | None = None) -> AxisProfile:
@@ -293,6 +301,11 @@ def feasibility_intervals(problem: TransitionProblem) -> list[tuple[float, float
         lo, hi = max(min(T), t_opt), min(max(T), t_stop)
         if lo <= hi:
             intervals.append((lo, hi))
+    return _merged(intervals)
+
+
+def _merged(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The intervals sorted, with those closer than MERGE_GAP joined."""
     intervals.sort()
     merged = [intervals[0]]
     for lo, hi in intervals[1:]:
@@ -311,14 +324,42 @@ def impose_common_time(
     time that is feasible for every axis; the intersection of the per-axis
     feasible sets attains its minimum at one of the interval edges.  The
     largest stop time is always feasible, so every axis is planned once.
+
+    Candidates start at w = t_lo - CANDIDATE_TOL, with t_lo the largest
+    t_opt.  An axis's runs are read only when some axis has
+    t_opt < w <= t_stop and this axis has t_stop >= w.  Every other axis
+    takes the merged pair (t_opt, t_opt), (t_stop, t_stop) in place of
+    ``feasibility_intervals``, and the answer is the same float:
+
+    (a) No axis has t_opt < w <= t_stop.  Then each axis has t_opt >= w,
+        so t_lo lies in its first interval, or t_stop < w <= t_lo, so
+        t_lo is feasible everywhere and only candidates in [w, t_lo]
+        count; each of them passes every axis the same way with or
+        without runs.  A run interval lies in [t_opt, t_stop] and opens a
+        merged interval only more than MERGE_GAP above t_opt, beyond t_lo.
+        So the only interval start of an axis in [w, t_lo] is its first,
+        min(t_opt, t_stop), or its t_opt when t_stop rounds more than
+        MERGE_GAP below it (and then it has no run interval at all), and
+        the pair gives that start.
+    (b) Otherwise an axis with t_stop < w passes every candidate by
+        c >= t_stop - TIME_TOL, and its runs add no start at or above w:
+        they lie below t_stop, or there are none when t_stop < t_opt.
+
+    Taking the least t_opt at or above w in (a) is not the same: at the
+    halt-and-restart distance t_stop can round below t_opt, and then the
+    merged start is t_stop.
     """
     if not problems:
         raise ValueError("at least one axis problem is required")
 
     t_lo = max(p.t_opt for p in problems)
-    axes = [(p.t_stop, feasibility_intervals(p)) for p in problems]
+    w = t_lo - CANDIDATE_TOL
+    slowed = any(p.t_opt < w <= p.t_stop for p in problems)
+    axes = [(p.t_stop, feasibility_intervals(p) if slowed and p.t_stop >= w
+             else _merged([(p.t_opt, p.t_opt), (p.t_stop, p.t_stop)]))
+            for p in problems]
     candidates = {t_lo} | {max(t_stop, t_lo) for t_stop, _ in axes} | {
-        lo for _, ivals in axes for lo, _ in ivals if lo >= t_lo - CANDIDATE_TOL}
+        lo for _, ivals in axes for lo, _ in ivals if lo >= w}
     t = min(c for c in candidates if all(
         c >= t_stop - TIME_TOL or any(lo - TIME_TOL <= c <= hi + TIME_TOL for lo, hi in ivals)
         for t_stop, ivals in axes))

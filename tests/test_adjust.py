@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from softmotion import (InfeasibleDuration, KinematicState, SolverFailure,
-                        check_limits, cli, critical_length,
+from softmotion import (InfeasibleDuration, KinematicState, SoftMotionError,
+                        SolverFailure, check_limits, cli, critical_length,
                         feasibility_intervals, impose_common_time,
                         plan_for_duration, plan_slowing_velocity, stop_time,
                         transition_problem)
@@ -419,12 +419,18 @@ def count_calls(monkeypatch, names):
 def test_transition_problem_plans_each_part_once(lin, monkeypatch):
     counts = count_calls(monkeypatch, PLANNING)
     prob = transition_problem(0.15, 0.15, 0.125, lin)
-    # the minimal-time profile, the halt and the restart leg; one map
+    # the minimal-time profile, the halt and the restart leg; no runs yet
     assert counts == {"plan_min_time_1d": 3, "critical_length": 1,
-                      "_feasible_runs": 1}
-    # the runs take no part in equality and hashing
-    again = replace(prob, runs=())
-    assert again == prob and hash(again) == hash(prob)
+                      "_feasible_runs": 0}
+    fresh = transition_problem(0.15, 0.15, 0.125, lin)
+    runs = prob.runs
+    assert counts["_feasible_runs"] == 1
+    # the runs are solved once and kept
+    assert prob.runs is runs and counts["_feasible_runs"] == 1
+    # the runs take no part in equality, hashing and repr
+    assert fresh == prob and hash(fresh) == hash(prob)
+    assert repr(fresh) == repr(prob) and replace(prob) == prob
+    assert counts["_feasible_runs"] == 1
 
 
 @pytest.mark.parametrize("axes, strategy", [
@@ -435,13 +441,151 @@ def test_transition_problem_plans_each_part_once(lin, monkeypatch):
 def test_impose_common_time_does_no_planning(lin, monkeypatch, axes, strategy):
     problems = [transition_problem(*axis, lin) for axis in axes]
     counts = count_calls(monkeypatch, PLANNING)
+    solved = []
+    runs = adjust._feasible_runs
+    monkeypatch.setattr(adjust, "_feasible_runs",
+                        lambda problem: solved.append(problem) or runs(problem))
     t_imp, profs = impose_common_time(problems)
-    assert counts == dict.fromkeys(PLANNING, 0)
+    assert counts["plan_min_time_1d"] == counts["critical_length"] == 0
+    # an axis solves its runs at most once, and none is solved when no
+    # axis can end strictly between its t_opt and its t_stop
+    assert len(set(map(id, solved))) == len(solved)
     first = problems[0]
     if strategy == "min-time":
         assert t_imp == pytest.approx(max(p.t_opt for p in problems), abs=1e-9)
+        assert not solved
     elif strategy == "slowed":
         assert first.t_opt < t_imp < first.t_stop
+        assert solved and solved[0] is first
     else:
         assert t_imp > first.t_stop
+        assert not solved
     assert abs(profs[0].duration - t_imp) <= 1e-6
+
+
+def eager_impose_common_time(problems):
+    """``impose_common_time`` with every axis's runs read, as it was first.
+
+    The reference for the lazy one, which must give the same float and the
+    same profiles.
+    """
+    tol = adjust.TIME_TOL
+    t_lo = max(p.t_opt for p in problems)
+    axes = [(p.t_stop, feasibility_intervals(p)) for p in problems]
+    candidates = {t_lo} | {max(t_stop, t_lo) for t_stop, _ in axes} | {
+        lo for _, ivals in axes for lo, _ in ivals if lo >= t_lo - adjust.CANDIDATE_TOL}
+    t = min(c for c in candidates if all(
+        c >= t_stop - tol or any(lo - tol <= c <= hi + tol for lo, hi in ivals)
+        for t_stop, ivals in axes))
+    return t, [plan_for_duration(p, t) for p in problems]
+
+
+def common_time_outcome(impose, problems):
+    """The common time and every axis's segments, or the error raised."""
+    try:
+        t, profiles = impose(problems)
+    except SoftMotionError as exc:
+        return type(exc), str(exc)
+    return t, [prof.segments for prof in profiles]
+
+
+def halt_and_restart_distance(v0, vf, limits):
+    return (critical_length(KinematicState(0.0, v0), KinematicState(0.0, 0.0), limits)
+            + critical_length(KinematicState(0.0, 0.0), KinematicState(0.0, vf), limits))
+
+
+def pool_axes(rng, limits, count):
+    """Seeded (v0, vf, D) with the edge cases of the duration map."""
+    vm, thr = limits.vmax, limits.amax ** 2 / limits.jmax
+    for k in range(count):
+        v0, vf = (float(v) for v in rng.uniform(-vm, vm, 2))
+        kind = k % 7
+        if kind == 1:
+            v0 = 0.0
+        elif kind == 2:
+            vf = v0
+        elif kind == 3:
+            vf = v0 - thr if v0 - thr > -vm else v0 + thr
+        elif kind == 6:
+            v0 = vf = 0.0
+        dc = critical_length(KinematicState(0.0, v0), KinematicState(0.0, vf), limits)
+        if kind == 4:
+            d = dc
+        elif kind == 5:
+            d = halt_and_restart_distance(v0, vf, limits)
+        elif kind == 6:
+            d = 0.0
+        else:
+            d = dc + float(rng.uniform(-4.0, 4.0)) * vm * vm / limits.amax
+        yield v0, vf, d
+
+
+def crossing_pair(f, target, lo, hi):
+    """Adjacent floats lo < hi with f(lo) < target <= f(hi), f increasing."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) < target else (lo, mid)
+    return lo, hi
+
+
+def engineered_groups(lin):
+    """Axis groups at the edges of the skip rules of ``impose_common_time``."""
+    rest = transition_problem(0.0, 0.0, 0.0, lin)
+    # t_stop rounds 2e-16 below t_opt; the answer is t_stop, not t_opt
+    pitfall = transition_problem(0.03771685344636044, 0.0021047487830573863,
+                                 0.007822932794374307, lin)
+    assert pitfall.t_stop < pitfall.t_opt
+    groups = [[pitfall, rest], [rest, pitfall, pitfall], [rest], [rest, rest]]
+    for v0, vf in ((0.15, 0.0), (0.0, 0.15), (0.1, -0.05), (0.12, 0.02), (-0.03, -0.14)):
+        halt = transition_problem(v0, vf, halt_and_restart_distance(v0, vf, lin), lin)
+        groups += [[halt, rest], [halt, transition_problem(v0, -vf, 0.05, lin)]]
+    # t_opt ties within a few 1e-16, as components one ulp off round values
+    up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, -math.inf))
+    keep = float
+    for v0, vf, d in ((0.15, 0.15, 0.125), (0.0, 0.15, 0.0625), (0.1, 0.0, 0.05),
+                      (0.12, -0.05, 0.02)):
+        base = transition_problem(v0, vf, d, lin)
+        ties = [transition_problem(f(v0), g(vf), h(d), lin)
+                for f, g, h in ((up, down, down), (down, up, up), (keep, down, up))]
+        assert all(abs(tie.t_opt - base.t_opt) <= 1e-15 for tie in ties)
+        groups += [[base, tie] for tie in ties] + [[*ties, base]]
+    # t_opt a hair below the largest: between 1e-12 and 1e-9 under it
+    for v0, vf, d in ((0.15, 0.15, 0.125), (0.1, 0.05, 0.1), (0.0, 0.12, 0.2)):
+        top = transition_problem(v0, vf, d, lin)
+        near = [transition_problem(v0, vf, d * (1.0 - s), lin) for s in (1e-11, 5e-11, 1e-10)]
+        assert all(1e-12 < top.t_opt - p.t_opt < 1e-9 for p in near)
+        groups += [[top, p] for p in near] + [[p, top, rest] for p in near]
+    # t_stop within TIME_TOL of the largest t_opt, on either side of w
+    for (v0, vf, d), (u0, uf) in (((0.1, 0.05, 0.2), (0.1, 0.05)),
+                                  ((0.15, 0.15, 0.25), (-0.05, 0.12))):
+        top = transition_problem(v0, vf, d, lin)
+        start = halt_and_restart_distance(u0, uf, lin)
+        for offset in (-0.5 * adjust.TIME_TOL, -adjust.CANDIDATE_TOL, 0.0,
+                       0.5 * adjust.TIME_TOL):
+            for dd in crossing_pair(lambda dd: transition_problem(u0, uf, dd, lin).t_stop,
+                                    top.t_opt + offset, start, start + 1.0):
+                side = transition_problem(u0, uf, dd, lin)
+                assert abs(side.t_stop - top.t_opt) <= adjust.TIME_TOL
+                groups += [[top, side], [side, top, rest]]
+    # a minimal-time profile more than MERGE_GAP slower than halt and
+    # restart, and one 1e-13 s slower still: both t_opt lie in [w, t_lo]
+    base = transition_problem(0.1, 0.05, 0.1, lin)
+    slow = [replace(base, min_time=stop_time(base, base.t_stop + 1e-3 + e)) for e in (0.0, 1e-13)]
+    assert 0.0 < slow[1].t_opt - slow[0].t_opt < adjust.CANDIDATE_TOL
+    return groups + [slow, slow[::-1], [slow[0], rest]]
+
+
+def test_lazy_runs_give_the_eager_common_time_bit_for_bit(lin, ang):
+    rng = np.random.default_rng(28)
+    pools = [[transition_problem(*axis, limits) for axis in pool_axes(rng, limits, 140)]
+             for limits in (lin, ang)]
+    groups = engineered_groups(lin)
+    for k in range(1200):
+        pool = pools[k % 2]
+        picks = [pool[i] for i in rng.integers(len(pool), size=2 + k % 2)]
+        if k % 5 == 0:
+            picks.append(picks[0])   # a repeated axis
+        groups.append(picks)
+    for group in groups:
+        fresh = [replace(p) for p in group]   # no runs solved yet
+        lazy = common_time_outcome(impose_common_time, fresh)
+        assert common_time_outcome(eager_impose_common_time, group) == lazy
