@@ -147,7 +147,10 @@ def connect_steps(a0: float, v0: float, af: float, vf: float,
         sq = s * j * (vf - v0) + half_sq
         if not sq >= -_SQUARE_TOL:      # a NaN skips the shape too
             continue
-        r = math.sqrt(max(sq, 0.0))
+        # `0.0 if x < 0.0 else x` is max(x, 0.0) on every float, -0.0 and
+        # nan included (max keeps its first argument unless the second is
+        # greater), without a builtin call
+        r = math.sqrt(0.0 if sq < 0.0 else sq)
         sa0, saf = s * a0, s * af
         if not (r >= sa0 - _PEAK_TOL and r >= saf - _PEAK_TOL):
             continue
@@ -159,7 +162,9 @@ def connect_steps(a0: float, v0: float, af: float, vf: float,
                     - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
         if up < -CLAMP_TOL or hold < -CLAMP_TOL or down < -CLAMP_TOL:
             continue
-        up, hold, down = max(up, 0.0), max(hold, 0.0), max(down, 0.0)
+        up = 0.0 if up < 0.0 else up
+        hold = 0.0 if hold < 0.0 else hold
+        down = 0.0 if down < 0.0 else down
         # steps_duration of the steps: a zero hold adds +0.0 to a sum that
         # is never -0.0, so the two-step total keeps its bits
         total = 0.0 + up + hold + down

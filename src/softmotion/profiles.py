@@ -36,17 +36,31 @@ SEAM_TOL = 1e-7
 GRID_CUT = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KinematicState:
-    """Instantaneous (acceleration, velocity, position) of one axis."""
+    """Instantaneous (acceleration, velocity, position) of one axis.
+
+    ``__init__`` is written out rather than generated: the generated one of
+    a frozen dataclass sets each field through ``object.__setattr__`` and
+    then calls ``__post_init__``, which costs about twice as much, and the
+    tracker builds one state per axis every tick.  It takes the same
+    arguments and raises the same ValueError on a non-finite field; equality,
+    hashing, ``repr``, ``replace`` and pickling stay the dataclass's.  The
+    class is not ``slots=True``: a frozen slotted dataclass does not unpickle
+    on every Python 3.10 that ``pyproject.toml`` allows.
+    """
 
     a: float = 0.0
     v: float = 0.0
     x: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.v) and math.isfinite(self.x)):
-            raise ValueError(f"non-finite kinematic state {(self.a, self.v, self.x)}")
+    def __init__(self, a: float = 0.0, v: float = 0.0, x: float = 0.0) -> None:
+        if not (math.isfinite(a) and math.isfinite(v) and math.isfinite(x)):
+            raise ValueError(f"non-finite kinematic state {(a, v, x)}")
+        fields = self.__dict__          # frozen: __setattr__ raises
+        fields["a"] = a
+        fields["v"] = v
+        fields["x"] = x
 
 
 @dataclass(frozen=True)

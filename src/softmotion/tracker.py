@@ -18,6 +18,10 @@ non-finite step on the way still raises ValueError when that state is
 built.  The result has the same bits as planning the critical-length
 motion with ``plan_min_time_1d`` and evaluating it at ``dt``.
 
+``OnlineTracker._advance`` ticks every axis in one flat loop, with no
+per-axis method call and no builtin ``min``/``max`` for the clamp: with
+seven axes a tick, such calls cost a large share of the tick.
+
 ``PoseTracker`` takes one quaternion norm a tick, with ``np.linalg.norm``:
 the unit quaternion that ends one tick's pose starts the next, with no
 rebuilt states and no numpy array on the way.  The norm stays numpy's
@@ -47,6 +51,10 @@ class OnlineTracker:
     References are sampled once per tick (zero-order hold between ticks)
     and clamped to the velocity limit.  State traces are deterministic:
     identical reference traces give bit-identical states.
+
+    ``time`` is ``ticks * dt``, not a running sum of dt: the sum falls
+    behind (4 813 ticks of 10 ms add up to 48.129999999998994), and a
+    reference stamped on the tick grid would then be adopted a tick late.
     """
 
     def __init__(self, limits, n_axes: int | None = None,
@@ -67,6 +75,7 @@ class OnlineTracker:
             raise ValueError("one initial state per axis is required")
         self.states: list[KinematicState] = list(states)
         self.dt = dt
+        self.ticks = 0
         self.time = 0.0
 
     def tick(self, v_ref) -> list[KinematicState]:
@@ -87,35 +96,37 @@ class OnlineTracker:
         refs = [float(r) for r in v_ref]
         if len(refs) != len(self.states):
             raise ValueError("one reference per axis is required")
+        dt = self.dt
         new_states = []
         for state, x, lim, ref in zip(self.states, positions, self.limits, refs):
             if not math.isfinite(ref):
                 raise ValueError(f"non-finite reference velocity {ref}")
-            ref = max(-lim.vmax, min(lim.vmax, ref))
-            new_states.append(self._tick_axis(state, x, lim, ref))
-        self.states = new_states
-        self.time += self.dt
-
-    def _tick_axis(self, state: KinematicState, x: float, lim: KinematicLimits,
-                   ref: float) -> KinematicState:
-        """One axis' tick from (state.a, state.v, x)."""
-        if state.a == 0.0 and state.v == ref:
-            return KinematicState(0.0, ref, x + ref * self.dt)
-        check_boundary_state(state, lim, outgoing=False)     # reads a and v only
-        dt = self.dt
-        t = 0.0
-        a, v = state.a, state.v
-        # make_profile's segments, walked as evaluate would at t = dt: a tick
-        # ending on a boundary resolves to the later segment
-        for jerk, dur in connect_steps(a, v, 0.0, ref, lim):
-            if dur < DROP_DURATION:
+            # max(-vmax, min(vmax, ref)) for every non-nan ref: the limit
+            # itself is kept at a tie, as the builtins keep it
+            vmax = lim.vmax
+            ref = vmax if ref >= vmax else (-vmax if ref <= -vmax else ref)
+            a, v = state.a, state.v
+            if a == 0.0 and v == ref:
+                new_states.append(KinematicState(0.0, ref, x + ref * dt))
                 continue
-            if t + dur > dt:
-                return KinematicState(*cubic(a, v, x, jerk, dt - t))
-            a, v, x = cubic(a, v, x, jerk, dur)
-            t += dur
-        # landed exactly on the reference: coast the rest of the tick
-        return KinematicState(0.0, ref, x + ref * (dt - t))
+            check_boundary_state(state, lim, outgoing=False)     # reads a and v only
+            t = 0.0
+            # make_profile's segments, walked as evaluate would at t = dt: a
+            # tick ending on a boundary resolves to the later segment
+            for jerk, dur in connect_steps(a, v, 0.0, ref, lim):
+                if dur < DROP_DURATION:
+                    continue
+                if t + dur > dt:
+                    new_states.append(KinematicState(*cubic(a, v, x, jerk, dt - t)))
+                    break
+                a, v, x = cubic(a, v, x, jerk, dur)
+                t += dur
+            else:
+                # landed exactly on the reference: coast the rest of the tick
+                new_states.append(KinematicState(0.0, ref, x + ref * (dt - t)))
+        self.states = new_states
+        self.ticks += 1
+        self.time = self.ticks * dt
 
 
 class PoseTracker:

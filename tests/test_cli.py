@@ -296,6 +296,20 @@ def test_track_stdout_is_pinned(monkeypatch, capsys):
         "aca4fff8d824336ad4c4f0ffb114bbbfd97e7eeabe1be564ea040009dfe371f0"
 
 
+@pytest.mark.parametrize("t_ref", [30.0, 48.13])
+def test_track_adopts_a_grid_stamped_reference_at_its_tick(monkeypatch, capsys, t_ref):
+    # row k ends tick k + 1; the reference is due when tick n = t_ref / 0.01
+    # ends, so row n is the first that moves.  With the tick time a running
+    # sum of dt, the 48.13 reference moved row n + 1
+    n = round(t_ref / 0.01)
+    stdin = f"0 0 0 0 0 0 0\n{t_ref} 0.1 0 0 0 0 0\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(["track", "--tick", "0.01"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+    assert next(k for k, row in enumerate(rows) if float(row[8]) != 0.0) == n
+    assert float(rows[n][0]) == pytest.approx(t_ref + 0.01, abs=1e-9)
+
+
 @pytest.mark.parametrize("text, settles", [
     ("0 0 0 0 0 0 0.1\n", True),          # a held rotation settles
     ("0 0 0 0 0.05 -0.02 0.1\n", True),   # |w| beyond vmax: held scaled to vmax

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import random_boundary
-from softmotion import (InfeasibleBoundary, KinematicState, MotionType,
-                        SolverFailure, brute_force_min_time, check_limits,
-                        classify, critical_length, evaluate, mirror_problem,
-                        plan_min_time_1d, stop_time, transition_problem)
+from softmotion import (InfeasibleBoundary, KinematicLimits, KinematicState,
+                        MotionType, SolverFailure, brute_force_min_time,
+                        check_limits, classify, critical_length, evaluate,
+                        mirror_problem, plan_min_time_1d, stop_time,
+                        transition_problem)
 from softmotion import planner, roots
 from softmotion.profiles import CHAIN_TOL, LIMIT_TOL, integrate_segment
 from softmotion.roots import padd, peval
@@ -691,3 +693,107 @@ def test_connect_steps_on_non_finite_inputs_matches_two_branch_form(lin, ang):
                         [(jj.hex(), t.hex()) for jj, t in want], args
                     outcomes.add("steps")
     assert outcomes == {"steps", "InfeasibleBoundary"}
+
+
+def _connect_steps_with_max(a0, v0, af, vf, limits):
+    """``connect_steps`` as written with builtin ``max`` for its clamps."""
+    j, am = limits.jmax, limits.amax
+    best = None
+    best_total = 0.0
+    half_sq = 0.5 * (a0 * a0 + af * af)
+    for s in (1.0, -1.0):
+        sq = s * j * (vf - v0) + half_sq
+        if not sq >= -planner._SQUARE_TOL:
+            continue
+        r = math.sqrt(max(sq, 0.0))
+        sa0, saf = s * a0, s * af
+        if not (r >= sa0 - planner._PEAK_TOL and r >= saf - planner._PEAK_TOL):
+            continue
+        if r <= am:
+            up, hold, down = (r - sa0) / j, 0.0, (r - saf) / j
+        else:
+            up, down = (am - sa0) / j, (am - saf) / j
+            hold = ((s * vf - s * v0)
+                    - (2 * am * am - a0 * a0 - af * af) / (2 * j)) / am
+        tol = planner.CLAMP_TOL
+        if up < -tol or hold < -tol or down < -tol:
+            continue
+        up, hold, down = max(up, 0.0), max(hold, 0.0), max(down, 0.0)
+        total = 0.0 + up + hold + down
+        if best is None or total < best_total:
+            best = ([(s * j, up), (-s * j, down)] if r <= am
+                    else [(s * j, up), (0.0, hold), (-s * j, down)])
+            best_total = total
+    if best is None:
+        raise InfeasibleBoundary(
+            f"no phase-plane connection from (a={a0}, v={v0}) to (a={af}, v={vf})")
+    return best
+
+
+def _steps_outcome(fn, *args):
+    """Every step's bits, or the exception's type and message."""
+    try:
+        steps = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc).__name__, str(exc)
+    return [(float(jj).hex(), float(t).hex()) for jj, t in steps]
+
+
+def test_connect_steps_matches_its_max_form_bit_for_bit(lin, ang):
+    # `0.0 if x < 0.0 else x` in place of max(x, 0.0): the same steps, bit
+    # for bit, and the same exceptions, on a seeded sweep and on the cases
+    # where a clamp meets a signed zero or a limit exactly
+    exact = KinematicLimits(jmax=2.0, amax=1.0, vmax=1.0)   # powers of two
+    signs = [0.0, -0.0]
+    cases = [(exact, args) for args in itertools.product(signs, repeat=4)]
+    # sq is exactly 0 (a peak of 0) on one shape; equal (a, v) make it 0 on both
+    zero_sq = [(1.0, 0.0, 0.0, 0.25), (-1.0, 0.0, 0.0, -0.25), (0.0, 0.5, 0.0, 0.5),
+               (0.0, -0.0, -0.0, 0.0), (1.0, -0.0, 0.0, 0.25)]
+
+    def squares(a0, v0, af, vf):
+        return {s * 2.0 * (vf - v0) + 0.5 * (a0 * a0 + af * af) for s in (1.0, -1.0)}
+
+    assert all(0.0 in squares(*args) for args in zero_sq)
+    # sq is exactly 1 on one shape: the peak sqrt(sq) lands exactly on amax
+    at_amax = [(0.0, 0.0, 0.0, 0.5), (0.0, 0.0, -0.0, -0.5), (1.0, 0.0, 0.0, 0.25),
+               (0.0, -0.25, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0)]
+    assert all(1.0 in squares(*args) for args in at_amax)
+    cases += [(exact, args) for args in zero_sq + at_amax]
+    rng = np.random.default_rng(41)
+    for lim in (lin, ang, exact):
+        j, am, vm = lim.jmax, lim.amax, lim.vmax
+        for _ in range(40):
+            a, v = random_boundary(rng, lim)
+            cases.append((lim, (a, v, a, v)))                 # equal states
+            cases.append((lim, (-0.0, v, 0.0, v)))
+            args = [a, v, *random_boundary(rng, lim, True)]
+            for i in range(4):                                # one signed zero each
+                for z in signs:
+                    cases.append((lim, tuple(args[:i] + [z] + args[i + 1:])))
+
+        def draw_a():
+            return float(rng.choice([0.0, -0.0, am, -am,
+                                     rng.uniform(-1.1 * am, 1.1 * am)]))
+
+        def draw_v(a):
+            edge = a * abs(a) / (2.0 * j)
+            return float(rng.choice([0.0, -0.0, vm, -vm, vm - edge, -vm - edge,
+                                     rng.uniform(-1.1 * vm, 1.1 * vm)]))
+
+        for _ in range(4000):
+            a0, af = draw_a(), draw_a()
+            cases.append((lim, (a0, draw_v(a0), af, draw_v(af))))
+    for lim in (lin, ang):
+        cases += [(lim, (math.nan, 0.0, 0.0, 0.1)), (lim, (0.0, 0.0, 0.0, math.inf))]
+    assert len(cases) >= 10000
+    kinds = set()
+    for lim, args in cases:
+        want = _steps_outcome(_connect_steps_with_max, *args, lim)
+        assert _steps_outcome(planner.connect_steps, *args, lim) == want, (args, lim)
+        kinds.add(len(want) if isinstance(want, list) else want[0])
+    assert kinds == {2, 3, "InfeasibleBoundary"}          # two- and three-step shapes
+    # sq = -0.0 cannot reach the clamp (half_sq >= +0.0, and -0.0 + +0.0 is
+    # +0.0), so the expression is checked on it and other edges directly
+    for x in (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-16, 1.0, -1.0,
+              math.inf, -math.inf, math.nan):
+        assert (0.0 if x < 0.0 else x).hex() == max(x, 0.0).hex()

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +14,64 @@ from softmotion import (AxisProfile, CubicSegment, KinematicState, Pose,
                         plan_ptp_1d, plan_waypoint_path, sample, sample_times,
                         slice_profile)
 from softmotion.profiles import sample_axes, segment_tables
+
+
+def _state_bits(state):
+    return (state.a.hex(), state.v.hex(), state.x.hex())
+
+
+def test_kinematic_state_keeps_the_dataclass_contract():
+    # the written-out __init__ behaves as the generated one did
+    s = KinematicState(0.1, -0.2, 3.0)
+    assert (s.a, s.v, s.x) == (0.1, -0.2, 3.0)
+    assert KinematicState(x=3.0, a=0.1, v=-0.2) == s
+    assert KinematicState(0.1, -0.2, x=3.0) == s
+    assert _state_bits(KinematicState()) == _state_bits(KinematicState(0.0, 0.0, 0.0))
+    assert KinematicState(0.5) == KinematicState(0.5, 0.0, 0.0)
+    assert KinematicState(v=0.5) == KinematicState(0.0, 0.5, 0.0)
+    assert _state_bits(KinematicState(-0.0, -0.0, -0.0)) == ("-0x0.0p+0",) * 3
+    with pytest.raises(TypeError):
+        KinematicState(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(TypeError):
+        KinematicState(y=1.0)
+    # equality, hashing and repr
+    assert s != KinematicState(0.1, -0.2, 3.5) and s != (0.1, -0.2, 3.0)
+    assert KinematicState(-0.0) == KinematicState()
+    assert hash(s) == hash(KinematicState(0.1, -0.2, 3.0)) == hash((0.1, -0.2, 3.0))
+    assert len({s, KinematicState(0.1, -0.2, 3.0), KinematicState()}) == 2
+    assert repr(s) == "KinematicState(a=0.1, v=-0.2, x=3.0)"
+    # the dataclass helpers
+    assert dataclasses.is_dataclass(s)
+    assert [(f.name, f.default, f.init) for f in dataclasses.fields(s)] == [
+        ("a", 0.0, True), ("v", 0.0, True), ("x", 0.0, True)]
+    assert KinematicState.__match_args__ == ("a", "v", "x")
+    assert dataclasses.asdict(s) == {"a": 0.1, "v": -0.2, "x": 3.0}
+    assert dataclasses.astuple(s) == (0.1, -0.2, 3.0)
+    moved = dataclasses.replace(s, v=0.5)
+    assert moved == KinematicState(0.1, 0.5, 3.0) and s.v == -0.2
+    with pytest.raises(ValueError, match="non-finite kinematic state"):
+        dataclasses.replace(s, x=math.inf)
+    # pickle, copy and deepcopy round trips keep every bit and the type
+    clones = [pickle.loads(pickle.dumps(s, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones + [copy.copy(s), copy.deepcopy(s)]:
+        assert type(clone) is KinematicState and clone == s
+        assert _state_bits(clone) == _state_bits(s) and hash(clone) == hash(s)
+    # frozen
+    for name in ("a", "v", "x"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, name)
+    assert _state_bits(s) == _state_bits(KinematicState(0.1, -0.2, 3.0))
+    # a non-finite field raises the same message as before
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(3):
+            args = [0.1, -0.2, 3.0]
+            args[i] = bad
+            with pytest.raises(ValueError) as err:
+                KinematicState(*args)
+            assert str(err.value) == f"non-finite kinematic state {tuple(args)}"
 
 
 def brute_integrate(state, jerk, dt, steps=1_000_000):

@@ -9,8 +9,9 @@ from conftest import random_boundary
 from softmotion import (InfeasibleBoundary, KinematicLimits, KinematicState,
                         OnlineTracker, PoseTracker, Quaternion, Twist,
                         omega_to_qdot, qdot_to_omega, tracker)
-from softmotion.planner import connect_steps, critical_length, plan_min_time_1d
-from softmotion.profiles import DROP_DURATION, evaluate
+from softmotion.planner import (check_boundary_state, connect_steps,
+                                critical_length, plan_min_time_1d)
+from softmotion.profiles import DROP_DURATION, cubic, evaluate
 
 
 def reference_tick_axis(state, lim, ref, dt):
@@ -444,6 +445,145 @@ def test_closed_form_tick_on_exact_boundaries():
         (2.0, 0.5), (0.0, 0.5), (-2.0, 0.5)]
     for dt in (0.25, 0.5, 1.0, 1.5, 2.0):
         _assert_closed_form_tick(state, EXACT, 0.5, dt)
+
+
+def _tick_with_builtins(states, limits, v_ref, dt):
+    """The new states of OnlineTracker's tick as written with a per-axis
+    method and the max/min clamp."""
+    def tick_axis(state, lim, ref):
+        if state.a == 0.0 and state.v == ref:
+            return KinematicState(0.0, ref, state.x + ref * dt)
+        check_boundary_state(state, lim, outgoing=False)
+        t = 0.0
+        a, v, x = state.a, state.v, state.x
+        for jerk, dur in connect_steps(a, v, 0.0, ref, lim):
+            if dur < DROP_DURATION:
+                continue
+            if t + dur > dt:
+                return KinematicState(*cubic(a, v, x, jerk, dt - t))
+            a, v, x = cubic(a, v, x, jerk, dur)
+            t += dur
+        return KinematicState(0.0, ref, x + ref * (dt - t))
+
+    out = []
+    for state, lim, ref in zip(states, limits, v_ref):
+        ref = float(ref)
+        if not math.isfinite(ref):
+            raise ValueError(f"non-finite reference velocity {ref}")
+        out.append(tick_axis(state, lim, max(-lim.vmax, min(lim.vmax, ref))))
+    return out
+
+
+def _exact(values):
+    """Type and bits of each value (an int limit stays an int)."""
+    return [(type(c).__name__, c.hex() if isinstance(c, float) else repr(c))
+            for c in values]
+
+
+def _tick_outcome(tick, *args):
+    try:
+        states = tick(*args)
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc).__name__, str(exc)
+    return [_exact((s.a, s.v, s.x)) for s in states]
+
+
+def test_tick_matches_the_builtin_clamp_and_per_axis_tick(lin, ang):
+    # the flat loop and its comparison clamp against the per-axis method and
+    # max(-vmax, min(vmax, ref)): the same state bits, or the same exception
+    rng = np.random.default_rng(53)
+    limit_sets = [lin, ang.scaled(0.5), EXACT]
+    dts = [0.001, 0.01, 0.037, 0.5]
+    cases = []
+    for k in range(12000):
+        lim = limit_sets[k % 3]
+        vm = lim.vmax
+        a, v = random_boundary(rng, lim)
+        if k % 50 == 0:
+            a = lim.amax * 1.01                               # infeasible: raises
+        ref = [vm, -vm, 0.0, -0.0, v, 2.0 * vm, -2.0 * vm,
+               math.nextafter(vm, math.inf), math.nextafter(-vm, -math.inf),
+               math.nextafter(vm, 0.0), math.nan, math.inf,
+               float(rng.uniform(-1.2, 1.2)) * vm][k % 13]
+        a = [a, 0.0, -0.0][k % 7 % 3]          # some resting states: the fast path
+        cases.append((KinematicState(a, v, float(rng.uniform(-10.0, 10.0))), lim,
+                      ref, dts[k % 4]))
+    ints = KinematicLimits(jmax=2, amax=1, vmax=1)   # the limit keeps its type
+    for ref in (1.0, -1.0, 1.5, -1.5, 0.5, -0.0):
+        cases.append((KinematicState(0.0, 0.5, 0.0), ints, ref, 0.25))
+        held = max(-ints.vmax, min(ints.vmax, ref))          # the fast path
+        cases.append((KinematicState(0.0, held, 0.0), ints, ref, 0.25))
+    kinds = set()
+    for state, lim, ref, dt in cases:
+        want = _tick_outcome(_tick_with_builtins, [state], [lim], [ref], dt)
+        trk = OnlineTracker(lim, states=[state], dt=dt)
+        got = _tick_outcome(trk.tick, [ref])
+        assert got == want, (state, lim, ref, dt)
+        kinds.add(want[0] if isinstance(want, tuple) else "state")
+    assert kinds == {"state", "ValueError", "InfeasibleBoundary"}
+    # seven axes at once, as a PoseTracker ticks them
+    limits = [lin] * 3 + [ang.scaled(0.5)] * 4
+    trk = OnlineTracker(limits, dt=0.01)
+    for k in range(300):
+        if k % 40 == 0:
+            v_ref = [float(c) for c in rng.uniform(-0.3, 0.3, 7)]
+        want = _tick_outcome(_tick_with_builtins, trk.states, limits, v_ref, 0.01)
+        assert _tick_outcome(trk.tick, v_ref) == want
+
+
+def test_a_pose_tick_builds_one_state_per_axis(lin, ang, monkeypatch):
+    # and calls connect_steps only on the axes that are not already resting
+    # on their clamped reference with a = 0
+    built, connected = [], []
+    real_connect = tracker.connect_steps
+
+    def counting_state(*args):
+        built.append(args)
+        return KinematicState(*args)
+
+    def counting_connect(a0, v0, af, vf, lim):
+        connected.append((a0, v0, vf))
+        return real_connect(a0, v0, af, vf, lim)
+
+    trk = PoseTracker(lin, ang, dt=0.01)
+    monkeypatch.setattr(tracker, "KinematicState", counting_state)
+    monkeypatch.setattr(tracker, "connect_steps", counting_connect)
+    limits = trk._inner.limits
+    stream = ([Twist((0.1, -0.4, 0.0), (0.0, 0.0, 0.0))] * 150
+              + _seeded_twists(31, ticks=60))
+    fast = slow = 0
+    for twist in stream:
+        _, orient = trk._orientation()
+        refs = (*twist.v, *omega_to_qdot(orient, trk._held_w(twist.w)))
+        refs = [max(-lim.vmax, min(lim.vmax, r)) for lim, r in zip(limits, refs)]
+        expect = [(s.a, s.v, r) for s, r in zip(trk._inner.states, refs)
+                  if not (s.a == 0.0 and s.v == r)]
+        built.clear()
+        connected.clear()
+        trk.tick(twist)
+        assert len(built) == 7
+        assert connected == expect
+        fast += 7 - len(expect)
+        slow += len(expect)
+    assert fast > 1000 and slow > 1000
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.001, 0.037])
+def test_time_is_the_tick_count_times_dt(lin, ang, dt):
+    trk = OnlineTracker(lin, n_axes=1, dt=dt)
+    for n in range(1, 5001):
+        trk.tick([0.0])
+        assert trk.ticks == n and trk.time == n * dt
+    pose = PoseTracker(lin, ang, dt=dt)
+    for n in range(1, 101):
+        pose.tick(Twist((0.05, 0.0, 0.0), (0.0, 0.0, 0.02)))
+        assert pose.time == n * dt
+    # a running sum of dt falls behind: at 4 813 ticks of 10 ms it is more
+    # than DROP_DURATION short of 48.13, where n * dt is not
+    total = 0.0
+    for _ in range(4813):
+        total += 0.01
+    assert total + DROP_DURATION < 48.13 <= 4813 * 0.01 + DROP_DURATION
 
 
 def test_infeasible_initial_state_raises_on_the_first_tick(lin):
